@@ -2,10 +2,11 @@
 
 A :class:`Dual` carries a value and a tuple of partial derivatives with
 respect to a fixed set of seed directions.  Arithmetic propagates the
-derivative part exactly (no finite differencing), which is what the
-backstepping and barrier control laws need for their partial-derivative
-terms.  The one- and two-direction cases sit on the simulation hot path, so
-the arithmetic special-cases those tuple widths.
+derivative part exactly (no finite differencing).  The control laws use
+closed-form partials; dual numbers produce the constant partials of the
+affine alpha2 once per gain set, and the tests use them as the reference
+for the closed forms.  The arithmetic special-cases two-direction
+gradients, the width of the beta1 partials.
 """
 
 from __future__ import annotations

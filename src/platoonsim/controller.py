@@ -8,9 +8,13 @@ front (or the virtual lead profile for the first train) that keeps the
 inter-train gap and a gap/velocity error combination inside prescribed open
 intervals for all time, not just asymptotically.
 
-Partial derivatives of the recursively defined virtual commands and of the
-barrier composite are obtained by forward-mode differentiation
-(:mod:`platoonsim.autodiff`) rather than hand-expanded formulas.
+The laws evaluate on floats and on numpy arrays with one entry per carriage
+or per train pair, so the simulator runs each of them once per derivative
+evaluation.  The partials of the barrier composite beta1 are closed forms
+(:func:`beta_partials`); alpha2 is affine, so its partials are constants,
+computed once per gain set.  Forward-mode dual numbers
+(:mod:`platoonsim.autodiff`) still evaluate ``beta1``, which is how the
+tests check the closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .autodiff import Dual, dual_eval, gradient, log  # noqa: F401  (dual_eval re-exported)
+import numpy as np
+
+from .autodiff import Dual, gradient, log
 from .errors import BarrierDomainError, ConfigurationError, Violation
 
 _SATURATION_MARGIN = 1e-9  # distance to the boundary used when clamping
@@ -112,7 +118,7 @@ def alpha1(xhat, xhat_prev, vhat_prev, gains, d_p):
 
 
 def alpha2(xhat, xhat_prev, vhat, vhat_prev, what_prev, gains, d_p):
-    """Virtual acceleration command; evaluates on floats or duals.
+    """Virtual acceleration command; evaluates on floats, arrays or duals.
 
     Combines damping on the velocity-command error with the feedforward of
     the command's own partial derivatives and the quadratic compensation
@@ -159,7 +165,9 @@ def alpha3(xhat, vhat, what, xhat_prev, vhat_prev, what_prev,
     The five ``*dot`` arguments are the observer-state derivatives of this
     carriage and the one ahead (so the command is implementable from
     communicated data; the predecessor's derivative already contains its
-    control input).
+    control input).  Evaluates on floats or arrays.  ``whdot_prev`` enters
+    with d(alpha2)/d(what_prev) = 1, so a follower chain of these commands
+    is a cumulative sum.
     """
     z1, z2, z3 = z_errors(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, gains, d_p)
     p = alpha2_partials(gains, d_p)
@@ -204,11 +212,25 @@ def _clamp_to_domain(value, upper, lower, saturate, record=None):
     return -lower + _SATURATION_MARGIN
 
 
+def _log(x):
+    return log(x) if type(x) is Dual else np.log(x)
+
+
 def _barrier(arg, upper, lower):
-    # arg may be a float or a Dual already inside the open interval
-    phi = log((upper * lower + upper * arg) / (upper * lower - lower * arg))
-    big_phi = 1.0 / (lower + arg) + 1.0 / (upper - arg)
-    return phi, big_phi
+    """Transform, slope and curvature on (-lower, upper); floats, arrays or duals.
+
+    The transform is a difference of two logarithms, each of a product with
+    the distance to one boundary; that distance is exact near its boundary,
+    so the value keeps full precision at the saturation clamp, a margin
+    inside either end.
+    """
+    near_lo = lower + arg
+    near_hi = upper - arg
+    phi = _log(upper * near_lo) - _log(lower * near_hi)
+    inv_lo = 1.0 / near_lo
+    inv_hi = 1.0 / near_hi
+    slope = inv_lo + inv_hi
+    return phi, slope, (inv_hi - inv_lo) * slope
 
 
 def barrier_phi(x_tilde, rho1, rho2, saturate=False):
@@ -220,42 +242,80 @@ def barrier_phi(x_tilde, rho1, rho2, saturate=False):
     ``saturate`` pulls the argument back to just inside the boundary.
     """
     x = _clamp_to_domain(x_tilde, rho1, rho2, saturate)
-    return _barrier(x, rho1, rho2)
+    return _barrier(x, rho1, rho2)[:2]
 
 
 def barrier_psi(q_tilde, varrho1, varrho2, saturate=False):
     """Same transform for the combined error on (-varrho2, varrho1)."""
     q = _clamp_to_domain(q_tilde, varrho1, varrho2, saturate)
-    return _barrier(q, varrho1, varrho2)
+    return _barrier(q, varrho1, varrho2)[:2]
+
+
+def clamp_pair_errors(x_tilde, v_tilde, ell1, rho1, rho2, varrho1, varrho2,
+                      saturate=False, record=None):
+    """Gap and velocity errors of one train pair moved inside the barrier domain.
+
+    The gap error is clamped first; the velocity error is then shifted so the
+    combined error lands inside its interval.  Each clamp is reported as
+    ``record(quantity, value, low, high)``; without ``saturate`` an argument
+    outside its interval raises :class:`BarrierDomainError`.
+    """
+    rec_x = (lambda v, lo, hi: record("xtilde", v, lo, hi)) if record else None
+    rec_q = (lambda v, lo, hi: record("qtilde", v, lo, hi)) if record else None
+    xt = _clamp_to_domain(x_tilde, rho1, rho2, saturate, rec_x)
+    qt = v_tilde + ell1 * xt
+    qt_eff = _clamp_to_domain(qt, varrho1, varrho2, saturate, rec_q)
+    return xt, v_tilde + (qt_eff - qt)
+
+
+def beta_partials(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
+    """beta1 and its partials w.r.t. the gap and velocity errors, in closed form.
+
+    Evaluates on floats, arrays or duals inside the barrier domain.  With
+    q = v + ell1*x, barrier slopes Phi(x), Psi(q) and curvatures Phi', Psi':
+    d(beta1)/dv = -ell2 - ell3*(Psi^2 + psi*Psi') and
+    d(beta1)/dx = -(Phi^2 + phi*Phi') + ell1*d(beta1)/dv.
+    """
+    q_tilde = v_tilde + gains.ell1 * x_tilde
+    phi, big_phi, d_big_phi = _barrier(x_tilde, rho1, rho2)
+    psi, big_psi, d_big_psi = _barrier(q_tilde, varrho1, varrho2)
+    value = -phi * big_phi - gains.ell2 * q_tilde - gains.ell3 * psi * big_psi
+    d_v = -gains.ell2 - gains.ell3 * (big_psi * big_psi + psi * d_big_psi)
+    d_x = -(big_phi * big_phi + phi * d_big_phi) + gains.ell1 * d_v
+    return value, d_x, d_v
 
 
 def beta1(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
-    """Barrier-weighted stabilizing function; evaluates on floats or duals."""
-    q_tilde = v_tilde + gains.ell1 * x_tilde
-    phi, big_phi = _barrier(x_tilde, rho1, rho2)
-    psi, big_psi = _barrier(q_tilde, varrho1, varrho2)
-    return -phi * big_phi - gains.ell2 * q_tilde - gains.ell3 * psi * big_psi
+    """Barrier-weighted stabilizing function; evaluates on floats, arrays or duals."""
+    return beta_partials(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2)[0]
 
 
 def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
                    varrho1, varrho2, saturate=False, record=None):
     """beta1, beta2 and the partials of beta1 w.r.t. the gap/velocity errors.
 
-    The combined error depends on both arguments, so both partials are
-    produced in a single forward-mode sweep.  When ``saturate`` is set,
-    out-of-domain arguments are pulled back to just inside the boundary
-    (reported through ``record``) so integration stays defined.
+    When ``saturate`` is set, out-of-domain arguments are pulled back to just
+    inside the boundary (see :func:`clamp_pair_errors`, which reports
+    through ``record``) so integration stays defined.
     """
-    rec_x = (lambda v, lo, hi: record("xtilde", v, lo, hi)) if record else None
-    rec_q = (lambda v, lo, hi: record("qtilde", v, lo, hi)) if record else None
-    xt = _clamp_to_domain(x_tilde, rho1, rho2, saturate, rec_x)
-    qt = v_tilde + gains.ell1 * xt
-    qt_eff = _clamp_to_domain(qt, varrho1, varrho2, saturate, rec_q)
-    vt = v_tilde + (qt_eff - qt)  # shift so the combined error lands inside
-    val, grad = gradient(
-        lambda a, b: beta1(a, b, gains, rho1, rho2, varrho1, varrho2), (xt, vt))
-    b2 = what_tilde + gains.ell1 * v_tilde - val
-    return val, b2, grad[0], grad[1]
+    xt, vt = clamp_pair_errors(x_tilde, v_tilde, gains.ell1, rho1, rho2,
+                               varrho1, varrho2, saturate, record)
+    val, d_x, d_v = beta_partials(xt, vt, gains, rho1, rho2, varrho1, varrho2)
+    return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
+
+
+def head_feedback(x_tilde, v_tilde, what_tilde, beta, gains):
+    """Closed-loop term of the head law: u = g_front - own + head_feedback(...).
+
+    ``beta`` is ``(beta1, beta2, d(beta1)/dx, d(beta1)/dv)`` as
+    :func:`beta_functions` returns it.  Evaluates on floats or on arrays
+    with one entry per train pair.
+    """
+    _, bt2, pbx, pbv = beta
+    q_tilde = v_tilde + gains.ell1 * x_tilde
+    return (gains.ell1 * what_tilde + gains.ell1 ** 2 * bt2
+            - pbx * v_tilde - pbv * what_tilde
+            + pbv ** 2 * bt2 + q_tilde - gains.ell4 * bt2)
 
 
 def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
@@ -269,17 +329,12 @@ def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
     cancel this carriage's own estimated coupling/fault/correction and close
     the loop on the barrier-transformed errors.
     """
-    bt1, bt2, pbx, pbv = beta_functions(
-        x_tilde, v_tilde, what_tilde, gains, rho1, rho2, varrho1, varrho2,
-        saturate=saturate, record=record)
-    q_tilde = v_tilde + gains.ell1 * x_tilde
+    beta = beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
+                          varrho1, varrho2, saturate=saturate, record=record)
     own = b1 * what + cf_hat + mu3
     if what_next is not None:
         own += b3 * what_next
-    return (g_front - own
-            + gains.ell1 * what_tilde + gains.ell1 ** 2 * bt2
-            - pbx * v_tilde - pbv * what_tilde
-            + pbv ** 2 * bt2 + q_tilde - gains.ell4 * bt2)
+    return g_front - own + head_feedback(x_tilde, v_tilde, what_tilde, beta, gains)
 
 
 # ---------------------------------------------------------------------------

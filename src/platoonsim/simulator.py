@@ -7,10 +7,14 @@ and seed always produce bit-identical output.
 
 Within every derivative evaluation the computation order is fixed by the
 data dependencies of the control laws: reference, fault signals, observer
-corrections (velocity channel before acceleration channel), then control
-inputs in chain order (head to tail, front train to rear train, since each
-follower needs the preceding carriage's estimate derivative and each head
-needs the front tail's), and finally the state derivatives.
+corrections (velocity channel before acceleration channel), then the
+control inputs, and finally the state derivatives.  Each follower needs the
+preceding carriage's estimated-acceleration derivative and each head the
+front tail's.  Both laws cancel the carriage's own coupling terms, and a
+follower's command depends on its predecessor's derivative with unit
+weight, so over the whole network, in chain order, these derivatives are
+the lead's jerk plus a cumulative sum of per-carriage increments; all
+control laws therefore run once per evaluation on arrays.
 """
 
 from __future__ import annotations
@@ -171,7 +175,7 @@ def inject_disturbance(rng, variance, n_carriages):
 class _ClosedLoop:
     """Precompiled right-hand side of the full network for one configuration."""
 
-    def __init__(self, config, stale_chain=False):
+    def __init__(self, config):
         self.config = config
         topo = config.topology
         nc = topo.total_carriages
@@ -190,15 +194,20 @@ class _ClosedLoop:
         self.a_stiff, self.b_damp = coupler.stiffness, coupler.damping
         self.zero_control = config.control_law == "zero"
         self.saturate = not config.abort_on_violation
-        self.stale_chain = stale_chain
 
         slices, start = [], 0
         for m_i in topo.carriages_per_train:
             slices.append((start, start + m_i))
             start += m_i
         self.train_slices = tuple(slices)
-        self.head_idx = tuple(s for s, _ in slices)
         self.tail_idx = tuple(e - 1 for _, e in slices)
+        self.heads = np.array([s for s, _ in slices])
+        # tail of the train ahead of each head; the first head's entry is a
+        # placeholder for the virtual lead
+        self.front_tails = np.array((0,) + self.tail_idx[:-1])
+        # open barrier intervals of the gap errors, then the combined errors
+        self.domain_low = np.repeat((-self.rho2, -self.vr2), self.n_trains)
+        self.domain_high = np.repeat((self.rho1, self.vr1), self.n_trains)
         self.j_of = np.empty(nc, dtype=int)
         self.m_of = np.empty(nc, dtype=int)
         for g, (i, j) in enumerate(topo.carriage_ids()):
@@ -272,7 +281,6 @@ class _ClosedLoop:
 
         self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
         self.violations = []           # barrier saturations seen during stages
-        self._last_whdot = np.zeros(nc)
 
     # -- helpers ------------------------------------------------------------
 
@@ -375,46 +383,21 @@ class _ClosedLoop:
         xhdot = vh + mu1
         vhdot = wh + mu2
 
-        u = np.zeros(nc)
-        whdot = np.empty(nc)
+        # estimated jerk without control input, which every control law cancels
+        prev = self.prev
+        wh_prev = wh[prev]
+        own = b1v * wh + self.b2 * wh_prev + self.b3 * wh[self.next] + cf_hat + mu3
         if self.zero_control:
-            whdot = (b1v * wh + self.b2 * wh[self.prev] + self.b3 * wh[self.next]
-                     + cf_hat + mu3)
+            u = np.zeros(nc)
+            whdot = own
         else:
-            record = self._record_violation(t)
-            for ti, (s, e) in enumerate(self.train_slices):
-                g = s
-                if ti == 0:
-                    x_f, v_f, wh_f = x0r, v0r, w0r
-                    g_front = u0r
-                else:
-                    fi = self.tail_idx[ti - 1]
-                    x_f, v_f, wh_f = xm[fi], vm[fi], wh[fi]
-                    g_front = self._last_whdot[fi] if self.stale_chain else whdot[fi]
-                xt = (x_f - xm[g]) - self.d_s
-                vt = v_f - vm[g]
-                wth = wh_f - wh[g]
-                self._pair_index = ti + 1
-                u[g] = ctrl.head_control(
-                    g_front, b1v[g], self.b3[g], wh[g], wh[g + 1], cf_hat[g],
-                    mu3[g], xt, vt, wth, self.hgains, self.rho1, self.rho2,
-                    self.vr1, self.vr2, saturate=self.saturate, record=record)
-                whdot[g] = (b1v[g] * wh[g] + self.b3[g] * wh[g + 1]
-                            + cf_hat[g] + u[g] + mu3[g])
-                for g in range(s + 1, e):
-                    p = g - 1
-                    wh_next = wh[g + 1] if g + 1 < e else None
-                    u[g] = ctrl.follower_control(
-                        xh[g], vh[g], wh[g], xh[p], vh[p], wh[p], wh_next,
-                        xhdot[g], vhdot[g], xhdot[p], vhdot[p], whdot[p],
-                        b1v[g], self.b2[g], self.b3[g], cf_hat[g], mu3[g],
-                        self.fgains, self.d_p)
-                    whdot[g] = (b1v[g] * wh[g] + self.b2[g] * wh[p] + cf_hat[g]
-                                + u[g] + mu3[g])
-                    if wh_next is not None:
-                        whdot[g] += self.b3[g] * wh_next
-            if self.stale_chain:
-                self._last_whdot = whdot.copy()
+            inc = ctrl.alpha3(xh, vh, wh, xh[prev], vh[prev], wh_prev,
+                              xhdot, vhdot, xhdot[prev], vhdot[prev], 0.0,
+                              self.fgains, self.d_p)
+            inc[self.heads] = self._head_feedback(t, xm, vm, wh, x0r, v0r, w0r)
+            inc[0] += u0r
+            whdot = np.cumsum(inc)
+            u = whdot - own
 
         dy = np.empty(self.n_states)
         if self.has_composite:
@@ -447,15 +430,41 @@ class _ClosedLoop:
     def rhs(self, t, y):
         return self.evaluate(t, y)[0]
 
-    def _record_violation(self, t):
-        if self.config.abort_on_violation:
-            return None
-        events = self.violations
+    def _head_feedback(self, t, xm, vm, wh, x0r, v0r, w0r):
+        """Closed-loop terms of all head laws (see ``controller.head_feedback``)."""
+        heads, fronts = self.heads, self.front_tails
+        xt = (xm[fronts] - xm[heads]) - self.d_s
+        vt = vm[fronts] - vm[heads]
+        wt = wh[fronts] - wh[heads]
+        xt[0] = (x0r - xm[0]) - self.d_s
+        vt[0] = v0r - vm[0]
+        wt[0] = w0r - wh[0]
+        ell1 = self.hgains.ell1
+        errors = np.concatenate((xt, vt + ell1 * xt))
+        if ((errors > self.domain_low) & (errors < self.domain_high)).all():
+            xc, vc = xt, vt
+        else:
+            xc, vc = self._clamp_pairs(t, xt, vt)
+        b1, d_x, d_v = ctrl.beta_partials(xc, vc, self.hgains, self.rho1,
+                                          self.rho2, self.vr1, self.vr2)
+        beta = (b1, wt + ell1 * vt - b1, d_x, d_v)
+        return ctrl.head_feedback(xt, vt, wt, beta, self.hgains)
 
-        def record(kind, value, lo, hi):
-            events.append({"t": t, "pair": self._pair_index, "quantity": kind,
-                           "value": value, "low": lo, "high": hi})
-        return record
+    def _clamp_pairs(self, t, xt, vt):
+        """Pair errors moved inside the barrier domain one pair at a time.
+
+        Clamps are recorded in pair order; in abort mode the first pair
+        outside the domain raises :class:`BarrierDomainError`.
+        """
+        xc, vc = xt.copy(), vt.copy()
+        for k in range(self.n_trains):
+            def record(kind, value, lo, hi, pair=k + 1):
+                self.violations.append({"t": t, "pair": pair, "quantity": kind,
+                                        "value": value, "low": lo, "high": hi})
+            xc[k], vc[k] = ctrl.clamp_pair_errors(
+                xt[k], vt[k], self.hgains.ell1, self.rho1, self.rho2,
+                self.vr1, self.vr2, saturate=self.saturate, record=record)
+        return xc, vc
 
     # -- sample-time diagnostics ---------------------------------------------
 
@@ -722,7 +731,7 @@ def fault_interval_errors(record, config, min_length=100.0, last=10.0):
 # scenario driver
 # ---------------------------------------------------------------------------
 
-def run_scenario(config, _stale_chain=False):
+def run_scenario(config):
     """Integrate one scenario and evaluate the requirements.
 
     Validates the configuration, integrates the closed loop over the full
@@ -736,7 +745,7 @@ def run_scenario(config, _stale_chain=False):
             "infeasible scenario:\n" + "\n".join(str(v) for v in violations),
             violations=violations)
 
-    engine = _ClosedLoop(config, stale_chain=_stale_chain)
+    engine = _ClosedLoop(config)
     h = config.step
     n_steps = int(round(config.duration / h))
     stride = config.record_stride

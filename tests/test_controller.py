@@ -1,18 +1,22 @@
 """Backstepping, barrier-transform and feasibility-validation tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from platoonsim.autodiff import dual_eval
+from platoonsim import controller as ctrl
+from platoonsim.autodiff import dual_eval, gradient
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
                                    TrainPairErrors, alpha1, alpha2,
                                    alpha2_partials, alpha3, barrier_phi,
                                    barrier_psi, beta1, beta_functions,
-                                   follower_control, head_control,
-                                   validate_initial, validate_parameters,
-                                   z_errors)
+                                   beta_partials, follower_control,
+                                   head_control, validate_initial,
+                                   validate_parameters, z_errors)
 from platoonsim.errors import BarrierDomainError, ConfigurationError
 
 GAINS = FollowerGains(l1=0.1, l2=0.1, l3=0.1)
@@ -198,6 +202,53 @@ class TestBarriers:
         psi, big_psi = barrier_psi(0.0, VR1, VR2)
         assert psi == 0.0
         assert big_psi == pytest.approx(1.0 / VR1 + 1.0 / VR2, rel=1e-12)
+
+
+class TestBarrierPrecision:
+    """The transform at the points the saturation clamp produces, against exact arithmetic."""
+
+    @pytest.mark.parametrize("upper, lower", [(RHO1, RHO2), (VR1, VR2)],
+                             ids=["phi", "psi"])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_clamp_points_match_exact_arithmetic(self, upper, lower, side):
+        outside = upper + 5.0 if side == "upper" else -lower - 5.0
+        events = []
+        x = ctrl._clamp_to_domain(outside, upper, lower, True,
+                                  lambda *event: events.append(event))
+        assert events and -lower < x < upper
+        hi, lo, xf = Fraction(upper), Fraction(lower), Fraction(x)
+        exact_value = math.log(hi * (lo + xf) / (lo * (hi - xf)))
+        exact_slope = float(1 / (lo + xf) + 1 / (hi - xf))
+        exact_curvature = float(1 / (hi - xf) ** 2 - 1 / (lo + xf) ** 2)
+
+        value, slope, curvature = ctrl._barrier(x, upper, lower)
+        _, (dual_slope,) = gradient(lambda a: ctrl._barrier(a, upper, lower)[0], (x,))
+        assert abs(value) > 20.0
+        assert value == pytest.approx(exact_value, rel=1e-12)
+        assert slope == pytest.approx(exact_slope, rel=1e-12)
+        assert dual_slope == pytest.approx(exact_slope, rel=1e-12)
+        assert curvature == pytest.approx(exact_curvature, rel=1e-12)
+
+
+def inside(upper, lower):
+    return st.floats(min_value=-lower, max_value=upper,
+                     exclude_min=True, exclude_max=True)
+
+
+class TestBetaPartials:
+    """The closed-form partials against forward-mode differentiation of beta1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x_tilde=inside(RHO1, RHO2), q_tilde=inside(VR1, VR2))
+    def test_closed_forms_match_dual_numbers(self, x_tilde, q_tilde):
+        v_tilde = q_tilde - HEAD.ell1 * x_tilde
+        assume(-VR2 < v_tilde + HEAD.ell1 * x_tilde < VR1)
+        value, d_x, d_v = beta_partials(x_tilde, v_tilde, HEAD, RHO1, RHO2, VR1, VR2)
+        dual_value, (dual_x, dual_v) = gradient(
+            lambda a, b: beta1(a, b, HEAD, RHO1, RHO2, VR1, VR2), (x_tilde, v_tilde))
+        assert value == pytest.approx(dual_value, rel=1e-12, abs=1e-15)
+        assert d_x == pytest.approx(dual_x, rel=1e-12)
+        assert d_v == pytest.approx(dual_v, rel=1e-12)
 
 
 class TestBetaFunctions:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import short_scenario
 from platoonsim import controller as ctrl
@@ -218,6 +220,109 @@ class TestEngineAgainstScalarContract:
                 d_obs.f_hat, rel=1e-12, abs=1e-15)
 
 
+def per_carriage_controls(engine, t, y):
+    """Controls and estimated-jerk derivatives assembled carriage by carriage.
+
+    The reference for the engine's array control layer: the observer terms
+    as the engine computes them, then the scalar head and follower laws in
+    chain order, each follower fed its predecessor's derivative and each
+    head the front tail's.
+    """
+    cfg = engine.config
+    sl = engine.sl
+    nc = engine.nc
+    xh, vh, wh = y[sl["xh"]], y[sl["vh"]], y[sl["wh"]]
+    fh = y[sl["fh"]].reshape(nc, 3)
+    xm, vm = y[sl["x"]], y[sl["v"]]
+    prev, nxt = engine.prev, engine.next
+    x0r, v0r, w0r, u0r = cfg.profile.evaluate(t)
+    cf_hat = (fh[:, 0] * engine.upsilon + fh[:, 2] * engine.nu_omega) / engine.mass
+    e_x, e_v = xh - xm, vh - vm
+    b1v = engine.bm1 - 2.0 * engine.c2 * vm
+    b1vh = engine.bm1 - 2.0 * engine.c2 * vh
+    mu2 = (engine.bm1 * (vm - vh) - engine.c2 * (vm * vm - vh * vh) + engine.k2g * e_v
+           + engine.b2 * (vm[prev] - vh[prev]) + engine.b3 * (vm[nxt] - vh[nxt]))
+    mu3 = (b1v * mu2 + engine.k3g * e_v + (b1vh - b1v) * (wh + mu2)
+           + engine.b2 * mu2[prev] + engine.b3 * mu2[nxt])
+    xhdot = vh + (-engine.k1g * e_x - e_v)
+    vhdot = wh + mu2
+
+    u = np.zeros(nc)
+    whdot = np.empty(nc)
+    for ti, (s, e) in enumerate(engine.train_slices):
+        g = s
+        if ti == 0:
+            x_f, v_f, wh_f, g_front = x0r, v0r, w0r, u0r
+        else:
+            f = engine.tail_idx[ti - 1]
+            x_f, v_f, wh_f, g_front = xm[f], vm[f], wh[f], whdot[f]
+        u[g] = ctrl.head_control(
+            g_front, b1v[g], engine.b3[g], wh[g], wh[g + 1], cf_hat[g], mu3[g],
+            (x_f - xm[g]) - engine.d_s, v_f - vm[g], wh_f - wh[g], engine.hgains,
+            engine.rho1, engine.rho2, engine.vr1, engine.vr2, saturate=True)
+        whdot[g] = b1v[g] * wh[g] + engine.b3[g] * wh[g + 1] + cf_hat[g] + u[g] + mu3[g]
+        for g in range(s + 1, e):
+            p = g - 1
+            wh_next = wh[g + 1] if g + 1 < e else None
+            u[g] = ctrl.follower_control(
+                xh[g], vh[g], wh[g], xh[p], vh[p], wh[p], wh_next,
+                xhdot[g], vhdot[g], xhdot[p], vhdot[p], whdot[p],
+                b1v[g], engine.b2[g], engine.b3[g], cf_hat[g], mu3[g],
+                engine.fgains, engine.d_p)
+            whdot[g] = b1v[g] * wh[g] + engine.b2[g] * wh[p] + cf_hat[g] + u[g] + mu3[g]
+            if wh_next is not None:
+                whdot[g] += engine.b3[g] * wh_next
+    return u, whdot
+
+
+def unit_intervals(n):
+    return st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)
+
+
+class TestEngineAgainstPerCarriageControls:
+    """The array control layer against the carriage-by-carriage assembly."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, s5_config):
+        return _ClosedLoop(short_scenario(s5_config, 20.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(3), combined=unit_intervals(3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_feasible_states(self, engine, t, gap, combined, seed):
+        # train pairs at random points of their barrier domains, carriages
+        # and estimates scattered around them
+        rng = np.random.default_rng(seed)
+        nc, sl = engine.nc, engine.sl
+        x, v = np.empty(nc), np.empty(nc)
+        front_x, front_v = engine.config.profile.evaluate(t)[:2]
+        for k, (s, e) in enumerate(engine.train_slices):
+            xt = gap[k] * (engine.rho1 if gap[k] > 0 else engine.rho2)
+            qt = combined[k] * (engine.vr1 if combined[k] > 0 else engine.vr2)
+            x[s] = front_x - engine.d_s - xt
+            v[s] = front_v - (qt - engine.hgains.ell1 * xt)
+            x[s + 1:e] = x[s] - engine.d_p * np.arange(1, e - s) + rng.uniform(-5, 5, e - s - 1)
+            v[s + 1:e] = v[s] + rng.uniform(-2, 2, e - s - 1)
+            front_x, front_v = x[e - 1], v[e - 1]
+        y = engine.initial_state()
+        y[sl["x"]], y[sl["v"]] = x, v
+        y[sl["w"]] = rng.uniform(-1, 1, nc)
+        y[sl["xh"]] = x + rng.uniform(-1, 1, nc)
+        y[sl["vh"]] = v + rng.uniform(-1, 1, nc)
+        y[sl["wh"]] = y[sl["w"]] + rng.uniform(-1, 1, nc)
+        y[sl["fh"]] = rng.uniform(-1, 1, 3 * nc)
+
+        dy, (u, _, _) = engine.evaluate(t, y)
+        assert not engine.violations
+        u_ref, whdot_ref = per_carriage_controls(engine, t, y)
+        # both forms cancel the same large terms in a different order, so a
+        # carriage whose input is small against them is compared at the scale
+        # of the whole input vector
+        scale = max(np.abs(u_ref).max(), 1.0)
+        assert np.abs(u - u_ref).max() <= 1e-12 * scale
+        assert np.abs(dy[sl["wh"]] - whdot_ref).max() <= 1e-12 * scale
+
+
 class TestDeterminismAndStructure:
     def test_identical_config_and_seed_bitwise_identical(self, s5_config):
         config = short_scenario(s5_config, 10.0, noise=True)
@@ -242,11 +347,19 @@ class TestDeterminismAndStructure:
                            engine.delta)
 
     def test_chain_order_dependency_is_real(self, s5_config):
-        config = short_scenario(s5_config, 20.0)
-        rec_good, _ = run_scenario(config)
-        rec_stale, _ = run_scenario(config, _stale_chain=True)
-        diff = np.abs(rec_good.data["xtilde"] - rec_stale.data["xtilde"]).max()
-        assert diff > 1e-9
+        # a follower's law uses its predecessor's estimated-acceleration
+        # derivative and a head's law the front tail's, so a position
+        # estimate moved at one carriage changes that derivative at every
+        # carriage behind it, across train boundaries, and at none ahead
+        engine = _ClosedLoop(short_scenario(s5_config, 20.0))
+        y = engine.initial_state()
+        base = engine.evaluate(1.0, y)[0][engine.sl["wh"]]
+        for g in range(engine.nc - 1):
+            moved = y.copy()
+            moved[engine.sl["xh"]][g] += 0.1
+            whdot = engine.evaluate(1.0, moved)[0][engine.sl["wh"]]
+            assert np.array_equal(whdot[:g], base[:g]), g
+            assert np.all(whdot[g + 1:] != base[g + 1:]), g
 
     def test_step_halving_leaves_terminal_errors_unchanged(self, s5_config):
         base = short_scenario(s5_config, 150.0, step=0.01)
