@@ -29,8 +29,10 @@ from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)
 from .presets import PRESETS, get_preset
 from .reference import ReferencePhase, ReferenceProfile
-from .simulator import (MonitorSpec, NoiseSpec, ScenarioConfig, SimulationRecord,
-                        run_scenario, validate_config)
+from .simulator import (_CARRIAGE_FIELDS, _CARRIAGE_UNITS, _PAIR_FIELDS, _PAIR_UNITS,
+                        _PLANT_FIELDS, _PLANT_UNITS, MonitorSpec, NoiseSpec,
+                        ScenarioConfig, SimulationRecord, run_scenario,
+                        validate_config)
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -262,7 +264,13 @@ def write_timeseries(record, path):
 
 
 def read_timeseries(path):
-    """Rebuild a :class:`SimulationRecord` from a written CSV."""
+    """Rebuild a :class:`SimulationRecord` from a written CSV.
+
+    Every column written by :func:`write_timeseries` is read back, the
+    plant columns of a ``--representation both`` run included.  The file
+    holds only the sampled rows, so the record's ``step`` is the spacing of
+    the first two samples and its ``stride`` is 1.
+    """
     with open(path) as fh:
         names = fh.readline().strip().split(",")
     matrix = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -274,10 +282,12 @@ def read_timeseries(path):
             labels.append((int(i), int(j)))
     n_pairs = sum(1 for name in names if name.startswith("eps_m_"))
     data = {}
-    from .simulator import _CARRIAGE_FIELDS, _CARRIAGE_UNITS, _PAIR_FIELDS, _PAIR_UNITS
-    for f in _CARRIAGE_FIELDS:
-        data[f] = np.column_stack(
-            [cols[f"{f}_{_CARRIAGE_UNITS[f]}_{i}_{j}"] for i, j in labels])
+    carriage_fields = _CARRIAGE_FIELDS
+    if any(name.startswith("plant_x_") for name in names):
+        carriage_fields += _PLANT_FIELDS
+    units = {**_CARRIAGE_UNITS, **_PLANT_UNITS}
+    for f in carriage_fields:
+        data[f] = np.column_stack([cols[f"{f}_{units[f]}_{i}_{j}"] for i, j in labels])
     for f in _PAIR_FIELDS:
         data[f] = np.column_stack(
             [cols[f"{f}_{_PAIR_UNITS[f]}_{p}"] for p in range(1, n_pairs + 1)])

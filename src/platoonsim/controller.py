@@ -10,11 +10,16 @@ intervals for all time, not just asymptotically.
 
 The laws evaluate on floats and on numpy arrays with one entry per carriage
 or per train pair, so the simulator runs each of them once per derivative
-evaluation.  The partials of the barrier composite beta1 are closed forms
+evaluation, in this order: the follower increments, as alpha3's five
+constant weights (:func:`alpha3_coefficients`) on each follower's
+differences to its predecessor; then the head laws, as one barrier pass
+over the stacked gap and combined errors of all pairs
+(:func:`stacked_beta_partials`) followed by :func:`head_feedback`.  The
+partials of the barrier composite beta1 are closed forms
 (:func:`beta_partials`); alpha2 is affine, so its partials are constants,
 computed once per gain set.  Forward-mode dual numbers
 (:mod:`platoonsim.autodiff`) still evaluate ``beta1``, which is how the
-tests check the closed forms.
+tests check the closed forms; the scalar :func:`alpha3` checks the weights.
 """
 
 from __future__ import annotations
@@ -148,6 +153,27 @@ def alpha2_partials(gains, d_p):
     return grad
 
 
+@functools.lru_cache(maxsize=None)
+def alpha3_coefficients(gains):
+    """alpha3 as five constant weights on the differences to the predecessor.
+
+    With ``whdot_prev = 0``, alpha3 is linear in
+    ``D = (xhat - xhat_prev + d_p, vhat - vhat_prev, what - what_prev,
+    xhdot - xhdot_prev, vhdot - vhdot_prev)``; the weights, in that order,
+    are its constant partials.  With c = l1 + 1 and k = l2 + 1 + c^2 (the
+    z2 weight of alpha2):
+    z1 = D0, z2 = D1 + c*D0, z3 = D2 + (k + c)*D1 + (k*c + 1)*D0, and the
+    alpha2 partials are -(k*c + 1) on xhat and -(k + c) on vhat.
+    """
+    c = gains.l1 + 1.0
+    k = gains.l2 + 1.0 + c * c
+    return np.array([-(gains.l3 * (k * c + 1.0) + c),
+                     -(gains.l3 * (k + c) + 1.0),
+                     -gains.l3,
+                     -(k * c + 1.0),
+                     -(k + c)])
+
+
 def z_errors(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, gains, d_p):
     """Backstepping errors (z1, z2, z3) of a follower."""
     z1 = xhat - xhat_prev + d_p
@@ -279,6 +305,23 @@ def beta_partials(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
     q_tilde = v_tilde + gains.ell1 * x_tilde
     phi, big_phi, d_big_phi = _barrier(x_tilde, rho1, rho2)
     psi, big_psi, d_big_psi = _barrier(q_tilde, varrho1, varrho2)
+    return _beta(q_tilde, phi, big_phi, d_big_phi, psi, big_psi, d_big_psi, gains)
+
+
+def stacked_beta_partials(errors, gains, upper, lower):
+    """:func:`beta_partials` for arrays, with one barrier pass over both errors.
+
+    ``errors`` stacks the gap errors over the combined errors q = v + ell1*x
+    (shape ``(2, n)``); ``upper`` and ``lower`` stack (rho1, varrho1) and
+    (rho2, varrho2) the same way.  Every entry sees the same arithmetic as
+    in :func:`beta_partials`.
+    """
+    phi, slope, curvature = _barrier(errors, upper, lower)
+    return _beta(errors[1], phi[0], slope[0], curvature[0], phi[1], slope[1], curvature[1],
+                 gains)
+
+
+def _beta(q_tilde, phi, big_phi, d_big_phi, psi, big_psi, d_big_psi, gains):
     value = -phi * big_phi - gains.ell2 * q_tilde - gains.ell3 * psi * big_psi
     d_v = -gains.ell2 - gains.ell3 * (big_psi * big_psi + psi * d_big_psi)
     d_x = -(big_phi * big_phi + phi * d_big_phi) + gains.ell1 * d_v
@@ -304,18 +347,20 @@ def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
     return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
 
 
-def head_feedback(x_tilde, v_tilde, what_tilde, beta, gains):
+def head_feedback(q_tilde, v_tilde, what_tilde, beta, gains):
     """Closed-loop term of the head law: u = g_front - own + head_feedback(...).
 
-    ``beta`` is ``(beta1, beta2, d(beta1)/dx, d(beta1)/dv)`` as
+    ``q_tilde`` is the combined error v_tilde + ell1*x_tilde and ``beta``
+    is ``(beta1, beta2, d(beta1)/dx, d(beta1)/dv)`` as
     :func:`beta_functions` returns it.  Evaluates on floats or on arrays
     with one entry per train pair.
     """
     _, bt2, pbx, pbv = beta
-    q_tilde = v_tilde + gains.ell1 * x_tilde
-    return (gains.ell1 * what_tilde + gains.ell1 ** 2 * bt2
-            - pbx * v_tilde - pbv * what_tilde
-            + pbv ** 2 * bt2 + q_tilde - gains.ell4 * bt2)
+    # ell1*w + ell1^2*beta2 - pbx*v - pbv*w + pbv^2*beta2 + q - ell4*beta2,
+    # with the what_tilde and beta2 terms collected
+    return ((gains.ell1 - pbv) * what_tilde
+            + (pbv * pbv + (gains.ell1 ** 2 - gains.ell4)) * bt2
+            - pbx * v_tilde + q_tilde)
 
 
 def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
@@ -334,7 +379,8 @@ def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
     own = b1 * what + cf_hat + mu3
     if what_next is not None:
         own += b3 * what_next
-    return g_front - own + head_feedback(x_tilde, v_tilde, what_tilde, beta, gains)
+    q_tilde = v_tilde + gains.ell1 * x_tilde
+    return g_front - own + head_feedback(q_tilde, v_tilde, what_tilde, beta, gains)
 
 
 # ---------------------------------------------------------------------------

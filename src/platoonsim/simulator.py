@@ -6,15 +6,27 @@ fourth-order fixed-step scheme, deterministically: the same configuration
 and seed always produce bit-identical output.
 
 Within every derivative evaluation the computation order is fixed by the
-data dependencies of the control laws: reference, fault signals, observer
-corrections (velocity channel before acceleration channel), then the
-control inputs, and finally the state derivatives.  Each follower needs the
-preceding carriage's estimated-acceleration derivative and each head the
-front tail's.  Both laws cancel the carriage's own coupling terms, and a
-follower's command depends on its predecessor's derivative with unit
-weight, so over the whole network, in chain order, these derivatives are
-the lead's jerk plus a cumulative sum of per-carriage increments; all
-control laws therefore run once per evaluation on arrays.
+data dependencies of the control laws:
+
+1. the time-only terms (reference and true fault force rate), computed once
+   per exact stage time and shared by the stages that repeat it;
+2. the observer corrections (velocity channel before acceleration channel)
+   on the stacked estimate rows, writing the position and velocity
+   estimate derivatives and the fault-estimate derivatives into the
+   derivative vector;
+3. the control inputs: every follower's increment is alpha3's five
+   constant weights applied to its differences to the predecessor, every
+   head's is the barrier law, run once over the stacked gap and combined
+   errors of all train pairs;
+4. the state derivatives.
+
+Each follower needs the preceding carriage's estimated-acceleration
+derivative and each head the front tail's.  Both laws cancel the carriage's
+own coupling terms, and a follower's command depends on its predecessor's
+derivative with unit weight, so over the whole network, in chain order,
+these derivatives are the lead's jerk plus a cumulative sum of the
+per-carriage increments; all control laws therefore run once per
+evaluation on arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .reference import ReferenceProfile
 
 REPRESENTATIONS = ("composite", "plant", "both")
 CONTROL_LAWS = ("designed", "zero")
+_TIME_TERMS_KEPT = 4  # stage times whose time-only terms an engine keeps
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +218,12 @@ class _ClosedLoop:
         # tail of the train ahead of each head; the first head's entry is a
         # placeholder for the virtual lead
         self.front_tails = np.array((0,) + self.tail_idx[:-1])
-        # open barrier intervals of the gap errors, then the combined errors
-        self.domain_low = np.repeat((-self.rho2, -self.vr2), self.n_trains)
-        self.domain_high = np.repeat((self.rho1, self.vr1), self.n_trains)
+        # open barrier intervals, one row for the gap errors and one for the
+        # combined errors, and the same bounds as barrier arguments
+        self.domain_low = np.repeat(((-self.rho2,), (-self.vr2,)), self.n_trains, axis=1)
+        self.domain_high = np.repeat(((self.rho1,), (self.vr1,)), self.n_trains, axis=1)
+        self.barrier_upper = np.array(((self.rho1,), (self.vr1,)))
+        self.barrier_lower = np.array(((self.rho2,), (self.vr2,)))
         self.j_of = np.empty(nc, dtype=int)
         self.m_of = np.empty(nc, dtype=int)
         for g, (i, j) in enumerate(topo.carriage_ids()):
@@ -224,6 +240,8 @@ class _ClosedLoop:
         self.b3 = np.where(self.j_of < self.m_of, b_over_m, 0.0)
         self.prev = np.maximum(np.arange(nc) - 1, 0)
         self.next = np.minimum(np.arange(nc) + 1, nc - 1)
+        # coupler links k -> k + 1 that cross a train boundary carry no force
+        self.train_breaks = self.heads[1:] - 1
 
         faults = [snap_windows(c.fault, config.step) for c in config.carriages]
         self.omega = np.array([f.omega for f in faults])
@@ -238,6 +256,8 @@ class _ClosedLoop:
         self.e_rows = np.column_stack(
             [self.upsilon, np.zeros(nc), self.nu_omega])
         self.c_rows = self.e_rows / self.mass[:, None]
+        # generator rotation acting on (f3, f2) in the (f2, f3) derivative slots
+        self.rotation = np.column_stack((self.omega, -self.omega))
 
         gains = []
         cache = {}
@@ -259,6 +279,8 @@ class _ClosedLoop:
         self.k2g = np.array([g.k2 for g in gains])
         self.k3g = np.array([g.k3 for g in gains])
         self.k4g = np.vstack([g.k4 for g in gains])
+        self.neg_k1g = -self.k1g
+        self.alpha3_coef = ctrl.alpha3_coefficients(self.fgains)
 
         has_composite = config.representation in ("composite", "both")
         has_plant = config.representation in ("plant", "both")
@@ -279,8 +301,36 @@ class _ClosedLoop:
                 offset += nc
         self.n_states = offset
 
+        # every state block is a multiple of nc long, so the state reshapes to
+        # (rows, nc); est_rows and meas_rows select contiguous rows of it, and
+        # the *_idx arrays gather flat state indices (rows by carriages)
+        row = {name: part.start // nc for name, part in self.sl.items()}
+
+        def flat(names, carriages=np.arange(nc)):
+            return np.array([row[name] for name in names])[:, None] * nc + carriages
+
+        x_meas, v_meas = ("xp", "vp") if self.measure_from_plant else ("x", "v")
+        self.est_rows = slice(row["xh"], row["xh"] + 3)            # xh, vh, wh
+        self.meas_rows = slice(row[x_meas], row[x_meas] + 2)       # measured x, v
+        self.v_idx = flat((v_meas, "vh"))
+        self.est_prev_idx = flat(("xh", "vh", "wh"), self.prev)
+        self.rate_prev_idx = flat(("xh", "vh"), self.prev)         # into dy
+        # neighbours ahead and behind, with the damping weights b2 and b3
+        self.neighbours = np.stack((self.prev, self.next))
+        self.b23 = np.stack((self.b2, self.b3))
+        w_names = ("w", "wh") if has_composite else ("wh",)
+        self.w_idx = flat(w_names)
+        self.w_neighbour_idx = flat(w_names, self.neighbours[:, None])
+        self.fh_rotated_idx = self.sl["fh"].start + 3 * np.arange(nc)[:, None] + (2, 1)
+        # (measured x, measured v, wh) at every head and at the tail ahead of
+        # it; the first head's front is the virtual lead
+        self.head_idx = flat((x_meas, v_meas, "wh"), self.heads)
+        self.front_idx = flat((x_meas, v_meas, "wh"), self.front_tails)
+        self.lead_idx = tuple(int(k) for k in self.head_idx[:, 0])
+
         self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
         self.violations = []           # barrier saturations seen during stages
+        self._time_terms = {}          # stage time -> time_terms(t)
 
     # -- helpers ------------------------------------------------------------
 
@@ -296,24 +346,46 @@ class _ClosedLoop:
         f[:, 2] = amp * np.cos(arg)
         return f
 
+    def time_terms(self, t):
+        """Reference ``(x0, v0, w0, u0)``, true fault force rate and its jerk at ``t``.
+
+        These depend on the time alone, so they are kept per exact stage
+        time: the middle stages of a step share ``t + h/2``, and a step's
+        last stage time is mostly the next step's first.  The two fault
+        arrays are read-only, as every caller shares them.
+        """
+        terms = self._time_terms.get(t)
+        if terms is None:
+            f_true = self.fault_states(t)
+            ef_true = self.upsilon * f_true[:, 0] + self.nu_omega * f_true[:, 2]
+            cf_true = ef_true / self.mass
+            ef_true.flags.writeable = cf_true.flags.writeable = False
+            terms = (*self.config.profile.evaluate(t), ef_true, cf_true)
+            if len(self._time_terms) >= _TIME_TERMS_KEPT:
+                del self._time_terms[next(iter(self._time_terms))]
+            self._time_terms[t] = terms
+        return terms
+
+    def _telescope(self, link):
+        """Per-carriage sums of link terms: + from the link behind, - from the one ahead.
+
+        ``link[k]`` acts between carriages k and k + 1; the entries that
+        cross a train boundary are zeroed in place.
+        """
+        link[self.train_breaks] = 0.0
+        out = np.zeros(self.nc)
+        out[:-1] += link
+        out[1:] -= link
+        return out
+
     def coupling_vector(self, x, v):
         """Coupler force on every carriage (telescoped per train)."""
-        out = np.zeros(self.nc)
-        a, b, d_p = self.a_stiff, self.b_damp, self.d_p
-        for s, e in self.train_slices:
-            tk = a * (x[s:e - 1] - x[s + 1:e] - d_p) + b * (v[s:e - 1] - v[s + 1:e])
-            out[s:e - 1] += tk
-            out[s + 1:e] -= tk
-        return out
+        return self._telescope(self.a_stiff * (x[:-1] - x[1:] - self.d_p)
+                               + self.b_damp * (v[:-1] - v[1:]))
 
     def stiffness_drift(self, v):
         """b4 coefficient per carriage: stiffness-scaled velocity differences over mass."""
-        out = np.zeros(self.nc)
-        for s, e in self.train_slices:
-            uk = self.a_stiff * (v[s:e - 1] - v[s + 1:e])
-            out[s:e - 1] += uk
-            out[s + 1:e] -= uk
-        return -out / self.mass
+        return -self._telescope(self.a_stiff * (v[:-1] - v[1:])) / self.mass
 
     def initial_state(self):
         cfg = self.config
@@ -346,75 +418,69 @@ class _ClosedLoop:
 
     def evaluate(self, t, y):
         """Derivative vector plus the per-stage diagnostics (controls, faults)."""
-        cfg = self.config
         nc = self.nc
-        sl = self.sl
-        xh = y[sl["xh"]]
-        vh = y[sl["vh"]]
-        wh = y[sl["wh"]]
-        fh = y[sl["fh"]].reshape(nc, 3)
-        if self.measure_from_plant:
-            xm = y[sl["xp"]]
-            vm = y[sl["vp"]]
-        else:
-            xm = y[sl["x"]]
-            vm = y[sl["v"]]
-
-        x0r, v0r, w0r, u0r = cfg.profile.evaluate(t)
-        f_true = self.fault_states(t)
-        ef_true = self.upsilon * f_true[:, 0] + self.nu_omega * f_true[:, 2]
-        cf_true = ef_true / self.mass
+        # (indexing, not unpacking: iterating over an array costs more per row)
+        rows = y.reshape(-1, nc)
+        est = rows[self.est_rows]
+        vh, wh = est[1], est[2]
+        meas = rows[self.meas_rows]
+        vm = meas[1]
+        fh = y[self.sl["fh"]].reshape(nc, 3)
+        x0r, v0r, w0r, u0r, ef_true, cf_true = self.time_terms(t)
         ef_hat = fh[:, 0] * self.upsilon + fh[:, 2] * self.nu_omega
         cf_hat = ef_hat / self.mass
 
-        e_x = xh - xm
-        e_v = vh - vm
-        mu1 = -self.k1g * e_x - e_v
-        b1v = self.bm1 - 2.0 * self.c2 * vm
-        b1vh = self.bm1 - 2.0 * self.c2 * vh
-        d1_diff = self.bm1 * (vm - vh) - self.c2 * (vm * vm - vh * vh)
-        mu2 = (d1_diff + self.k2g * e_v
-               + self.b2 * (vm[self.prev] - vh[self.prev])
-               + self.b3 * (vm[self.next] - vh[self.next]))
-        mu3 = (b1v * mu2 + self.k3g * e_v + (b1vh - b1v) * (wh + mu2)
-               + self.b2 * mu2[self.prev] + self.b3 * mu2[self.next])
-        mu4 = self.k4g * e_v[:, None]
+        dy = np.empty(self.n_states)
+        d_rows = dy.reshape(-1, nc)
+        d_est = d_rows[self.est_rows]
 
-        xhdot = vh + mu1
-        vhdot = wh + mu2
+        # observer corrections; xhdot and vhdot go straight into dy
+        err = est[:2] - meas
+        e_v = err[1]
+        v_pair = y[self.v_idx]
+        b1 = self.bm1 - 2.0 * self.c2 * v_pair
+        b1v = b1[0]
+        v_sq = v_pair * v_pair
+        dv = vm - vh
+        damped = self.b23 * dv[self.neighbours]
+        mu2 = (self.bm1 * dv - self.c2 * (v_sq[0] - v_sq[1]) + self.k2g * e_v
+               + damped[0] + damped[1])
+        damped = self.b23 * mu2[self.neighbours]
+        mu3 = (b1v * mu2 + self.k3g * e_v + (b1[1] - b1v) * (wh + mu2)
+               + damped[0] + damped[1])
+        np.add(vh, self.neg_k1g * err[0] - e_v, out=d_est[0])
+        np.add(wh, mu2, out=d_est[1])
+        d_fh = dy[self.sl["fh"]].reshape(nc, 3)
+        np.multiply(self.k4g, e_v[:, None], out=d_fh)
+        d_fh[:, 1:] += self.rotation * y[self.fh_rotated_idx]
 
-        # estimated jerk without control input, which every control law cancels
-        prev = self.prev
-        wh_prev = wh[prev]
-        own = b1v * wh + self.b2 * wh_prev + self.b3 * wh[self.next] + cf_hat + mu3
+        # acceleration coupling of the true (composite) and estimated
+        # channels; the latter plus the estimated fault jerk and the
+        # correction is the estimated jerk without control input, which every
+        # control law cancels
+        damped = self.b23[:, None] * y[self.w_neighbour_idx]
+        coupled = b1v * y[self.w_idx] + damped[0] + damped[1]
+        own = coupled[-1] + cf_hat + mu3
         if self.zero_control:
             u = np.zeros(nc)
-            whdot = own
+            d_est[2] = own
         else:
-            inc = ctrl.alpha3(xh, vh, wh, xh[prev], vh[prev], wh_prev,
-                              xhdot, vhdot, xhdot[prev], vhdot[prev], 0.0,
-                              self.fgains, self.d_p)
-            inc[self.heads] = self._head_feedback(t, xm, vm, wh, x0r, v0r, w0r)
+            diffs = np.empty((5, nc))
+            np.subtract(est, y[self.est_prev_idx], out=diffs[:3])
+            diffs[0] += self.d_p
+            np.subtract(d_est[:2], dy[self.rate_prev_idx], out=diffs[3:])
+            inc = self.alpha3_coef.dot(diffs)
+            inc[self.heads] = self._head_feedback(t, y, x0r, v0r, w0r)
             inc[0] += u0r
-            whdot = np.cumsum(inc)
+            whdot = inc.cumsum(out=d_est[2])
             u = whdot - own
 
-        dy = np.empty(self.n_states)
         if self.has_composite:
-            w = y[sl["w"]]
-            dy[sl["x"]] = y[sl["v"]]
-            dy[sl["v"]] = w
-            dy[sl["w"]] = (b1v * w + self.b2 * w[self.prev] + self.b3 * w[self.next]
-                           + cf_true + u + self.delta)
-        dy[sl["xh"]] = xhdot
-        dy[sl["vh"]] = vhdot
-        dy[sl["wh"]] = whdot
-        dfh = np.empty((nc, 3))
-        dfh[:, 0] = mu4[:, 0]
-        dfh[:, 1] = self.omega * fh[:, 2] + mu4[:, 1]
-        dfh[:, 2] = -self.omega * fh[:, 1] + mu4[:, 2]
-        dy[sl["fh"]] = dfh.ravel()
+            # x, v, w are the first three rows
+            d_rows[:2] = rows[1:3]
+            np.add(coupled[0] + cf_true + u, self.delta, out=d_rows[2])
         if self.has_plant:
+            sl = self.sl
             xp, vp, tau = y[sl["xp"]], y[sl["vp"]], y[sl["tau"]]
             coupling = self.coupling_vector(xp, vp)
             resist = self.c0 + self.c1 * vp + self.c2 * vp * vp
@@ -430,25 +496,28 @@ class _ClosedLoop:
     def rhs(self, t, y):
         return self.evaluate(t, y)[0]
 
-    def _head_feedback(self, t, xm, vm, wh, x0r, v0r, w0r):
+    def _head_feedback(self, t, y, x0r, v0r, w0r):
         """Closed-loop terms of all head laws (see ``controller.head_feedback``)."""
-        heads, fronts = self.heads, self.front_tails
-        xt = (xm[fronts] - xm[heads]) - self.d_s
-        vt = vm[fronts] - vm[heads]
-        wt = wh[fronts] - wh[heads]
-        xt[0] = (x0r - xm[0]) - self.d_s
-        vt[0] = v0r - vm[0]
-        wt[0] = w0r - wh[0]
+        # gap, velocity and estimated-acceleration differences across each pair
+        diff = y[self.front_idx] - y[self.head_idx]
+        x_lead, v_lead, w_lead = self.lead_idx
+        xd, vt, wt = diff[0], diff[1], diff[2]
+        xd[0] = x0r - y[x_lead]
+        vt[0] = v0r - y[v_lead]
+        wt[0] = w0r - y[w_lead]
         ell1 = self.hgains.ell1
-        errors = np.concatenate((xt, vt + ell1 * xt))
+        errors = np.empty((2, self.n_trains))
+        xt = np.subtract(xd, self.d_s, out=errors[0])
+        np.add(vt, ell1 * xt, out=errors[1])
         if ((errors > self.domain_low) & (errors < self.domain_high)).all():
-            xc, vc = xt, vt
+            args = errors
         else:
             xc, vc = self._clamp_pairs(t, xt, vt)
-        b1, d_x, d_v = ctrl.beta_partials(xc, vc, self.hgains, self.rho1,
-                                          self.rho2, self.vr1, self.vr2)
+            args = np.array((xc, vc + ell1 * xc))
+        b1, d_x, d_v = ctrl.stacked_beta_partials(args, self.hgains, self.barrier_upper,
+                                                  self.barrier_lower)
         beta = (b1, wt + ell1 * vt - b1, d_x, d_v)
-        return ctrl.head_feedback(xt, vt, wt, beta, self.hgains)
+        return ctrl.head_feedback(errors[1], vt, wt, beta, self.hgains)
 
     def _clamp_pairs(self, t, xt, vt):
         """Pair errors moved inside the barrier domain one pair at a time.
@@ -470,8 +539,6 @@ class _ClosedLoop:
 
     def sample_row(self, t, y, stage_diag):
         """All recorded quantities at a sample instant."""
-        cfg = self.config
-        nc = self.nc
         sl = self.sl
         u, ef_true, ef_hat = stage_diag
         xh = y[sl["xh"]]
@@ -488,15 +555,11 @@ class _ClosedLoop:
             coupling = self.coupling_vector(xm, vm)
             resist = self.c0 + self.c1 * vm + self.c2 * vm * vm
             tau = self.mass * wm + coupling + self.mass * resist
-        x0r, v0r, _, _ = cfg.profile.evaluate(t)
-        eps = np.empty(self.n_trains)
-        vt = np.empty(self.n_trains)
-        front_x, front_v = x0r, v0r
-        for ti, (s, _) in enumerate(self.train_slices):
-            eps[ti] = front_x - xm[s]
-            vt[ti] = front_v - vm[s]
-            fi = self.tail_idx[ti]
-            front_x, front_v = xm[fi], vm[fi]
+        x0r, v0r = self.time_terms(t)[:2]
+        eps = xm[self.front_tails] - xm[self.heads]
+        vt = vm[self.front_tails] - vm[self.heads]
+        eps[0] = x0r - xm[0]
+        vt[0] = v0r - vm[0]
         xt = eps - self.d_s
         qt = vt + self.hgains.ell1 * xt
         row = {

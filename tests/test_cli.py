@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import short_scenario
 from platoonsim.cli import (config_from_dict, config_hash, config_to_dict,
@@ -12,7 +17,28 @@ from platoonsim.cli import (config_from_dict, config_hash, config_to_dict,
                             write_timeseries)
 from platoonsim.errors import ConfigurationError
 from platoonsim.presets import paper_s5
-from platoonsim.simulator import monitor_requirements, run_scenario
+from platoonsim.simulator import (SimulationRecord, monitor_requirements,
+                                  run_scenario)
+
+CARRIAGE_FIELDS = ("x", "v", "w", "tau", "u", "f_eff", "f_eff_hat", "e_x", "e_v", "e_w")
+PAIR_FIELDS = ("eps", "xtilde", "vtilde", "qtilde")
+PLANT_FIELDS = ("plant_x", "plant_v", "plant_tau")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def records(draw):
+    """Records of random shape and finite values, with or without plant columns."""
+    trains = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    labels = tuple((i, j) for i, m in enumerate(trains, start=1) for j in range(1, m + 1))
+    n = draw(st.integers(1, 5))
+    fields = CARRIAGE_FIELDS + (PLANT_FIELDS if draw(st.booleans()) else ())
+    data = {f: draw(arrays(np.float64, (n, len(labels)), elements=FINITE)) for f in fields}
+    for f in PAIR_FIELDS:
+        data[f] = draw(arrays(np.float64, (n, len(trains)), elements=FINITE))
+    t = draw(arrays(np.float64, n, elements=FINITE))
+    return SimulationRecord(t=t, carriage_labels=labels, data=data,
+                            step=draw(FINITE), stride=draw(st.integers(1, 100)))
 
 
 class TestConfigRoundTrip:
@@ -203,6 +229,35 @@ class TestTimeseriesFile:
             config.coupler.spacing, config.monitor)
         assert rederived.verdicts == report.verdicts
         for name in record.data:
+            assert np.array_equal(loaded.data[name], record.data[name]), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(record=records())
+    def test_write_read_round_trip_is_bitwise(self, record):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ts.csv"
+            write_timeseries(record, path)
+            loaded = read_timeseries(path)
+
+        def same_bits(a, b):
+            return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+        assert loaded.carriage_labels == record.carriage_labels
+        assert same_bits(loaded.t, record.t)
+        assert sorted(loaded.data) == sorted(record.data)
+        for name, values in record.data.items():
+            assert same_bits(loaded.data[name], values), name
+        # the file holds only the samples: their spacing is the step, one per row
+        assert loaded.stride == 1
+        assert loaded.step == (float(record.t[1] - record.t[0]) if len(record.t) > 1 else 0.0)
+
+    def test_plant_columns_read_back(self, tmp_path):
+        config = short_scenario(paper_s5(), 1.0, record_stride=20, representation="both")
+        record, _ = run_scenario(config)
+        path = tmp_path / "ts.csv"
+        write_timeseries(record, path)
+        loaded = read_timeseries(path)
+        for name in PLANT_FIELDS:
             assert np.array_equal(loaded.data[name], record.data[name]), name
 
     def test_column_order_is_fixed(self):

@@ -251,6 +251,49 @@ class TestBetaPartials:
         assert d_v == pytest.approx(dual_v, rel=1e-12)
 
 
+class TestStackedBetaPartials:
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(inside(RHO1, RHO2), inside(VR1, VR2)),
+                          min_size=1, max_size=4))
+    def test_bitwise_equal_to_per_pair_closed_forms(self, pairs):
+        # one barrier pass over the stacked errors is the same arithmetic,
+        # entry by entry, as beta_partials on each pair
+        x = np.array([x_tilde for x_tilde, _ in pairs])
+        v = np.array([q_tilde for _, q_tilde in pairs]) - HEAD.ell1 * x
+        q = v + HEAD.ell1 * x
+        assume(((q > -VR2) & (q < VR1)).all())
+        upper, lower = np.array([[RHO1], [VR1]]), np.array([[RHO2], [VR2]])
+        stacked = ctrl.stacked_beta_partials(np.array([x, q]), HEAD, upper, lower)
+        for k in range(len(pairs)):
+            pair = beta_partials(x[k], v[k], HEAD, RHO1, RHO2, VR1, VR2)
+            assert [part[k] for part in stacked] == list(pair)
+
+
+class TestAlpha3Coefficients:
+    def test_constant_weights_match_the_scalar_law(self):
+        rng = np.random.default_rng(4)
+        weights = ctrl.alpha3_coefficients(GAINS)
+        for _ in range(200):
+            xh, vh, wh, xp, vp, wp = rng.uniform(-1e3, 1e3, 6)
+            derivs = rng.uniform(-50.0, 50.0, 4)
+            expected = alpha3(xh, vh, wh, xp, vp, wp, derivs[0], derivs[1], derivs[2],
+                              derivs[3], 0.0, GAINS, D_P)
+            diffs = (xh - xp + D_P, vh - vp, wh - wp, derivs[0] - derivs[2],
+                     derivs[1] - derivs[3])
+            scale = max(np.abs(diffs).max(), 1.0)
+            assert weights @ diffs == pytest.approx(expected, abs=1e-12 * scale)
+
+    def test_weights_are_the_partials(self):
+        # alpha3 is affine in the state, so its dual-number gradient is the
+        # weight vector, read through the difference coordinates
+        weights = ctrl.alpha3_coefficients(GAINS)
+        _, grad = gradient(
+            lambda xh, vh, wh, xhd, vhd: alpha3(xh, vh, wh, 0.0, 0.0, 0.0, xhd, vhd,
+                                                0.0, 0.0, 0.0, GAINS, D_P),
+            (0.3, -0.2, 0.1, 0.05, -0.4))
+        assert list(grad) == pytest.approx(list(weights), rel=1e-14)
+
+
 class TestBetaFunctions:
     def test_origin(self):
         b1v, b2v, pbx, pbv = beta_functions(0.0, 0.0, 0.0, HEAD,
