@@ -9,22 +9,23 @@ inter-train gap and a gap/velocity error combination inside prescribed open
 intervals for all time, not just asymptotically.
 
 The laws evaluate on floats and on numpy arrays with one entry per carriage
-or per train pair, so the simulator runs each of them once per derivative
-evaluation, in this order: the follower increments, as alpha3's five
-constant weights (:func:`alpha3_coefficients`) on each follower's
-differences to its predecessor; then the head laws, as one barrier pass
-over the stacked gap and combined errors of all pairs
-(:func:`stacked_beta_partials`) followed by :func:`head_feedback`.  The
-partials of the barrier composite beta1 are closed forms
-(:func:`beta_partials`); alpha2 is affine, so its partials are constants,
-computed once per gain set.  Forward-mode dual numbers
-(:mod:`platoonsim.autodiff`) still evaluate ``beta1``, which is how the
-tests check the closed forms; the scalar :func:`alpha3` checks the weights.
+or per train pair.  The simulator runs the follower increments once per
+derivative evaluation, as alpha3's five constant weights
+(:func:`alpha3_coefficients`) on each follower's differences to its
+predecessor, and the head law once per train pair on floats: inside the
+barrier domain :func:`beta_partials` then :func:`head_feedback`, outside it
+:func:`beta_functions`, which clamps or raises.  The partials of the barrier
+composite beta1 are closed forms (:func:`beta_partials`); alpha2 is affine,
+so its partials are constants, computed once per gain set.  Forward-mode
+dual numbers (:mod:`platoonsim.autodiff`) still evaluate ``beta1``, which is
+how the tests check the closed forms; the scalar :func:`alpha3` checks the
+weights.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,6 +240,8 @@ def _clamp_to_domain(value, upper, lower, saturate, record=None):
 
 
 def _log(x):
+    if type(x) is float:
+        return math.log(x)   # np.log takes about 1 us longer on a Python float
     return log(x) if type(x) is Dual else np.log(x)
 
 
@@ -306,19 +309,6 @@ def beta_partials(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
     phi, big_phi, d_big_phi = _barrier(x_tilde, rho1, rho2)
     psi, big_psi, d_big_psi = _barrier(q_tilde, varrho1, varrho2)
     return _beta(q_tilde, phi, big_phi, d_big_phi, psi, big_psi, d_big_psi, gains)
-
-
-def stacked_beta_partials(errors, gains, upper, lower):
-    """:func:`beta_partials` for arrays, with one barrier pass over both errors.
-
-    ``errors`` stacks the gap errors over the combined errors q = v + ell1*x
-    (shape ``(2, n)``); ``upper`` and ``lower`` stack (rho1, varrho1) and
-    (rho2, varrho2) the same way.  Every entry sees the same arithmetic as
-    in :func:`beta_partials`.
-    """
-    phi, slope, curvature = _barrier(errors, upper, lower)
-    return _beta(errors[1], phi[0], slope[0], curvature[0], phi[1], slope[1], curvature[1],
-                 gains)
 
 
 def _beta(q_tilde, phi, big_phi, d_big_phi, psi, big_psi, d_big_psi, gains):

@@ -15,9 +15,10 @@ data dependencies of the control laws:
    estimate derivatives and the fault-estimate derivatives into the
    derivative vector;
 3. the control inputs: every follower's increment is alpha3's five
-   constant weights applied to its differences to the predecessor, every
-   head's is the barrier law, run once over the stacked gap and combined
-   errors of all train pairs;
+   constant weights applied to its differences to the predecessor, in one
+   array pass; every head's is the barrier law, run per train pair on
+   floats (a pair outside the barrier domain is clamped or aborts, in pair
+   order);
 4. the state derivatives.
 
 Each follower needs the preceding carriage's estimated-acceleration
@@ -25,8 +26,8 @@ derivative and each head the front tail's.  Both laws cancel the carriage's
 own coupling terms, and a follower's command depends on its predecessor's
 derivative with unit weight, so over the whole network, in chain order,
 these derivatives are the lead's jerk plus a cumulative sum of the
-per-carriage increments; all control laws therefore run once per
-evaluation on arrays.
+per-carriage increments; no law needs another's output within an
+evaluation.
 """
 
 from __future__ import annotations
@@ -218,12 +219,6 @@ class _ClosedLoop:
         # tail of the train ahead of each head; the first head's entry is a
         # placeholder for the virtual lead
         self.front_tails = np.array((0,) + self.tail_idx[:-1])
-        # open barrier intervals, one row for the gap errors and one for the
-        # combined errors, and the same bounds as barrier arguments
-        self.domain_low = np.repeat(((-self.rho2,), (-self.vr2,)), self.n_trains, axis=1)
-        self.domain_high = np.repeat(((self.rho1,), (self.vr1,)), self.n_trains, axis=1)
-        self.barrier_upper = np.array(((self.rho1,), (self.vr1,)))
-        self.barrier_lower = np.array(((self.rho2,), (self.vr2,)))
         self.j_of = np.empty(nc, dtype=int)
         self.m_of = np.empty(nc, dtype=int)
         for g, (i, j) in enumerate(topo.carriage_ids()):
@@ -247,11 +242,14 @@ class _ClosedLoop:
         self.omega = np.array([f.omega for f in faults])
         self.upsilon = np.array([f.upsilon for f in faults])
         self.nu_omega = np.array([f.nu * f.omega for f in faults])
-        self.f_c = np.array([f.constant_amp for f in faults])
-        self.f_p = np.array([f.periodic_amp for f in faults])
         self.f_phi = np.array([f.phase for f in faults])
-        self.wc = np.array([f.window_const for f in faults])      # (nc, 2)
-        self.wp = np.array([f.window_periodic for f in faults])
+        # constant-mode row over periodic-mode row: amplitudes and windows
+        self.fault_amps = np.array([[f.constant_amp for f in faults],
+                                    [f.periodic_amp for f in faults]])
+        self.window_start = np.array([[f.window_const[0] for f in faults],
+                                      [f.window_periodic[0] for f in faults]])
+        self.window_end = np.array([[f.window_const[1] for f in faults],
+                                    [f.window_periodic[1] for f in faults]])
         self.snapped_faults = tuple(faults)
         self.e_rows = np.column_stack(
             [self.upsilon, np.zeros(nc), self.nu_omega])
@@ -322,29 +320,16 @@ class _ClosedLoop:
         self.w_idx = flat(w_names)
         self.w_neighbour_idx = flat(w_names, self.neighbours[:, None])
         self.fh_rotated_idx = self.sl["fh"].start + 3 * np.arange(nc)[:, None] + (2, 1)
-        # (measured x, measured v, wh) at every head and at the tail ahead of
-        # it; the first head's front is the virtual lead
-        self.head_idx = flat((x_meas, v_meas, "wh"), self.heads)
-        self.front_idx = flat((x_meas, v_meas, "wh"), self.front_tails)
-        self.lead_idx = tuple(int(k) for k in self.head_idx[:, 0])
+        # per train pair, (measured x, measured v, wh) at the tail ahead and
+        # at the head; the first pair's front is the virtual lead
+        self.pair_idx = np.vstack((flat((x_meas, v_meas, "wh"), self.front_tails),
+                                   flat((x_meas, v_meas, "wh"), self.heads))).T
 
         self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
         self.violations = []           # barrier saturations seen during stages
         self._time_terms = {}          # stage time -> time_terms(t)
 
     # -- helpers ------------------------------------------------------------
-
-    def fault_states(self, t):
-        """True fault states (nc, 3) at time ``t`` from the windowed closed forms."""
-        on_c = (t >= self.wc[:, 0]) & (t <= self.wc[:, 1])
-        on_p = (t >= self.wp[:, 0]) & (t <= self.wp[:, 1])
-        arg = self.omega * t + self.f_phi
-        f = np.zeros((self.nc, 3))
-        f[:, 0] = np.where(on_c, self.f_c, 0.0)
-        amp = np.where(on_p, self.f_p, 0.0)
-        f[:, 1] = amp * np.sin(arg)
-        f[:, 2] = amp * np.cos(arg)
-        return f
 
     def time_terms(self, t):
         """Reference ``(x0, v0, w0, u0)``, true fault force rate and its jerk at ``t``.
@@ -356,8 +341,12 @@ class _ClosedLoop:
         """
         terms = self._time_terms.get(t)
         if terms is None:
-            f_true = self.fault_states(t)
-            ef_true = self.upsilon * f_true[:, 0] + self.nu_omega * f_true[:, 2]
+            # windowed amplitudes; of the periodic pair only the cosine
+            # carries force
+            amps = np.where((t >= self.window_start) & (t <= self.window_end),
+                            self.fault_amps, 0.0)
+            ef_true = (self.upsilon * amps[0]
+                       + self.nu_omega * (amps[1] * np.cos(self.omega * t + self.f_phi)))
             cf_true = ef_true / self.mass
             ef_true.flags.writeable = cf_true.flags.writeable = False
             terms = (*self.config.profile.evaluate(t), ef_true, cf_true)
@@ -497,43 +486,35 @@ class _ClosedLoop:
         return self.evaluate(t, y)[0]
 
     def _head_feedback(self, t, y, x0r, v0r, w0r):
-        """Closed-loop terms of all head laws (see ``controller.head_feedback``)."""
-        # gap, velocity and estimated-acceleration differences across each pair
-        diff = y[self.front_idx] - y[self.head_idx]
-        x_lead, v_lead, w_lead = self.lead_idx
-        xd, vt, wt = diff[0], diff[1], diff[2]
-        xd[0] = x0r - y[x_lead]
-        vt[0] = v0r - y[v_lead]
-        wt[0] = w0r - y[w_lead]
-        ell1 = self.hgains.ell1
-        errors = np.empty((2, self.n_trains))
-        xt = np.subtract(xd, self.d_s, out=errors[0])
-        np.add(vt, ell1 * xt, out=errors[1])
-        if ((errors > self.domain_low) & (errors < self.domain_high)).all():
-            args = errors
-        else:
-            xc, vc = self._clamp_pairs(t, xt, vt)
-            args = np.array((xc, vc + ell1 * xc))
-        b1, d_x, d_v = ctrl.stacked_beta_partials(args, self.hgains, self.barrier_upper,
-                                                  self.barrier_lower)
-        beta = (b1, wt + ell1 * vt - b1, d_x, d_v)
-        return ctrl.head_feedback(errors[1], vt, wt, beta, self.hgains)
+        """Closed-loop terms of the head laws (see ``controller.head_feedback``).
 
-    def _clamp_pairs(self, t, xt, vt):
-        """Pair errors moved inside the barrier domain one pair at a time.
-
-        Clamps are recorded in pair order; in abort mode the first pair
-        outside the domain raises :class:`BarrierDomainError`.
+        One train pair at a time, on floats.  A pair outside the open barrier
+        domain goes through ``controller.beta_functions``, which clamps it
+        (recorded in pair order, the gap error before the combined error) or,
+        in abort mode, raises :class:`BarrierDomainError`.
         """
-        xc, vc = xt.copy(), vt.copy()
-        for k in range(self.n_trains):
-            def record(kind, value, lo, hi, pair=k + 1):
-                self.violations.append({"t": t, "pair": pair, "quantity": kind,
-                                        "value": value, "low": lo, "high": hi})
-            xc[k], vc[k] = ctrl.clamp_pair_errors(
-                xt[k], vt[k], self.hgains.ell1, self.rho1, self.rho2,
-                self.vr1, self.vr2, saturate=self.saturate, record=record)
-        return xc, vc
+        gains = self.hgains
+        ell1, d_s = gains.ell1, self.d_s
+        rho1, rho2, vr1, vr2 = self.rho1, self.rho2, self.vr1, self.vr2
+        pairs = y[self.pair_idx].tolist()
+        pairs[0][:3] = x0r, v0r, w0r
+        out = []
+        for pair, (x_f, v_f, w_f, x_h, v_h, w_h) in enumerate(pairs, start=1):
+            xt = (x_f - x_h) - d_s
+            vt = v_f - v_h
+            wt = w_f - w_h
+            qt = vt + ell1 * xt
+            if -rho2 < xt < rho1 and -vr2 < qt < vr1:
+                b1, d_x, d_v = ctrl.beta_partials(xt, vt, gains, rho1, rho2, vr1, vr2)
+                beta = (b1, wt + ell1 * vt - b1, d_x, d_v)
+            else:
+                def record(kind, value, lo, hi, pair=pair):
+                    self.violations.append({"t": t, "pair": pair, "quantity": kind,
+                                            "value": value, "low": lo, "high": hi})
+                beta = ctrl.beta_functions(xt, vt, wt, gains, rho1, rho2, vr1, vr2,
+                                           saturate=self.saturate, record=record)
+            out.append(ctrl.head_feedback(qt, vt, wt, beta, gains))
+        return out
 
     # -- sample-time diagnostics ---------------------------------------------
 
@@ -639,6 +620,7 @@ class SummaryReport:
 
     verdicts: dict
     pair_extrema: dict
+    barrier_margins: dict
     tail_stats: dict
     hard_bound_events: list
     saturation_events: list
@@ -657,6 +639,7 @@ class SummaryReport:
         return {
             "verdicts": dict(self.verdicts, all=self.all_pass),
             "pair_extrema": self.pair_extrema,
+            "barrier_margins": self.barrier_margins,
             "tail_stats": self.tail_stats,
             "hard_bound_events": self.hard_bound_events,
             "saturation_events": self.saturation_events,
@@ -669,13 +652,21 @@ class SummaryReport:
         }
 
 
+def _barrier_margin(smallest, largest, upper, lower):
+    """Least ``min(upper - e, e + lower) / (upper + lower)`` over samples, from their extrema."""
+    return min(upper - largest, smallest + lower) / (upper + lower)
+
+
 def monitor_requirements(record, constraints, ell1, d_p, monitor,
                          saturation_events=(), seed=None):
     """Evaluate the three control requirements against a finished record.
 
     Hard bounds are checked at every sample; convergence is judged by mean
     absolute errors over the trailing ``monitor.tail_window`` seconds.  The
-    combined-error bounds are reported as a diagnostic alongside.
+    combined-error bounds are reported as a diagnostic alongside, and so is
+    each pair's barrier margin: the least distance of its gap error to
+    (-rho2, rho1) and of its combined error to (-varrho2, varrho1) over the
+    samples, as a fraction of the interval's width (negative once outside).
     """
     t = record.t
     nt = record.n_trains
@@ -699,13 +690,18 @@ def monitor_requirements(record, constraints, ell1, d_p, monitor,
     qtilde_ok = bool(np.all((qt > -varrho2) & (qt < varrho1)))
 
     tail = t >= (t[-1] - monitor.tail_window)
-    pair_extrema = {}
+    pair_extrema, barrier_margins = {}, {}
     xt_tail, vt_tail = {}, {}
     for p in range(nt):
-        pair_extrema[p + 1] = {
+        ext = pair_extrema[p + 1] = {
             "xtilde_min": float(xt[:, p].min()), "xtilde_max": float(xt[:, p].max()),
             "vtilde_min": float(vt[:, p].min()), "vtilde_max": float(vt[:, p].max()),
             "qtilde_min": float(qt[:, p].min()), "qtilde_max": float(qt[:, p].max()),
+        }
+        barrier_margins[p + 1] = {
+            "xtilde": _barrier_margin(ext["xtilde_min"], ext["xtilde_max"], rho1, rho2),
+            "qtilde": _barrier_margin(ext["qtilde_min"], ext["qtilde_max"],
+                                      varrho1, varrho2),
         }
         xt_tail[p + 1] = float(np.mean(np.abs(xt[tail, p])))
         vt_tail[p + 1] = float(np.mean(np.abs(vt[tail, p])))
@@ -742,6 +738,7 @@ def monitor_requirements(record, constraints, ell1, d_p, monitor,
         verdicts={"R1": bool(r1), "R2": bool(r2), "R3": bool(r3),
                   "R2_hard": bool(r2_hard), "R3_hard": bool(r3_hard)},
         pair_extrema=pair_extrema,
+        barrier_margins=barrier_margins,
         tail_stats={"xtilde_mean_abs": xt_tail, "vtilde_mean_abs": vt_tail,
                     "gap_err_mean_abs": gap_tail, "vgap_mean_abs": vgap_tail},
         hard_bound_events=events,

@@ -6,8 +6,10 @@ materialize when a test actually asks for them.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from platoonsim.faults import fault_value
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import run_scenario
 
@@ -37,3 +39,8 @@ def short_scenario(config, duration, *, noise=False, step=None, **changes):
     return dataclasses.replace(
         config, duration=duration, noise=noise_spec,
         step=config.step if step is None else step, **changes)
+
+
+def true_fault_states(engine, t):
+    """True fault states (nc, 3) of an engine's carriages at ``t``, carriage by carriage."""
+    return np.array([fault_value(t, fault) for fault in engine.snapped_faults])

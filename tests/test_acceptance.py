@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import short_scenario
+from conftest import short_scenario, true_fault_states
 from platoonsim import observer as obs
 from platoonsim.autodiff import dual_eval
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
@@ -153,7 +153,7 @@ def error_trajectories(config):
     e_f = np.empty((n + 1, nc, 3))
     for i in range(n + 1):
         t = i * h
-        f_true = engine.fault_states(t)
+        f_true = true_fault_states(engine, t)
         e_x[i] = y[engine.sl["xh"]] - y[engine.sl["x"]]
         e_v[i] = y[engine.sl["vh"]] - y[engine.sl["v"]]
         e_f[i] = y[engine.sl["fh"]].reshape(nc, 3) - f_true

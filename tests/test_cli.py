@@ -15,10 +15,11 @@ from conftest import short_scenario
 from platoonsim.cli import (config_from_dict, config_hash, config_to_dict,
                             load_config, main, read_timeseries,
                             write_timeseries)
+from platoonsim.controller import FollowerGains, HeadGains
 from platoonsim.errors import ConfigurationError
 from platoonsim.presets import paper_s5
-from platoonsim.simulator import (SimulationRecord, monitor_requirements,
-                                  run_scenario)
+from platoonsim.simulator import (CONTROL_LAWS, REPRESENTATIONS, SimulationRecord,
+                                  monitor_requirements, run_scenario)
 
 CARRIAGE_FIELDS = ("x", "v", "w", "tau", "u", "f_eff", "f_eff_hat", "e_x", "e_v", "e_w")
 PAIR_FIELDS = ("eps", "xtilde", "vtilde", "qtilde")
@@ -41,10 +42,35 @@ def records(draw):
                             step=draw(FINITE), stride=draw(st.integers(1, 100)))
 
 
+@st.composite
+def perturbed_configs(draw):
+    """``paper_s5`` with random gains, fault windows, stride, noise seed and representation."""
+    base = paper_s5()
+    window = st.tuples(FINITE, FINITE).map(lambda w: tuple(sorted(w)))
+    carriages = tuple(
+        dataclasses.replace(c, fault=dataclasses.replace(
+            c.fault, window_const=draw(window), window_periodic=draw(window)))
+        for c in base.carriages)
+    return dataclasses.replace(
+        base, carriages=carriages,
+        follower_gains=FollowerGains(*draw(st.tuples(FINITE, FINITE, FINITE))),
+        head_gains=HeadGains(*draw(st.tuples(FINITE, FINITE, FINITE, FINITE))),
+        record_stride=draw(st.integers(1, 10 ** 6)),
+        noise=dataclasses.replace(base.noise, seed=draw(st.integers(0, 2 ** 63 - 1))),
+        representation=draw(st.sampled_from(REPRESENTATIONS)),
+        control_law=draw(st.sampled_from(CONTROL_LAWS)))
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip_is_exact(self):
         config = paper_s5()
         assert config_from_dict(config_to_dict(config)) == config
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=perturbed_configs())
+    def test_perturbed_round_trip_is_exact(self, config):
+        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
     def test_file_round_trip(self, tmp_path):
         config = paper_s5()

@@ -251,24 +251,6 @@ class TestBetaPartials:
         assert d_v == pytest.approx(dual_v, rel=1e-12)
 
 
-class TestStackedBetaPartials:
-    @settings(max_examples=100, deadline=None)
-    @given(pairs=st.lists(st.tuples(inside(RHO1, RHO2), inside(VR1, VR2)),
-                          min_size=1, max_size=4))
-    def test_bitwise_equal_to_per_pair_closed_forms(self, pairs):
-        # one barrier pass over the stacked errors is the same arithmetic,
-        # entry by entry, as beta_partials on each pair
-        x = np.array([x_tilde for x_tilde, _ in pairs])
-        v = np.array([q_tilde for _, q_tilde in pairs]) - HEAD.ell1 * x
-        q = v + HEAD.ell1 * x
-        assume(((q > -VR2) & (q < VR1)).all())
-        upper, lower = np.array([[RHO1], [VR1]]), np.array([[RHO2], [VR2]])
-        stacked = ctrl.stacked_beta_partials(np.array([x, q]), HEAD, upper, lower)
-        for k in range(len(pairs)):
-            pair = beta_partials(x[k], v[k], HEAD, RHO1, RHO2, VR1, VR2)
-            assert [part[k] for part in stacked] == list(pair)
-
-
 class TestAlpha3Coefficients:
     def test_constant_weights_match_the_scalar_law(self):
         rng = np.random.default_rng(4)

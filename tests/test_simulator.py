@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import short_scenario
 from platoonsim import controller as ctrl
 from platoonsim import observer as obs
-from platoonsim.errors import ConfigurationError, IntegrationFault
+from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
 from platoonsim.faults import effective_fault, fault_value, snap_windows
 from platoonsim.model import (b1_coefficient, CompositeState, composite_rhs,
                               ConsistTopology, PlantState, plant_rhs,
@@ -336,6 +336,87 @@ class TestEngineAgainstPerCarriageControls:
         assert np.abs(dy[engine.sl["wh"]] - whdot_ref).max() <= 1e-12 * scale
 
 
+def pair_errors(engine, t, y):
+    """Per train pair, ``(x_tilde, v_tilde, what_tilde)`` formed with ``TrainPairErrors``."""
+    sl = engine.sl
+    xm, vm, wh = y[sl["x"]], y[sl["v"]], y[sl["wh"]]
+    x_f, v_f, w_f = engine.config.profile.evaluate(t)[:3]
+    out = []
+    for k, (s, e) in enumerate(engine.train_slices):
+        if k:
+            f = engine.tail_idx[k - 1]
+            x_f, v_f, w_f = float(xm[f]), float(vm[f]), float(wh[f])
+        err = ctrl.TrainPairErrors.from_states(x_f, v_f, float(xm[s]), float(vm[s]),
+                                               engine.d_s, engine.hgains.ell1)
+        out.append((err.x_tilde, err.v_tilde, w_f - float(wh[s])))
+    return out
+
+
+QUANTITY_ORDER = {"xtilde": 0, "qtilde": 1}
+
+
+class TestHeadLawPerPair:
+    """The engine's head increments against the per-pair head-law functions.
+
+    Pairs listed in ``outside`` have their gap error, combined error or both
+    pushed past the barrier domain, so the clamp (or, in abort mode, the
+    domain error) path runs for exactly those pairs.
+    """
+
+    @pytest.fixture(scope="class")
+    def configs(self, s5_config):
+        config = short_scenario(s5_config, 20.0)
+        return config, dataclasses.replace(config, abort_on_violation=True)
+
+    @pytest.mark.parametrize("outside", [(), (1,), (0, 2), (0, 1, 2)],
+                             ids=["none", "one", "two", "every"])
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(3), combined=unit_intervals(3),
+           push=st.lists(st.tuples(st.sampled_from(["xtilde", "qtilde", "both"]),
+                                   st.floats(1.05, 3.0), st.booleans()),
+                         min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_increments_events_and_abort(self, configs, outside, t, gap, combined, push,
+                                         seed):
+        saturating, aborting = (_ClosedLoop(c) for c in configs)
+        for k in outside:
+            quantity, factor, negative = push[k]
+            sign = -1.0 if negative else 1.0
+            if quantity != "qtilde":
+                gap[k] = sign * factor
+            if quantity != "xtilde":
+                combined[k] = sign * factor
+        y = random_feasible_state(saturating, t, gap, combined, np.random.default_rng(seed))
+        lead = saturating.config.profile.evaluate(t)[:3]
+        got = saturating._head_feedback(t, y, *lead)
+
+        h = saturating.hgains
+        bounds = (saturating.rho1, saturating.rho2, saturating.vr1, saturating.vr2)
+        expected, events = [], []
+        for pair, (xt, vt, wt) in enumerate(pair_errors(saturating, t, y), start=1):
+            def record(kind, value, lo, hi, pair=pair):
+                events.append({"t": t, "pair": pair, "quantity": kind,
+                               "value": value, "low": lo, "high": hi})
+            beta = ctrl.beta_functions(xt, vt, wt, h, *bounds, saturate=True, record=record)
+            expected.append(ctrl.head_feedback(vt + h.ell1 * xt, vt, wt, beta, h))
+        assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+
+        assert saturating.violations == events
+        keys = [(e["pair"], QUANTITY_ORDER[e["quantity"]]) for e in events]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert {pair for pair, _ in keys} == {k + 1 for k in outside}
+
+        if not outside:
+            assert aborting._head_feedback(t, y, *lead) == got
+            return
+        with pytest.raises(BarrierDomainError) as raised:
+            aborting._head_feedback(t, y, *lead)
+        first = events[0]
+        assert (raised.value.value, raised.value.low, raised.value.high) == (
+            first["value"], first["low"], first["high"])
+        assert not aborting.violations
+
+
 def scalar_derivatives(engine, t, y):
     """Derivative vector and controls assembled carriage by carriage.
 
@@ -473,6 +554,35 @@ class TestEngineAgainstScalarContractProperty:
         assert close(ef_true, [effective_fault(t, snap_windows(c.fault, engine.config.step),
                                                c.mass)[0] for c in carriages])
         assert close(ef_hat, [np.dot(c.fault_input_row, f) for c, f in zip(carriages, fh)])
+
+
+class TestTrueFaultTerms:
+    """The engine's windowed fault force rate against ``faults.effective_fault``."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, s5_config):
+        return _ClosedLoop(short_scenario(s5_config, 20.0))
+
+    def check(self, engine, t):
+        engine._time_terms.clear()
+        ef_true, cf_true = engine.time_terms(t)[4:]
+        for g, (fault, carriage) in enumerate(zip(engine.snapped_faults,
+                                                  engine.config.carriages)):
+            ef, cf = effective_fault(t, fault, carriage.mass)
+            assert ef_true[g] == pytest.approx(ef, rel=1e-12, abs=0.0), (t, g)
+            assert cf_true[g] == pytest.approx(cf, rel=1e-12, abs=0.0), (t, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(0.0, 2400.0))
+    def test_random_times(self, engine, t):
+        self.check(engine, t)
+
+    def test_snapped_window_edges(self, engine):
+        # the closed window ends, and half a step either side of each
+        h = engine.config.step
+        for edge in fault_edges(engine.config):
+            for t in (edge - h / 2, edge, edge + h / 2):
+                self.check(engine, t)
 
 
 class TestTimeTermCache:
@@ -825,3 +935,32 @@ class TestMonitorRequirements:
                                       MonitorSpec(tol_xtilde_mean=5.0))
         assert report.verdicts["R2_hard"]
         assert not report.verdicts["R2"]
+
+    def test_barrier_margins(self):
+        rho1, rho2 = self.CONS.rho1, self.CONS.rho2
+        vr1, vr2 = self.CONS.varrho(0.01)
+        column = np.zeros(501)
+        column[40] = rho1 - 100.0
+        record = synthetic_record(column)
+        record.data["qtilde"][60, 0] = -vr2 + 3.0
+        report = monitor_requirements(record, self.CONS, 0.01, 26.0, MonitorSpec())
+        margins = report.barrier_margins[1]
+        assert margins["xtilde"] == pytest.approx(100.0 / (rho1 + rho2), rel=1e-12)
+        assert margins["qtilde"] == pytest.approx(3.0 / (vr1 + vr2), rel=1e-9)
+        assert report.to_dict()["barrier_margins"] == {1: margins}
+
+    def test_barrier_margin_is_negative_outside(self):
+        rho1, rho2 = self.CONS.rho1, self.CONS.rho2
+        column = np.zeros(501)
+        column[100] = -rho2 - 2.0
+        report = monitor_requirements(synthetic_record(column), self.CONS, 0.01, 26.0,
+                                      MonitorSpec())
+        assert report.barrier_margins[1]["xtilde"] == pytest.approx(-2.0 / (rho1 + rho2),
+                                                                     rel=1e-12)
+        assert not report.verdicts["R2_hard"]
+        # with the pair at rest the margin is the nearer end of each interval
+        rest = monitor_requirements(synthetic_record(np.zeros(501)), self.CONS, 0.01, 26.0,
+                                    MonitorSpec())
+        vr1, vr2 = self.CONS.varrho(0.01)
+        assert rest.barrier_margins[1] == {"xtilde": min(rho1, rho2) / (rho1 + rho2),
+                                           "qtilde": min(vr1, vr2) / (vr1 + vr2)}
