@@ -6,20 +6,27 @@ fourth-order fixed-step scheme, deterministically: the same configuration
 and seed always produce bit-identical output.
 
 Within every derivative evaluation the computation order is fixed by the
-data dependencies of the control laws:
+data dependencies of the control laws.  Each term that couples neighbouring
+carriages is one product with a constant matrix: the tridiagonal operator T
+(own-acceleration coefficient on the diagonal, damping weights of the
+carriages ahead and behind beside it, zero across train boundaries), with
+B(v) a = T a - 2 c2 v a, and for the plant a telescoping matrix that sums
+the coupler links per carriage.
 
-1. the time-only terms (reference and true fault force rate), computed once
-   per exact stage time and shared by the stages that repeat it;
-2. the observer corrections (velocity channel before acceleration channel)
-   on the stacked estimate rows, writing the position and velocity
-   estimate derivatives and the fault-estimate derivatives into the
-   derivative vector;
-3. the control inputs: every follower's increment is alpha3's five
+1. the time-only terms (reference and true fault force rate), worked out
+   for a block of steps at once at the exact stage times;
+2. the observer corrections on the stacked estimate rows, with
+   mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh) and vhdot = wh + mu2, written
+   into the derivative vector with the other estimate derivatives;
+3. B on the composite (v, w) and estimated (vh, vhdot) channels at once:
+   the estimated jerk without input, which every law cancels, is
+   B(vh) vhdot + k3 e_v + the estimated fault jerk;
+4. the control inputs: every follower's increment is alpha3's five
    constant weights applied to its differences to the predecessor, in one
    array pass; every head's is the barrier law, run per train pair on
    floats (a pair outside the barrier domain is clamped or aborts, in pair
    order);
-4. the state derivatives.
+5. the state derivatives.
 
 Each follower needs the preceding carriage's estimated-acceleration
 derivative and each head the front tail's.  Both laws cancel the carriage's
@@ -49,7 +56,8 @@ from .reference import ReferenceProfile
 
 REPRESENTATIONS = ("composite", "plant", "both")
 CONTROL_LAWS = ("designed", "zero")
-_TIME_TERMS_KEPT = 4  # stage times whose time-only terms an engine keeps
+_BLOCK_STEPS = 16    # integration steps whose time-only terms an engine keeps
+EVENTS_KEPT = 100    # events kept per (pair, quantity); the rest are only counted
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +241,21 @@ class _ClosedLoop:
         self.bm1 = -(np.where(interior, 2.0, 1.0) * b_over_m) - self.c1 - self.rate
         self.b2 = np.where(self.j_of > 1, b_over_m, 0.0)
         self.b3 = np.where(self.j_of < self.m_of, b_over_m, 0.0)
-        self.prev = np.maximum(np.arange(nc) - 1, 0)
-        self.next = np.minimum(np.arange(nc) + 1, nc - 1)
-        # coupler links k -> k + 1 that cross a train boundary carry no force
-        self.train_breaks = self.heads[1:] - 1
+        # The constant operators are filled by index, not with np.diag, np.eye
+        # or np.kron: those run numpy code that nothing else here runs, and
+        # paging it in added about 0.1 MB to a run's peak resident set.
+        # Neighbour operator T: bm1 on the diagonal, b2 on the carriage ahead
+        # and b3 on the one behind (zero across train boundaries).
+        ix = np.arange(nc)
+        self.tri = np.zeros((nc, nc))
+        self.tri[ix, ix], self.tri[ix[1:], ix[:-1]], self.tri[ix[:-1], ix[1:]] = (
+            self.bm1, self.b2[1:], self.b3[:-1])
+        self.two_c2 = 2.0 * self.c2
+        # link k joins carriages k and k + 1; its term adds to carriage k and
+        # subtracts from k + 1, and a link across a train boundary carries none
+        self.telescope = np.zeros((nc - 1, nc))
+        self.telescope[ix[:-1], ix[:-1]], self.telescope[ix[:-1], ix[1:]] = 1.0, -1.0
+        self.telescope[self.heads[1:] - 1] = 0.0
 
         faults = [snap_windows(c.fault, config.step) for c in config.carriages]
         self.omega = np.array([f.omega for f in faults])
@@ -279,14 +298,20 @@ class _ClosedLoop:
         self.k4g = np.vstack([g.k4 for g in gains])
         self.neg_k1g = -self.k1g
         self.alpha3_coef = ctrl.alpha3_coefficients(self.fgains)
+        self.mu2_op = np.zeros((nc, nc))
+        self.mu2_op[ix, ix] = self.k2g
+        self.mu2_op -= self.tri
 
         has_composite = config.representation in ("composite", "both")
         has_plant = config.representation in ("plant", "both")
         self.has_composite = has_composite
         self.has_plant = has_plant
         self.measure_from_plant = config.representation == "plant"
+        # the composite and estimated channels interleave, so that the
+        # velocities (v, vh) lie side by side, and so do their derivatives
+        # (w, vhdot), on which B acts with one product
         offset = 0
-        names = (["x", "v", "w"] if has_composite else []) + ["xh", "vh", "wh"]
+        names = ["x", "xh", "v", "vh", "w", "wh"] if has_composite else ["xh", "vh", "wh"]
         self.sl = {}
         for name in names:
             self.sl[name] = slice(offset, offset + nc)
@@ -300,81 +325,81 @@ class _ClosedLoop:
         self.n_states = offset
 
         # every state block is a multiple of nc long, so the state reshapes to
-        # (rows, nc); est_rows and meas_rows select contiguous rows of it, and
-        # the *_idx arrays gather flat state indices (rows by carriages)
+        # (rows, nc); the *_rows slices select rows of it
         row = {name: part.start // nc for name, part in self.sl.items()}
-
-        def flat(names, carriages=np.arange(nc)):
-            return np.array([row[name] for name in names])[:, None] * nc + carriages
-
         x_meas, v_meas = ("xp", "vp") if self.measure_from_plant else ("x", "v")
-        self.est_rows = slice(row["xh"], row["xh"] + 3)            # xh, vh, wh
-        self.meas_rows = slice(row[x_meas], row[x_meas] + 2)       # measured x, v
-        self.v_idx = flat((v_meas, "vh"))
-        self.est_prev_idx = flat(("xh", "vh", "wh"), self.prev)
-        self.rate_prev_idx = flat(("xh", "vh"), self.prev)         # into dy
-        # neighbours ahead and behind, with the damping weights b2 and b3
-        self.neighbours = np.stack((self.prev, self.next))
-        self.b23 = np.stack((self.b2, self.b3))
-        w_names = ("w", "wh") if has_composite else ("wh",)
-        self.w_idx = flat(w_names)
-        self.w_neighbour_idx = flat(w_names, self.neighbours[:, None])
-        self.fh_rotated_idx = self.sl["fh"].start + 3 * np.arange(nc)[:, None] + (2, 1)
-        # per train pair, (measured x, measured v, wh) at the tail ahead and
-        # at the head; the first pair's front is the virtual lead
-        self.pair_idx = np.vstack((flat((x_meas, v_meas, "wh"), self.front_tails),
-                                   flat((x_meas, v_meas, "wh"), self.heads))).T
+        self.est_rows = slice(row["xh"], row["wh"] + 1, row["vh"] - row["xh"])
+        self.meas_rows = slice(row[x_meas], row[v_meas] + 1, row[v_meas] - row[x_meas])
+        # (v, vh), or vh alone, and T per channel for their derivatives
+        self.jerk = slice(self.sl["v" if has_composite else "vh"].start, self.sl["vh"].stop)
+        size = self.jerk.stop - self.jerk.start
+        self.jerk_op = np.zeros((size, size))
+        for k in range(0, size, nc):
+            self.jerk_op[k:k + nc, k:k + nc] = self.tri
+        # per train pair, flat indices of (measured x, measured v, wh) at the
+        # tail ahead and at the head; the first pair's front is the virtual lead
+        names = np.array([row[x_meas], row[v_meas], row["wh"]])[:, None] * nc
+        self.pair_idx = np.vstack((names + self.front_tails, names + self.heads)).T
 
         self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
-        self.violations = []           # barrier saturations seen during stages
-        self._time_terms = {}          # stage time -> time_terms(t)
+        self.violations = []           # first EVENTS_KEPT saturations per (pair, quantity)
+        self.saturations = {}          # pair -> quantity -> count, first and last time
+        self._block_first = None       # first step of the stored time-term block,
+        self._block_rows = {}          # its stage time -> row map
+        self._block = None             # and its rows, as _time_terms returns them
 
     # -- helpers ------------------------------------------------------------
 
     def time_terms(self, t):
         """Reference ``(x0, v0, w0, u0)``, true fault force rate and its jerk at ``t``.
 
-        These depend on the time alone, so they are kept per exact stage
-        time: the middle stages of a step share ``t + h/2``, and a step's
-        last stage time is mostly the next step's first.  The two fault
-        arrays are read-only, as every caller shares them.
+        These depend on the time alone, so they are worked out for a block
+        of ``_BLOCK_STEPS`` steps at once, at the exact stage times that
+        :func:`run_scenario` and :func:`rk4_step` produce (``k*h``,
+        ``k*h + 0.5*h`` and ``k*h + h``), and kept with a time -> row map.  A time off that grid
+        gets the same formula on a one-row block.  The two fault arrays are
+        read-only, as every caller shares them.
         """
-        terms = self._time_terms.get(t)
-        if terms is None:
-            # windowed amplitudes; of the periodic pair only the cosine
-            # carries force
-            amps = np.where((t >= self.window_start) & (t <= self.window_end),
-                            self.fault_amps, 0.0)
-            ef_true = (self.upsilon * amps[0]
-                       + self.nu_omega * (amps[1] * np.cos(self.omega * t + self.f_phi)))
-            cf_true = ef_true / self.mass
-            ef_true.flags.writeable = cf_true.flags.writeable = False
-            terms = (*self.config.profile.evaluate(t), ef_true, cf_true)
-            if len(self._time_terms) >= _TIME_TERMS_KEPT:
-                del self._time_terms[next(iter(self._time_terms))]
-            self._time_terms[t] = terms
-        return terms
+        row = self._block_rows.get(t)
+        if row is None:
+            h = self.config.step
+            first = math.floor(t / h + 0.25) // _BLOCK_STEPS * _BLOCK_STEPS
+            if first != self._block_first:
+                horizon = self.config.profile.horizon
+                self._block_rows = {}
+                for k in range(first, first + _BLOCK_STEPS):
+                    for stage_t in (k * h, k * h + 0.5 * h, k * h + h):
+                        if 0.0 <= stage_t <= horizon:
+                            self._block_rows.setdefault(stage_t, len(self._block_rows))
+                self._block = self._time_terms(list(self._block_rows))
+                self._block_first = first
+                row = self._block_rows.get(t)
+            if row is None:
+                reference, ef_true, cf_true = self._time_terms([t])
+                return (*reference[0], ef_true[0], cf_true[0])
+        reference, ef_true, cf_true = self._block
+        return (*reference[row], ef_true[row], cf_true[row])
 
-    def _telescope(self, link):
-        """Per-carriage sums of link terms: + from the link behind, - from the one ahead.
-
-        ``link[k]`` acts between carriages k and k + 1; the entries that
-        cross a train boundary are zeroed in place.
-        """
-        link[self.train_breaks] = 0.0
-        out = np.zeros(self.nc)
-        out[:-1] += link
-        out[1:] -= link
-        return out
+    def _time_terms(self, times):
+        """Per time: reference tuple, and rows of true fault force rates and jerks."""
+        at = np.array(times)[:, None, None]
+        # windowed amplitudes; of the periodic pair only the cosine carries force
+        amps = np.where((at >= self.window_start) & (at <= self.window_end),
+                        self.fault_amps, 0.0)
+        ef_true = (self.upsilon * amps[:, 0]
+                   + self.nu_omega * (amps[:, 1] * np.cos(self.omega * at[:, 0] + self.f_phi)))
+        cf_true = ef_true / self.mass
+        ef_true.flags.writeable = cf_true.flags.writeable = False
+        return [self.config.profile.evaluate(t) for t in times], ef_true, cf_true
 
     def coupling_vector(self, x, v):
         """Coupler force on every carriage (telescoped per train)."""
-        return self._telescope(self.a_stiff * (x[:-1] - x[1:] - self.d_p)
-                               + self.b_damp * (v[:-1] - v[1:]))
+        return (self.a_stiff * (x[:-1] - x[1:] - self.d_p)
+                + self.b_damp * (v[:-1] - v[1:])).dot(self.telescope)
 
     def stiffness_drift(self, v):
         """b4 coefficient per carriage: stiffness-scaled velocity differences over mass."""
-        return -self._telescope(self.a_stiff * (v[:-1] - v[1:])) / self.mass
+        return -(self.a_stiff * (v[:-1] - v[1:])).dot(self.telescope) / self.mass
 
     def initial_state(self):
         cfg = self.config
@@ -413,7 +438,6 @@ class _ClosedLoop:
         est = rows[self.est_rows]
         vh, wh = est[1], est[2]
         meas = rows[self.meas_rows]
-        vm = meas[1]
         fh = y[self.sl["fh"]].reshape(nc, 3)
         x0r, v0r, w0r, u0r, ef_true, cf_true = self.time_terms(t)
         ef_hat = fh[:, 0] * self.upsilon + fh[:, 2] * self.nu_omega
@@ -422,52 +446,46 @@ class _ClosedLoop:
         dy = np.empty(self.n_states)
         d_rows = dy.reshape(-1, nc)
         d_est = d_rows[self.est_rows]
+        if self.has_composite:
+            d_rows[0:3:2] = rows[2:5:2]     # x' = v, v' = w
 
-        # observer corrections; xhdot and vhdot go straight into dy
+        # observer corrections, mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh);
+        # xhdot and vhdot = wh + mu2 go straight into dy
         err = est[:2] - meas
         e_v = err[1]
-        v_pair = y[self.v_idx]
-        b1 = self.bm1 - 2.0 * self.c2 * v_pair
-        b1v = b1[0]
-        v_sq = v_pair * v_pair
-        dv = vm - vh
-        damped = self.b23 * dv[self.neighbours]
-        mu2 = (self.bm1 * dv - self.c2 * (v_sq[0] - v_sq[1]) + self.k2g * e_v
-               + damped[0] + damped[1])
-        damped = self.b23 * mu2[self.neighbours]
-        mu3 = (b1v * mu2 + self.k3g * e_v + (b1[1] - b1v) * (wh + mu2)
-               + damped[0] + damped[1])
+        mu2 = self.mu2_op.dot(e_v) + self.c2 * e_v * (meas[1] + vh)
         np.add(vh, self.neg_k1g * err[0] - e_v, out=d_est[0])
         np.add(wh, mu2, out=d_est[1])
         d_fh = dy[self.sl["fh"]].reshape(nc, 3)
         np.multiply(self.k4g, e_v[:, None], out=d_fh)
-        d_fh[:, 1:] += self.rotation * y[self.fh_rotated_idx]
+        d_fh[:, 1:] += self.rotation * fh[:, :0:-1]
 
-        # acceleration coupling of the true (composite) and estimated
-        # channels; the latter plus the estimated fault jerk and the
-        # correction is the estimated jerk without control input, which every
-        # control law cancels
-        damped = self.b23[:, None] * y[self.w_neighbour_idx]
-        coupled = b1v * y[self.w_idx] + damped[0] + damped[1]
-        own = coupled[-1] + cf_hat + mu3
+        # B(v) a = T a - 2 c2 v a, at once for the composite channel (v, w)
+        # and the estimated one (vh, vhdot).  The estimated jerk without
+        # control input, which every control law cancels, is
+        # B(vh) vhdot + k3 e_v + cf_hat.
+        accel = dy[self.jerk]
+        coupled = self.jerk_op.dot(accel) - self.two_c2 * y[self.jerk] * accel
+        own = coupled[-nc:] + self.k3g * e_v + cf_hat
         if self.zero_control:
             u = np.zeros(nc)
             d_est[2] = own
         else:
-            diffs = np.empty((5, nc))
-            np.subtract(est, y[self.est_prev_idx], out=diffs[:3])
+            # follower differences to the carriage ahead (a head's entry is
+            # replaced by its barrier law)
+            diffs = np.empty((5, nc - 1))
+            np.subtract(est[:, 1:], est[:, :-1], out=diffs[:3])
             diffs[0] += self.d_p
-            np.subtract(d_est[:2], dy[self.rate_prev_idx], out=diffs[3:])
-            inc = self.alpha3_coef.dot(diffs)
+            np.subtract(d_est[:2, 1:], d_est[:2, :-1], out=diffs[3:])
+            inc = np.empty(nc)
+            np.dot(self.alpha3_coef, diffs, out=inc[1:])
             inc[self.heads] = self._head_feedback(t, y, x0r, v0r, w0r)
             inc[0] += u0r
             whdot = inc.cumsum(out=d_est[2])
             u = whdot - own
 
         if self.has_composite:
-            # x, v, w are the first three rows
-            d_rows[:2] = rows[1:3]
-            np.add(coupled[0] + cf_true + u, self.delta, out=d_rows[2])
+            np.add(coupled[:nc] + cf_true + u, self.delta, out=dy[self.sl["w"]])
         if self.has_plant:
             sl = self.sl
             xp, vp, tau = y[sl["xp"]], y[sl["vp"]], y[sl["tau"]]
@@ -509,12 +527,23 @@ class _ClosedLoop:
                 beta = (b1, wt + ell1 * vt - b1, d_x, d_v)
             else:
                 def record(kind, value, lo, hi, pair=pair):
-                    self.violations.append({"t": t, "pair": pair, "quantity": kind,
-                                            "value": value, "low": lo, "high": hi})
+                    self._saturated({"t": t, "pair": pair, "quantity": kind,
+                                     "value": value, "low": lo, "high": hi})
                 beta = ctrl.beta_functions(xt, vt, wt, gains, rho1, rho2, vr1, vr2,
                                            saturate=self.saturate, record=record)
             out.append(ctrl.head_feedback(qt, vt, wt, beta, gains))
         return out
+
+    def _saturated(self, event):
+        """Count a clamp per (pair, quantity) and keep its first EVENTS_KEPT events."""
+        t = event["t"]
+        seen = self.saturations.setdefault(event["pair"], {}).setdefault(
+            event["quantity"], {"count": 0, "first_t": t, "last_t": t})
+        seen["count"] += 1
+        seen["first_t"] = min(seen["first_t"], t)
+        seen["last_t"] = max(seen["last_t"], t)
+        if seen["count"] <= EVENTS_KEPT:
+            self.violations.append(event)
 
     # -- sample-time diagnostics ---------------------------------------------
 
@@ -624,6 +653,7 @@ class SummaryReport:
     tail_stats: dict
     hard_bound_events: list
     saturation_events: list
+    saturation_counts: dict
     observer_settling: dict
     tolerances: dict
     tail_window: float
@@ -643,6 +673,7 @@ class SummaryReport:
             "tail_stats": self.tail_stats,
             "hard_bound_events": self.hard_bound_events,
             "saturation_events": self.saturation_events,
+            "saturation_counts": self.saturation_counts,
             "observer_settling": self.observer_settling,
             "tolerances": self.tolerances,
             "tail_window_s": self.tail_window,
@@ -658,7 +689,7 @@ def _barrier_margin(smallest, largest, upper, lower):
 
 
 def monitor_requirements(record, constraints, ell1, d_p, monitor,
-                         saturation_events=(), seed=None):
+                         saturation_events=(), saturation_counts=None, seed=None):
     """Evaluate the three control requirements against a finished record.
 
     Hard bounds are checked at every sample; convergence is judged by mean
@@ -667,6 +698,9 @@ def monitor_requirements(record, constraints, ell1, d_p, monitor,
     each pair's barrier margin: the least distance of its gap error to
     (-rho2, rho1) and of its combined error to (-varrho2, varrho1) over the
     samples, as a fraction of the interval's width (negative once outside).
+    ``saturation_events`` and ``saturation_counts`` (pair -> quantity ->
+    count, first and last time) are the engine's barrier clamps, passed
+    through.
     """
     t = record.t
     nt = record.n_trains
@@ -682,7 +716,7 @@ def monitor_requirements(record, constraints, ell1, d_p, monitor,
                 ("xtilde", xt[:, p], -rho2, rho1),
                 ("vtilde", vt[:, p], -constraints.sigma2, constraints.sigma1)):
             bad = np.flatnonzero((series <= lo) | (series >= hi))
-            for k in bad[:100]:
+            for k in bad[:EVENTS_KEPT]:
                 events.append({"t": float(t[k]), "pair": p + 1, "quantity": quantity,
                                "value": float(series[k]), "low": lo, "high": hi})
     r2_hard = not any(e["quantity"] == "xtilde" for e in events)
@@ -743,6 +777,7 @@ def monitor_requirements(record, constraints, ell1, d_p, monitor,
                     "gap_err_mean_abs": gap_tail, "vgap_mean_abs": vgap_tail},
         hard_bound_events=events,
         saturation_events=list(saturation_events),
+        saturation_counts=dict(saturation_counts or {}),
         observer_settling=settling,
         tolerances={"xtilde_mean": monitor.tol_xtilde_mean,
                     "vtilde_mean": monitor.tol_vtilde_mean,
@@ -856,5 +891,6 @@ def run_scenario(config):
     report = monitor_requirements(
         record, config.constraints, config.head_gains.ell1, config.coupler.spacing,
         config.monitor, saturation_events=engine.violations,
+        saturation_counts=engine.saturations,
         seed=config.noise.seed if noise_on else None)
     return record, report

@@ -1,7 +1,8 @@
 """Shared fixtures: the benchmark scenario and its two full-horizon runs.
 
 The full runs take a few minutes each, so they are session-scoped and only
-materialize when a test actually asks for them.
+materialize when a test actually asks for them.  Every test that asks for
+one is marked ``slow``, so ``pytest -m "not slow"`` skips both runs.
 """
 
 import dataclasses
@@ -12,6 +13,15 @@ import pytest
 from platoonsim.faults import fault_value
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import run_scenario
+
+
+FULL_RUNS = ("s5_noise_free", "s5_noisy")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if any(name in FULL_RUNS for name in getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Integrator, closed-loop engine and monitoring tests."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,14 +14,14 @@ from platoonsim import controller as ctrl
 from platoonsim import observer as obs
 from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
 from platoonsim.faults import effective_fault, fault_value, snap_windows
-from platoonsim.model import (b1_coefficient, CompositeState, composite_rhs,
-                              ConsistTopology, PlantState, plant_rhs,
-                              preliminary_control)
+from platoonsim.model import (b1_coefficient, coefficient_b, CompositeState,
+                              composite_rhs, ConsistTopology, coupling_force,
+                              PlantState, plant_rhs, preliminary_control)
 from platoonsim.presets import paper_s5
-from platoonsim.reference import ReferenceProfile
-from platoonsim.simulator import (MonitorSpec, SimulationRecord, _ClosedLoop,
-                                  inject_disturbance, monitor_requirements,
-                                  rk4_step, run_scenario, validate_config)
+from platoonsim.simulator import (_BLOCK_STEPS, EVENTS_KEPT, MonitorSpec,
+                                  SimulationRecord, _ClosedLoop, inject_disturbance,
+                                  monitor_requirements, rk4_step, run_scenario,
+                                  validate_config)
 
 
 class TestRk4Step:
@@ -224,6 +225,11 @@ class TestEngineAgainstScalarContract:
                 d_obs.f_hat, rel=1e-12, abs=1e-15)
 
 
+def neighbour_indices(nc):
+    """Index of the carriage ahead and behind each one, clipped at the chain ends."""
+    return np.maximum(np.arange(nc) - 1, 0), np.minimum(np.arange(nc) + 1, nc - 1)
+
+
 def per_carriage_controls(engine, t, y):
     """Controls and estimated-jerk derivatives assembled carriage by carriage.
 
@@ -238,7 +244,7 @@ def per_carriage_controls(engine, t, y):
     xh, vh, wh = y[sl["xh"]], y[sl["vh"]], y[sl["wh"]]
     fh = y[sl["fh"]].reshape(nc, 3)
     xm, vm = y[sl["x"]], y[sl["v"]]
-    prev, nxt = engine.prev, engine.next
+    prev, nxt = neighbour_indices(nc)
     x0r, v0r, w0r, u0r = cfg.profile.evaluate(t)
     cf_hat = (fh[:, 0] * engine.upsilon + fh[:, 2] * engine.nu_omega) / engine.mass
     e_x, e_v = xh - xm, vh - vm
@@ -556,6 +562,75 @@ class TestEngineAgainstScalarContractProperty:
         assert close(ef_hat, [np.dot(c.fault_input_row, f) for c, f in zip(carriages, fh)])
 
 
+def coupled_jerk_terms(engine, y):
+    """The composite coupling and the estimated jerk without input, in mu3 form.
+
+    The engine's former assembly, kept as an oracle: mu3 carries the
+    correction of the velocity-error injection, and the coupling
+    b1(v) a + b2 a_ahead + b3 a_behind is applied at the measured velocity
+    to the composite w and to wh.  Returns (composite coupling or None,
+    estimated jerk without control input).
+    """
+    sl, nc = engine.sl, engine.nc
+    meas = ("xp", "vp") if engine.measure_from_plant else ("x", "v")
+    vm = y[sl[meas[1]]]
+    vh, wh = y[sl["vh"]], y[sl["wh"]]
+    fh = y[sl["fh"]].reshape(nc, 3)
+    prev, nxt = neighbour_indices(nc)
+    cf_hat = (fh[:, 0] * engine.upsilon + fh[:, 2] * engine.nu_omega) / engine.mass
+    e_v = vh - vm
+    b1v = engine.bm1 - 2.0 * engine.c2 * vm
+    b1vh = engine.bm1 - 2.0 * engine.c2 * vh
+    mu2 = (engine.bm1 * (vm - vh) - engine.c2 * (vm * vm - vh * vh) + engine.k2g * e_v
+           + engine.b2 * (vm[prev] - vh[prev]) + engine.b3 * (vm[nxt] - vh[nxt]))
+    mu3 = (b1v * mu2 + engine.k3g * e_v + (b1vh - b1v) * (wh + mu2)
+           + engine.b2 * mu2[prev] + engine.b3 * mu2[nxt])
+
+    def coupled(a):
+        return b1v * a + engine.b2 * a[prev] + engine.b3 * a[nxt]
+
+    composite = coupled(y[sl["w"]]) if engine.has_composite else None
+    return composite, coupled(wh) + cf_hat + mu3
+
+
+class TestEstimatedJerkIdentity:
+    """B(vh) vhdot + k3 e_v + cf_hat is the mu3 form of the estimated jerk.
+
+    With vhdot = wh + mu2 the two are equal in exact arithmetic; under the
+    zero law the engine's whdot is that jerk alone.  The composite channel
+    is checked against b1(v) w + b2 w_ahead + b3 w_behind the same way.
+    The masses differ from carriage to carriage, so that T applied
+    transposed (the damping weight of the wrong neighbour) shows.
+    """
+
+    @pytest.fixture(scope="class", params=["composite", "plant", "both"])
+    def engine(self, request, s5_config):
+        carriages = tuple(dataclasses.replace(c, mass=c.mass * (1 + 0.1 * g))
+                          for g, c in enumerate(s5_config.carriages))
+        return _ClosedLoop(short_scenario(s5_config, 20.0, control_law="zero",
+                                          representation=request.param,
+                                          carriages=carriages))
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.one_of(st.floats(0.0, 2400.0), st.sampled_from(fault_edges(paper_s5()))),
+           gap=unit_intervals(3), combined=unit_intervals(3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_operator_form_matches_mu3_form(self, engine, t, gap, combined, seed):
+        rng = np.random.default_rng(seed)
+        y = random_feasible_state(engine, t, gap, combined, rng)
+        engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
+        dy, (u, _, _) = engine.evaluate(t, y)
+        composite, own = coupled_jerk_terms(engine, y)
+
+        def close(got, ref):
+            return np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+        assert close(dy[engine.sl["wh"]], own)
+        if composite is not None:
+            cf_true = engine.time_terms(t)[5]
+            assert close(dy[engine.sl["w"]], composite + cf_true + u + engine.delta)
+
+
 class TestTrueFaultTerms:
     """The engine's windowed fault force rate against ``faults.effective_fault``."""
 
@@ -564,7 +639,6 @@ class TestTrueFaultTerms:
         return _ClosedLoop(short_scenario(s5_config, 20.0))
 
     def check(self, engine, t):
-        engine._time_terms.clear()
         ef_true, cf_true = engine.time_terms(t)[4:]
         for g, (fault, carriage) in enumerate(zip(engine.snapped_faults,
                                                   engine.config.carriages)):
@@ -586,7 +660,7 @@ class TestTrueFaultTerms:
 
 
 class TestTimeTermCache:
-    """Reference and true-fault terms are kept per exact stage time."""
+    """Reference and true-fault terms are kept for a block of stage times."""
 
     @pytest.fixture()
     def engine(self, s5_config):
@@ -623,18 +697,74 @@ class TestTimeTermCache:
             assert np.array_equal(got, want)
 
     def test_cache_stays_small_over_a_run(self, engine, monkeypatch):
-        calls = []
-        evaluate = ReferenceProfile.evaluate
-        monkeypatch.setattr(ReferenceProfile, "evaluate",
-                            lambda profile, t: calls.append(t) or evaluate(profile, t))
+        blocks = []
+        terms = engine._time_terms
+        monkeypatch.setattr(engine, "_time_terms",
+                            lambda times: blocks.append(list(times)) or terms(times))
         h = engine.config.step
         n_steps = int(round(2.0 / h))
         y = engine.initial_state()
         for i in range(n_steps):
             y = rk4_step(engine.rhs, y, i * h, h)
-            assert len(engine._time_terms) <= 4
+            assert len(engine._block_rows) <= 3 * _BLOCK_STEPS
+            assert len(engine._block[0]) == len(engine._block_rows)
+        # one block per _BLOCK_STEPS steps covers every stage time (no time
+        # falls back to a one-row block), and no block repeats a time
+        assert len(blocks) == -(-n_steps // _BLOCK_STEPS)
+        assert all(len(set(times)) == len(times) <= 3 * _BLOCK_STEPS for times in blocks)
         # stages 2 and 3 share t + h/2, and t + h is mostly the next step's t
-        assert len(calls) == len(set(calls)) < 3 * n_steps
+        assert sum(map(len, blocks)) < 3 * n_steps
+
+
+def per_time_terms(engine, t):
+    """The time-only terms at one time, formed from that time alone (the oracle)."""
+    amps = np.where((t >= engine.window_start) & (t <= engine.window_end),
+                    engine.fault_amps, 0.0)
+    ef_true = (engine.upsilon * amps[0]
+               + engine.nu_omega * (amps[1] * np.cos(engine.omega * t + engine.f_phi)))
+    return (*engine.config.profile.evaluate(t), ef_true, ef_true / engine.mass)
+
+
+class TestBlockTimeTerms:
+    """Block-computed time terms are bitwise the per-time formula wherever they are read."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, s5_config):
+        return _ClosedLoop(short_scenario(s5_config, 20.0))
+
+    def check(self, engine, t):
+        got, want = engine.time_terms(t), per_time_terms(engine, t)
+        assert [v.hex() for v in got[:4]] == [v.hex() for v in want[:4]], t
+        for a, b in zip(got[4:], want[4:]):
+            assert bitwise_equal(a, b), t
+
+    def test_every_stage_time_of_a_run(self, engine):
+        h = engine.config.step
+        for k in range(int(round(2.0 / h))):
+            t = k * h
+            for stage_t in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+                self.check(engine, stage_t)
+                assert stage_t in engine._block_rows
+
+    def test_snapped_window_edges(self, engine):
+        # the closed window ends, and half a step either side of each
+        h = engine.config.step
+        for edge in fault_edges(engine.config):
+            for t in (edge - h / 2, edge, edge + h / 2):
+                self.check(engine, t)
+
+    def test_across_a_block_boundary(self, engine):
+        h = engine.config.step
+        for k in (_BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, _BLOCK_STEPS - 1, 0):
+            for t in (k * h, k * h + 0.5 * h, k * h + h):
+                self.check(engine, t)
+        assert engine._block_first == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(0.0, 2400.0))
+    def test_off_grid_times(self, engine, t):
+        self.check(engine, t)
+        self.check(engine, t)
 
 
 def coupling_vector_loop(engine, x, v):
@@ -676,19 +806,89 @@ def bitwise_equal(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
-class TestPlantPathAgainstLoops:
-    """The masked link passes and the pair errors are bitwise the per-train loops."""
+@pytest.fixture(scope="module", params=[(3, 3, 3), (2, 4), (4, 2, 3, 2), (2,)], ids=str)
+def topology_engine(request, s5_config):
+    """An engine on one of four topologies, with paper-s5's carriages repeated.
 
-    @pytest.fixture(scope="class", params=[(3, 3, 3), (2, 4), (4, 2, 3, 2), (2,)],
-                    ids=str)
-    def engine(self, request, s5_config):
-        counts = request.param
-        nc = sum(counts)
-        carriages = tuple(s5_config.carriages[g % 9] for g in range(nc))
-        config = short_scenario(s5_config, 20.0, representation="both",
-                                topology=ConsistTopology(counts), carriages=carriages,
-                                initial=tuple(s5_config.initial[g % 9] for g in range(nc)))
-        return _ClosedLoop(config)
+    The masses differ from carriage to carriage, so that a damping weight
+    taken from the wrong neighbour shows.
+    """
+    counts = request.param
+    nc = sum(counts)
+    carriages = tuple(dataclasses.replace(s5_config.carriages[g % 9],
+                                          mass=s5_config.carriages[g % 9].mass * (1 + 0.1 * g))
+                      for g in range(nc))
+    config = short_scenario(s5_config, 20.0, representation="both",
+                            topology=ConsistTopology(counts), carriages=carriages,
+                            initial=tuple(s5_config.initial[g % 9] for g in range(nc)))
+    return _ClosedLoop(config)
+
+
+def train_of(engine):
+    """Per carriage: (global index, index in its train, train length, first index)."""
+    return [(g, g - s + 1, e - s, s) for s, e in engine.train_slices for g in range(s, e)]
+
+
+class TestNeighbourOperators:
+    """The constant operators against the per-carriage model coefficients."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_tridiagonal_operator_is_the_b_coefficients(self, topology_engine, seed):
+        engine = topology_engine
+        cfg = engine.config
+        v = np.random.default_rng(seed).uniform(0.0, 100.0, engine.nc)
+        for g, j, m_i, s in train_of(engine):
+            b = coefficient_b(j, v[s:s + m_i], cfg.carriages[g], cfg.coupler, cfg.davis)
+            row = engine.tri[g]
+            # B(v) = T - 2*c2*diag(v): T's diagonal is b1 at standstill
+            assert row[g] == b1_coefficient(0.0, j, m_i, cfg.carriages[g], cfg.coupler,
+                                            cfg.davis)
+            assert row[g] - 2.0 * engine.c2 * v[g] == pytest.approx(b.b1, rel=1e-12)
+            expected = np.zeros(engine.nc)
+            expected[g] = row[g]
+            if j > 1:
+                expected[g - 1] = b.b2
+            if j < m_i:
+                expected[g + 1] = b.b3
+            assert bitwise_equal(row, expected), g
+        assert bitwise_equal(engine.mu2_op, np.diag(engine.k2g) - engine.tri)
+        # composite and estimated channels each get their own copy of T
+        nc = engine.nc
+        assert np.array_equal(engine.jerk_op, np.block([[engine.tri, np.zeros((nc, nc))],
+                                                        [np.zeros((nc, nc)), engine.tri]]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_telescope_gives_coupler_forces_and_b4(self, topology_engine, seed):
+        engine = topology_engine
+        cfg = engine.config
+        rng = np.random.default_rng(seed)
+        x = engine.initial_state()[engine.sl["x"]] + rng.normal(0.0, 5.0, engine.nc)
+        v = rng.uniform(0.0, 100.0, engine.nc)
+        coupling = engine.coupling_vector(x, v)
+        b4 = engine.stiffness_drift(v)
+        for g, j, m_i, s in train_of(engine):
+            x_i, v_i = x[s:s + m_i], v[s:s + m_i]
+            force = coupling_force(j, x_i, v_i, cfg.coupler)
+            assert coupling[g] == pytest.approx(force, rel=1e-9, abs=1e-6), g
+            b = coefficient_b(j, v_i, cfg.carriages[g], cfg.coupler, cfg.davis)
+            assert b4[g] == pytest.approx(b.b4, rel=1e-12, abs=1e-15), g
+        # one +1/-1 pair per link inside a train, none across a boundary
+        links = engine.telescope
+        inside = [g for g, j, m_i, _ in train_of(engine) if j < m_i]
+        assert np.flatnonzero(links.any(axis=1)).tolist() == inside
+        for k in inside:
+            assert links[k, k] == 1.0 and links[k, k + 1] == -1.0
+            assert np.count_nonzero(links[k]) == 2
+
+
+class TestPlantPathAgainstLoops:
+    """The link products and the pair errors are bitwise the per-train loops."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, topology_engine):
+        return topology_engine
 
     @settings(max_examples=50, deadline=None)
     @given(t=st.floats(0.0, 2400.0), seed=st.integers(0, 2 ** 32 - 1))
@@ -873,6 +1073,34 @@ class TestConstraintHandling:
         event = engine.violations[0]
         assert event["pair"] == 2 and event["quantity"] == "xtilde"
         assert event["value"] > event["high"]
+
+    def test_saturation_events_are_counted_and_capped(self, s5_config):
+        # clamps repeat at every evaluation; each (pair, quantity) keeps its
+        # first EVENTS_KEPT events and an exact count with first and last time
+        engine = _ClosedLoop(short_scenario(s5_config, 10.0))
+        y = self.violating_state(engine)
+        times = [0.01 * k for k in range(EVENTS_KEPT + 50)]
+        order = times[50:] + times[:50]   # earliest and latest time mid-sequence
+        for t in order:
+            engine.evaluate(t, y)
+        counts = engine.saturations
+        assert counts and 2 in counts
+        kinds = [(pair, quantity) for pair in counts for quantity in counts[pair]]
+        for pair, quantity in kinds:
+            assert counts[pair][quantity] == {"count": len(times), "first_t": times[0],
+                                              "last_t": times[-1]}
+            kept = [e for e in engine.violations
+                    if (e["pair"], e["quantity"]) == (pair, quantity)]
+            assert [e["t"] for e in kept] == order[:EVENTS_KEPT]
+        assert len(engine.violations) == EVENTS_KEPT * len(kinds)
+        report = monitor_requirements(synthetic_record(np.zeros(501)), TestMonitorRequirements.CONS,
+                                      0.01, 26.0, MonitorSpec(),
+                                      saturation_events=engine.violations,
+                                      saturation_counts=counts)
+        summary = json.loads(json.dumps(report.to_dict()))
+        assert summary["saturation_counts"] == {
+            str(pair): counts[pair] for pair in counts}
+        assert len(summary["saturation_events"]) == len(engine.violations)
 
     def test_abort_mode_raises_domain_error(self, s5_config):
         from platoonsim.errors import BarrierDomainError
