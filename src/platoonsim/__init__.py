@@ -17,15 +17,10 @@ from .controller import (ConstraintSpec, FollowerGains, HeadGains,
 from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
                      PlacementError, Violation)
 from .faults import FaultModel, effective_fault, exosystem_matrix, fault_value
-from .model import (CarriageParams, CompositeState, ConsistTopology,
-                    CouplerParams, DavisCoefficients, PlantState,
-                    composite_rhs, coupling_force, coefficient_b,
-                    coefficient_d, davis_resistance, plant_rhs,
-                    preliminary_control, traction_force)
-from .observer import (AuxiliaryInputs, ObserverGains, ObserverState,
-                       auxiliary_inputs, build_augmented_pair,
-                       check_observability, linear_error_oracle, observer_rhs,
-                       synthesize_gains)
+from .model import (CarriageParams, ConsistTopology, CouplerParams,
+                    DavisCoefficients)
+from .observer import (ObserverGains, build_augmented_pair,
+                       check_observability, synthesize_gains)
 from .presets import get_preset, paper_s5
 from .reference import ReferencePhase, ReferenceProfile
 from .simulator import (MonitorSpec, NoiseSpec, ScenarioConfig,

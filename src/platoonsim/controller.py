@@ -16,10 +16,11 @@ predecessor, and the head law once per train pair on floats: inside the
 barrier domain :func:`beta_partials` then :func:`head_feedback`, outside it
 :func:`beta_functions`, which clamps or raises.  The partials of the barrier
 composite beta1 are closed forms (:func:`beta_partials`); alpha2 is affine,
-so its partials are constants, computed once per gain set.  Forward-mode
-dual numbers (:mod:`platoonsim.autodiff`) still evaluate ``beta1``, which is
-how the tests check the closed forms; the scalar :func:`alpha3` checks the
-weights.
+so its partials are constants, computed once per gain set.  The tests
+check the closed forms with forward-mode dual numbers
+(:mod:`platoonsim.autodiff`) through the barrier composite beta1 of their
+per-carriage oracle (``tests/oracle.py``), and the weights with the scalar
+:func:`alpha3`.
 """
 
 from __future__ import annotations
@@ -282,45 +283,36 @@ def barrier_psi(q_tilde, varrho1, varrho2, saturate=False):
 
 def clamp_pair_errors(x_tilde, v_tilde, ell1, rho1, rho2, varrho1, varrho2,
                       saturate=False, record=None):
-    """Gap and velocity errors of one train pair moved inside the barrier domain.
+    """Gap error and combined error of one train pair, inside the barrier domain.
 
-    The gap error is clamped first; the velocity error is then shifted so the
-    combined error lands inside its interval.  Each clamp is reported as
+    The gap error is clamped first; the combined error q = v + ell1*x formed
+    with it is then clamped to its own interval.  Returns the clamped
+    ``(x_tilde, q_tilde)``.  Each clamp is reported as
     ``record(quantity, value, low, high)``; without ``saturate`` an argument
     outside its interval raises :class:`BarrierDomainError`.
     """
     rec_x = (lambda v, lo, hi: record("xtilde", v, lo, hi)) if record else None
     rec_q = (lambda v, lo, hi: record("qtilde", v, lo, hi)) if record else None
     xt = _clamp_to_domain(x_tilde, rho1, rho2, saturate, rec_x)
-    qt = v_tilde + ell1 * xt
-    qt_eff = _clamp_to_domain(qt, varrho1, varrho2, saturate, rec_q)
-    return xt, v_tilde + (qt_eff - qt)
+    qt = _clamp_to_domain(v_tilde + ell1 * xt, varrho1, varrho2, saturate, rec_q)
+    return xt, qt
 
 
-def beta_partials(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
+def beta_partials(x_tilde, q_tilde, gains, rho1, rho2, varrho1, varrho2):
     """beta1 and its partials w.r.t. the gap and velocity errors, in closed form.
 
-    Evaluates on floats, arrays or duals inside the barrier domain.  With
-    q = v + ell1*x, barrier slopes Phi(x), Psi(q) and curvatures Phi', Psi':
+    Takes the gap error and the combined error q = v + ell1*x; evaluates on
+    floats, arrays or duals inside the barrier domain.  With barrier slopes
+    Phi(x), Psi(q) and curvatures Phi', Psi':
     d(beta1)/dv = -ell2 - ell3*(Psi^2 + psi*Psi') and
     d(beta1)/dx = -(Phi^2 + phi*Phi') + ell1*d(beta1)/dv.
     """
-    q_tilde = v_tilde + gains.ell1 * x_tilde
     phi, big_phi, d_big_phi = _barrier(x_tilde, rho1, rho2)
     psi, big_psi, d_big_psi = _barrier(q_tilde, varrho1, varrho2)
-    return _beta(q_tilde, phi, big_phi, d_big_phi, psi, big_psi, d_big_psi, gains)
-
-
-def _beta(q_tilde, phi, big_phi, d_big_phi, psi, big_psi, d_big_psi, gains):
     value = -phi * big_phi - gains.ell2 * q_tilde - gains.ell3 * psi * big_psi
     d_v = -gains.ell2 - gains.ell3 * (big_psi * big_psi + psi * d_big_psi)
     d_x = -(big_phi * big_phi + phi * d_big_phi) + gains.ell1 * d_v
     return value, d_x, d_v
-
-
-def beta1(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
-    """Barrier-weighted stabilizing function; evaluates on floats, arrays or duals."""
-    return beta_partials(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2)[0]
 
 
 def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
@@ -331,9 +323,9 @@ def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
     inside the boundary (see :func:`clamp_pair_errors`, which reports
     through ``record``) so integration stays defined.
     """
-    xt, vt = clamp_pair_errors(x_tilde, v_tilde, gains.ell1, rho1, rho2,
+    xt, qt = clamp_pair_errors(x_tilde, v_tilde, gains.ell1, rho1, rho2,
                                varrho1, varrho2, saturate, record)
-    val, d_x, d_v = beta_partials(xt, vt, gains, rho1, rho2, varrho1, varrho2)
+    val, d_x, d_v = beta_partials(xt, qt, gains, rho1, rho2, varrho1, varrho2)
     return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
 
 

@@ -1,28 +1,28 @@
-"""Longitudinal multi-carriage train dynamics.
+"""Parameter records of the longitudinal multi-carriage train model.
 
-Each train is a chain of mass points connected by spring-damper couplers.
-Two state representations of the same physics are provided:
+Each train is a chain of mass points connected by spring-damper couplers,
+with quadratic (Davis) running resistance and a first-order traction
+actuator that is subject to faults.  The model has two state
+representations of the same physics:
 
 * the *plant* form, whose states are position, velocity and traction force,
-  with a first-order actuator driven by a designed force rate; and
+  with the actuator driven by a designed force rate; and
 * the *composite* third-order form, whose states are position, velocity and
   acceleration, obtained by taking the acceleration as a state and absorbing
   the actuator dynamics through a preliminary force-rate feedforward.
 
-The composite form is what the observer and the control laws are written
-against; the plant form exists to cross-check the equivalence and to emit
-traction-force time series.
+This module holds the parameter records and the consist topology.
+:mod:`platoonsim.simulator` assembles both forms for the whole network at
+once; the per-carriage formulas they come from are kept in the test suite
+(``tests/oracle.py``) as its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ConfigurationError
-from .faults import FaultModel, exosystem_matrix
+from .faults import FaultModel
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +74,6 @@ class CarriageParams:
         if self.actuator_rate <= 0:
             raise ConfigurationError("actuator rate must be positive")
 
-    @property
-    def fault_input_row(self):
-        """Row vector E mapping the 3-dim fault state to a force rate (N/s)."""
-        f = self.fault
-        return (f.upsilon, 0.0, f.nu * f.omega)
-
-    @property
-    def fault_accel_row(self):
-        """Row vector C = E/m mapping the fault state to jerk (m/s^3)."""
-        e = self.fault_input_row
-        return (e[0] / self.mass, e[1] / self.mass, e[2] / self.mass)
-
 
 @dataclass(frozen=True)
 class ConsistTopology:
@@ -119,203 +107,3 @@ class ConsistTopology:
         for i, m in enumerate(self.carriages_per_train, start=1):
             for j in range(1, m + 1):
                 yield (i, j)
-
-    def global_index(self, i, j):
-        """Flat chain-order index of carriage (i, j), 0-based."""
-        if not (1 <= i <= self.train_count):
-            raise IndexError(f"train index {i} out of range")
-        if not (1 <= j <= self.carriages_per_train[i - 1]):
-            raise IndexError(f"carriage index {j} out of range for train {i}")
-        return sum(self.carriages_per_train[: i - 1]) + (j - 1)
-
-
-# ---------------------------------------------------------------------------
-# per-carriage state records
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PlantState:
-    """Physical state of one carriage: position, velocity, traction force, fault state."""
-
-    x: float
-    v: float
-    tau: float
-    f: np.ndarray  # 3-vector, dimensionless fault amplitudes
-
-
-@dataclass
-class CompositeState:
-    """Third-order equivalent state of one carriage: position, velocity, acceleration, fault."""
-
-    x: float
-    v: float
-    w: float
-    f: np.ndarray
-
-
-class BCoefficients(NamedTuple):
-    """Velocity-dependent coefficients of the acceleration dynamics."""
-
-    b1: float  # multiplies own acceleration
-    b2: float  # multiplies preceding carriage's acceleration (0 at the head)
-    b3: float  # multiplies following carriage's acceleration (0 at the tail)
-    b4: float  # stiffness-induced drift from velocity differences
-
-
-class DCoefficients(NamedTuple):
-    """Antiderivatives (in velocity) of the b1/b2/b3 coefficients, used by the observer."""
-
-    d1: float
-    d2: float  # 0 at the head
-    d3: float  # 0 at the tail
-
-
-# ---------------------------------------------------------------------------
-# algebraic pieces
-# ---------------------------------------------------------------------------
-
-def davis_resistance(v, coeffs):
-    """Specific resistance c0 + c1*v + c2*v**2 in N/kg."""
-    return coeffs.c0 + coeffs.c1 * v + coeffs.c2 * v * v
-
-
-def coupling_force(j, x_i, v_i, coupler):
-    """Coupler force (N) acting on carriage ``j`` of one train.
-
-    Parameters
-    ----------
-    j : int
-        Carriage index within the train, 1-based.
-    x_i, v_i : sequence of float
-        Positions and velocities of the whole train, head first.
-    coupler : CouplerParams
-
-    The head carriage feels only the coupler behind it, the tail only the
-    coupler in front, interior carriages both.  With every gap at the nominal
-    spacing and equal velocities all three branches vanish.
-    """
-    m_i = len(x_i)
-    if not (1 <= j <= m_i):
-        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
-    a, b, d_p = coupler.stiffness, coupler.damping, coupler.spacing
-    k = j - 1
-    if j == 1:
-        return a * (x_i[0] - x_i[1] - d_p) + b * (v_i[0] - v_i[1])
-    if j == m_i:
-        return a * (x_i[k] - x_i[k - 1] + d_p) + b * (v_i[k] - v_i[k - 1])
-    return (a * (2.0 * x_i[k] - x_i[k - 1] - x_i[k + 1])
-            + b * (2.0 * v_i[k] - v_i[k - 1] - v_i[k + 1]))
-
-
-def b1_coefficient(v, j, m_i, carriage, coupler, davis):
-    """Coefficient of the carriage's own acceleration in its jerk dynamics (1/s)."""
-    if not (1 <= j <= m_i):
-        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
-    b_over_m = coupler.damping / carriage.mass
-    if 1 < j < m_i:
-        b_over_m *= 2.0
-    return -b_over_m - (davis.c1 + 2.0 * davis.c2 * v) - carriage.actuator_rate
-
-
-def coefficient_b(j, v_i, carriage, coupler, davis):
-    """All four acceleration-dynamics coefficients for carriage ``j``.
-
-    ``b1`` is evaluated at the carriage's own velocity, ``b2``/``b3`` are
-    constants that vanish at the head/tail respectively, and ``b4`` collects
-    the stiffness-scaled velocity differences to the neighbours.
-    """
-    m_i = len(v_i)
-    if not (1 <= j <= m_i):
-        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
-    b_over_m = coupler.damping / carriage.mass
-    a_over_m = coupler.stiffness / carriage.mass
-    k = j - 1
-    b1 = b1_coefficient(v_i[k], j, m_i, carriage, coupler, davis)
-    b2 = 0.0 if j == 1 else b_over_m
-    b3 = 0.0 if j == m_i else b_over_m
-    if j == 1:
-        b4 = -a_over_m * (v_i[0] - v_i[1])
-    elif j == m_i:
-        b4 = -a_over_m * (v_i[k] - v_i[k - 1])
-    else:
-        b4 = -a_over_m * (2.0 * v_i[k] - v_i[k - 1] - v_i[k + 1])
-    return BCoefficients(b1, b2, b3, b4)
-
-
-def coefficient_d(j, v, m_i, carriage, coupler, davis):
-    """Observer injection potentials evaluated at velocity ``v``.
-
-    These are the velocity antiderivatives of the b1/b2/b3 coefficients
-    (d/dv d1 == b1 exactly, including the actuator-rate term), so that
-    differences of them reproduce the coefficient nonlinearity in the
-    observer's velocity channel.
-    """
-    if not (1 <= j <= m_i):
-        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
-    b_over_m = coupler.damping / carriage.mass
-    kappa = 2.0 if 1 < j < m_i else 1.0
-    d1 = (-(kappa * b_over_m) - davis.c1 - carriage.actuator_rate) * v - davis.c2 * v * v
-    d2 = 0.0 if j == 1 else b_over_m * v
-    d3 = 0.0 if j == m_i else b_over_m * v
-    return DCoefficients(d1, d2, d3)
-
-
-# ---------------------------------------------------------------------------
-# dynamics
-# ---------------------------------------------------------------------------
-
-def plant_rhs(state, j, x_i, v_i, varpi, carriage, coupler, davis):
-    """Time derivative of the plant-form state of carriage ``j``.
-
-    ``varpi`` is the designed force rate (N/s) driving the first-order
-    actuator; the fault state adds its own force rate through the carriage's
-    fault input row and evolves under the autonomous fault generator.
-    """
-    m = carriage.mass
-    coupling = coupling_force(j, x_i, v_i, coupler)
-    e_row = np.asarray(carriage.fault_input_row)
-    s_mat = exosystem_matrix(carriage.fault.omega)
-    dv = (state.tau - coupling - m * davis_resistance(state.v, davis)) / m
-    dtau = -carriage.actuator_rate * state.tau + varpi + float(e_row @ state.f)
-    return PlantState(x=state.v, v=dv, tau=dtau, f=s_mat @ state.f)
-
-
-def preliminary_control(u, j, x_i, v_i, carriage, coupler, davis):
-    """Force rate (N/s) that turns the plant into a chain of integrators driven by ``u``.
-
-    Cancels the actuator lag acting on the coupler force and the running
-    resistance, and removes the stiffness drift term, so that the carriage's
-    jerk becomes its damping-coupled acceleration dynamics plus ``u``.
-    """
-    m = carriage.mass
-    r = carriage.actuator_rate
-    k = j - 1
-    coupling = coupling_force(j, x_i, v_i, coupler)
-    b4 = coefficient_b(j, v_i, carriage, coupler, davis).b4
-    return m * u + r * coupling + m * r * davis_resistance(v_i[k], davis) - m * b4
-
-
-def composite_rhs(state, j, m_i, w_prev, w_next, u, carriage, coupler, davis):
-    """Time derivative of the composite third-order state of carriage ``j``.
-
-    ``w_prev``/``w_next`` are the neighbouring carriages' accelerations; pass
-    ``None`` at the head/tail where the corresponding coefficient is
-    structurally zero.
-    """
-    b1 = b1_coefficient(state.v, j, m_i, carriage, coupler, davis)
-    b_over_m = coupler.damping / carriage.mass
-    dw = b1 * state.w + u + float(np.dot(carriage.fault_accel_row, state.f))
-    if j > 1:
-        dw += b_over_m * w_prev
-    if j < m_i:
-        dw += b_over_m * w_next
-    s_mat = exosystem_matrix(carriage.fault.omega)
-    return CompositeState(x=state.v, v=state.w, w=dw, f=s_mat @ state.f)
-
-
-def traction_force(x_i, v_i, w, j, carriage, coupler, davis):
-    """Traction/braking force implied by a composite state (inverse of the w definition)."""
-    m = carriage.mass
-    k = j - 1
-    return (m * w + coupling_force(j, x_i, v_i, coupler)
-            + m * davis_resistance(v_i[k], davis))

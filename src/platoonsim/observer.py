@@ -8,6 +8,12 @@ zeta = e_w + mu2 - k2*e_v the estimation-error dynamics are exactly linear
 and autonomous, governed by the augmented pair assembled below; placing its
 closed-loop eigenvalues (plus the decoupled position-error gain k1) makes
 the estimation converge regardless of the control input.
+
+This module builds that pair and synthesizes the gains;
+:mod:`platoonsim.simulator` applies the corrections to every carriage at
+once.  The per-carriage correction inputs and observer dynamics, and the
+linear error system the estimation errors follow, are kept in the test
+suite (``tests/oracle.py``) as its reference.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlacementError
-from .faults import exosystem_matrix
-from .model import b1_coefficient, coefficient_d
 
 
 @dataclass(frozen=True)
@@ -49,26 +53,6 @@ class ObserverGains:
     @property
     def column(self):
         return np.asarray(self.k, dtype=float).reshape(5, 1)
-
-
-@dataclass
-class ObserverState:
-    """Estimates of one carriage's position, velocity, acceleration and fault state."""
-
-    x_hat: float
-    v_hat: float
-    w_hat: float
-    f_hat: np.ndarray
-
-
-@dataclass
-class AuxiliaryInputs:
-    """Observer correction terms for the four estimate channels."""
-
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +148,7 @@ def synthesize_gains(a, c, desired_eigenvalues, k1=3.0):
 
 
 def _verify_placement(a, c, gains, desired, rel_tol=1e-6):
-    closed = a + gains.column @ c
-    got = characteristic_coefficients(closed)
+    got = characteristic_coefficients(closed_loop_matrix(a, c, gains))
     want = np.real(np.poly(np.asarray(desired, dtype=complex)))
     scale = np.maximum(np.abs(want), 1.0)
     err = np.abs(got - want) / scale
@@ -177,117 +160,3 @@ def _verify_placement(a, c, gains, desired, rel_tol=1e-6):
 def closed_loop_matrix(a, c, gains):
     """A + K C for the synthesized stacked gain."""
     return np.asarray(a, dtype=float) + gains.column @ np.asarray(c, dtype=float).reshape(1, -1)
-
-
-# ---------------------------------------------------------------------------
-# correction inputs and observer dynamics
-# ---------------------------------------------------------------------------
-
-def auxiliary_mu2(j, m_i, v_meas, v_hat, v_prev, vhat_prev, v_next, vhat_next,
-                  gains, carriage, coupler, davis):
-    """Velocity-channel correction from measured/estimated velocity differences.
-
-    Neighbour arguments may be ``None`` at the head/tail, where the
-    corresponding injection potential is structurally zero.
-    """
-    d_true = coefficient_d(j, v_meas, m_i, carriage, coupler, davis)
-    d_hat = coefficient_d(j, v_hat, m_i, carriage, coupler, davis)
-    mu2 = d_true.d1 - d_hat.d1 + gains.k2 * (v_hat - v_meas)
-    if j > 1:
-        mu2 += (coefficient_d(j, v_prev, m_i, carriage, coupler, davis).d2
-                - coefficient_d(j, vhat_prev, m_i, carriage, coupler, davis).d2)
-    if j < m_i:
-        mu2 += (coefficient_d(j, v_next, m_i, carriage, coupler, davis).d3
-                - coefficient_d(j, vhat_next, m_i, carriage, coupler, davis).d3)
-    return mu2
-
-
-def auxiliary_inputs(j, m_i, x_meas, v_meas, est, v_prev, vhat_prev, v_next, vhat_next,
-                     mu2_prev, mu2_next, gains, carriage, coupler, davis):
-    """All four correction terms for carriage ``j``.
-
-    The acceleration-channel term needs the neighbours' velocity-channel
-    corrections, so ``mu2_prev``/``mu2_next`` must already be computed for
-    this step (two-phase step contract); pass ``None`` at the boundaries.
-    """
-    e_x = est.x_hat - x_meas
-    e_v = est.v_hat - v_meas
-    mu1 = -gains.k1 * e_x + (v_meas - est.v_hat)
-    mu2 = auxiliary_mu2(j, m_i, v_meas, est.v_hat, v_prev, vhat_prev,
-                        v_next, vhat_next, gains, carriage, coupler, davis)
-    b1_true = b1_coefficient(v_meas, j, m_i, carriage, coupler, davis)
-    b1_hat = b1_coefficient(est.v_hat, j, m_i, carriage, coupler, davis)
-    mu3 = b1_true * mu2 + gains.k3 * e_v + (b1_hat - b1_true) * (est.w_hat + mu2)
-    b_over_m = coupler.damping / carriage.mass
-    if j > 1:
-        mu3 += b_over_m * mu2_prev
-    if j < m_i:
-        mu3 += b_over_m * mu2_next
-    mu4 = gains.k4 * e_v
-    return AuxiliaryInputs(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4)
-
-
-def observer_rhs(est, aux, u, what_prev, what_next, v_meas, j, m_i,
-                 carriage, coupler, davis):
-    """Time derivative of the observer state of carriage ``j``.
-
-    Mirrors the composite dynamics on the estimates (the coefficient of the
-    own-acceleration term is evaluated at the measured velocity) plus the
-    correction inputs; neighbour estimated accelerations may be ``None`` at
-    the boundaries.
-    """
-    b1 = b1_coefficient(v_meas, j, m_i, carriage, coupler, davis)
-    b_over_m = coupler.damping / carriage.mass
-    dw = b1 * est.w_hat + float(np.dot(carriage.fault_accel_row, est.f_hat)) + u + aux.mu3
-    if j > 1:
-        dw += b_over_m * what_prev
-    if j < m_i:
-        dw += b_over_m * what_next
-    df = exosystem_matrix(carriage.fault.omega) @ est.f_hat + aux.mu4
-    return ObserverState(x_hat=est.v_hat + aux.mu1,
-                         v_hat=est.w_hat + aux.mu2,
-                         w_hat=dw,
-                         f_hat=df)
-
-
-# ---------------------------------------------------------------------------
-# linear error-dynamics oracle
-# ---------------------------------------------------------------------------
-
-def linear_error_oracle(e_x0, e_v0, e_w0, e_f0, mu2_0, gains, a, c, horizon, step):
-    """Estimation-error trajectories predicted by the closed linear error system.
-
-    Integrates e_x' = -k1*e_x and xi' = (A + K C) xi with the classical
-    fixed-step fourth-order scheme, where xi = (e_v, zeta, e_f) and
-    zeta(0) = e_w(0) + mu2(0) - k2*e_v(0).  Returns arrays for t, e_x, e_v
-    and e_f sampled at every step; valid over intervals free of fault-window
-    transitions, during which the nonlinear closed loop produces exactly
-    these errors.
-    """
-    m = closed_loop_matrix(a, c, gains)
-    n_steps = int(round(horizon / step))
-    zeta0 = e_w0 + mu2_0 - gains.k2 * e_v0
-    xi = np.concatenate([[e_v0, zeta0], np.asarray(e_f0, dtype=float).reshape(3)])
-    e_x = e_x0
-    # one-step growth factor of the scalar position-error channel under RK4
-    z = -gains.k1 * step
-    ex_factor = 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
-
-    t_out = np.empty(n_steps + 1)
-    ex_out = np.empty(n_steps + 1)
-    ev_out = np.empty(n_steps + 1)
-    ef_out = np.empty((n_steps + 1, 3))
-    for i in range(n_steps + 1):
-        t_out[i] = i * step
-        ex_out[i] = e_x
-        ev_out[i] = xi[0]
-        ef_out[i] = xi[2:5]
-        if i == n_steps:
-            break
-        k1_ = m @ xi
-        k2_ = m @ (xi + 0.5 * step * k1_)
-        k3_ = m @ (xi + 0.5 * step * k2_)
-        k4_ = m @ (xi + step * k3_)
-        xi = xi + (step / 6.0) * (k1_ + 2.0 * k2_ + 2.0 * k3_ + k4_)
-        e_x *= ex_factor
-    return {"t": t_out, "e_x": ex_out, "e_v": ev_out, "e_f": ef_out}

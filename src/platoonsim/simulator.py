@@ -217,30 +217,28 @@ class _ClosedLoop:
         self.zero_control = config.control_law == "zero"
         self.saturate = not config.abort_on_violation
 
-        slices, start = [], 0
+        heads, start = [], 0
         for m_i in topo.carriages_per_train:
-            slices.append((start, start + m_i))
+            heads.append(start)
             start += m_i
-        self.train_slices = tuple(slices)
-        self.tail_idx = tuple(e - 1 for _, e in slices)
-        self.heads = np.array([s for s, _ in slices])
+        self.heads = np.array(heads)
         # tail of the train ahead of each head; the first head's entry is a
         # placeholder for the virtual lead
-        self.front_tails = np.array((0,) + self.tail_idx[:-1])
-        self.j_of = np.empty(nc, dtype=int)
-        self.m_of = np.empty(nc, dtype=int)
+        self.front_tails = np.array([0] + [h - 1 for h in heads[1:]])
+        j_of = np.empty(nc, dtype=int)
+        m_of = np.empty(nc, dtype=int)
         for g, (i, j) in enumerate(topo.carriage_ids()):
-            self.j_of[g] = j
-            self.m_of[g] = topo.carriages_per_train[i - 1]
+            j_of[g] = j
+            m_of[g] = topo.carriages_per_train[i - 1]
 
         self.mass = np.array([c.mass for c in config.carriages])
         self.rate = np.array([c.actuator_rate for c in config.carriages])
         b_over_m = self.b_damp / self.mass
-        interior = (self.j_of > 1) & (self.j_of < self.m_of)
+        interior = (j_of > 1) & (j_of < m_of)
         # B1(v) = bm1 - 2*c2*v ; D1(v) = bm1*v - c2*v^2
         self.bm1 = -(np.where(interior, 2.0, 1.0) * b_over_m) - self.c1 - self.rate
-        self.b2 = np.where(self.j_of > 1, b_over_m, 0.0)
-        self.b3 = np.where(self.j_of < self.m_of, b_over_m, 0.0)
+        self.b2 = np.where(j_of > 1, b_over_m, 0.0)
+        self.b3 = np.where(j_of < m_of, b_over_m, 0.0)
         # The constant operators are filled by index, not with np.diag, np.eye
         # or np.kron: those run numpy code that nothing else here runs, and
         # paging it in added about 0.1 MB to a run's peak resident set.
@@ -269,7 +267,6 @@ class _ClosedLoop:
                                       [f.window_periodic[0] for f in faults]])
         self.window_end = np.array([[f.window_const[1] for f in faults],
                                     [f.window_periodic[1] for f in faults]])
-        self.snapped_faults = tuple(faults)
         self.e_rows = np.column_stack(
             [self.upsilon, np.zeros(nc), self.nu_omega])
         self.c_rows = self.e_rows / self.mass[:, None]
@@ -523,7 +520,7 @@ class _ClosedLoop:
             wt = w_f - w_h
             qt = vt + ell1 * xt
             if -rho2 < xt < rho1 and -vr2 < qt < vr1:
-                b1, d_x, d_v = ctrl.beta_partials(xt, vt, gains, rho1, rho2, vr1, vr2)
+                b1, d_x, d_v = ctrl.beta_partials(xt, qt, gains, rho1, rho2, vr1, vr2)
                 beta = (b1, wt + ell1 * vt - b1, d_x, d_v)
             else:
                 def record(kind, value, lo, hi, pair=pair):

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracle import snapped_faults
 from platoonsim.faults import fault_value
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import run_scenario
@@ -53,4 +54,4 @@ def short_scenario(config, duration, *, noise=False, step=None, **changes):
 
 def true_fault_states(engine, t):
     """True fault states (nc, 3) of an engine's carriages at ``t``, carriage by carriage."""
-    return np.array([fault_value(t, fault) for fault in engine.snapped_faults])
+    return np.array([fault_value(t, fault) for fault in snapped_faults(engine.config)])

@@ -1,0 +1,413 @@
+"""Per-carriage reference forms of the model, the observer and the head law.
+
+The package integrates the whole network in operator form
+(``platoonsim.simulator._ClosedLoop``).  This module writes the same
+equations the way the paper does, one carriage at a time, with one function
+per formula: the plant and composite dynamics, the coefficient functions,
+the observer's correction inputs and dynamics, the closed linear
+estimation-error system and the barrier composite beta1.  The tests hold
+the engine to these forms; nothing in the package calls them.
+
+The configuration helpers at the end (train slices, tails, snapped faults)
+give the tests the chain layout that the engine keeps only while it builds
+its operators.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from platoonsim.controller import beta_partials
+from platoonsim.faults import exosystem_matrix, snap_windows
+from platoonsim.observer import closed_loop_matrix
+
+
+# ---------------------------------------------------------------------------
+# parameter rows and chain indexing
+# ---------------------------------------------------------------------------
+
+def fault_input_row(carriage):
+    """Row vector E mapping the 3-dim fault state to a force rate (N/s)."""
+    f = carriage.fault
+    return (f.upsilon, 0.0, f.nu * f.omega)
+
+
+def fault_accel_row(carriage):
+    """Row vector C = E/m mapping the fault state to jerk (m/s^3)."""
+    e = fault_input_row(carriage)
+    return (e[0] / carriage.mass, e[1] / carriage.mass, e[2] / carriage.mass)
+
+
+def global_index(topology, i, j):
+    """Flat chain-order index of carriage (i, j), 0-based."""
+    if not (1 <= i <= topology.train_count):
+        raise IndexError(f"train index {i} out of range")
+    if not (1 <= j <= topology.carriages_per_train[i - 1]):
+        raise IndexError(f"carriage index {j} out of range for train {i}")
+    return sum(topology.carriages_per_train[: i - 1]) + (j - 1)
+
+
+# ---------------------------------------------------------------------------
+# per-carriage state records
+# ---------------------------------------------------------------------------
+
+@dataclass
+class PlantState:
+    """Physical state of one carriage: position, velocity, traction force, fault state."""
+
+    x: float
+    v: float
+    tau: float
+    f: np.ndarray  # 3-vector, dimensionless fault amplitudes
+
+
+@dataclass
+class CompositeState:
+    """Third-order equivalent state of one carriage: position, velocity, acceleration, fault."""
+
+    x: float
+    v: float
+    w: float
+    f: np.ndarray
+
+
+class BCoefficients(NamedTuple):
+    """Velocity-dependent coefficients of the acceleration dynamics."""
+
+    b1: float  # multiplies own acceleration
+    b2: float  # multiplies preceding carriage's acceleration (0 at the head)
+    b3: float  # multiplies following carriage's acceleration (0 at the tail)
+    b4: float  # stiffness-induced drift from velocity differences
+
+
+class DCoefficients(NamedTuple):
+    """Antiderivatives (in velocity) of the b1/b2/b3 coefficients, used by the observer."""
+
+    d1: float
+    d2: float  # 0 at the head
+    d3: float  # 0 at the tail
+
+
+# ---------------------------------------------------------------------------
+# algebraic pieces
+# ---------------------------------------------------------------------------
+
+def davis_resistance(v, coeffs):
+    """Specific resistance c0 + c1*v + c2*v**2 in N/kg."""
+    return coeffs.c0 + coeffs.c1 * v + coeffs.c2 * v * v
+
+
+def coupling_force(j, x_i, v_i, coupler):
+    """Coupler force (N) acting on carriage ``j`` of one train.
+
+    Parameters
+    ----------
+    j : int
+        Carriage index within the train, 1-based.
+    x_i, v_i : sequence of float
+        Positions and velocities of the whole train, head first.
+    coupler : CouplerParams
+
+    The head carriage feels only the coupler behind it, the tail only the
+    coupler in front, interior carriages both.  With every gap at the nominal
+    spacing and equal velocities all three branches vanish.
+    """
+    m_i = len(x_i)
+    if not (1 <= j <= m_i):
+        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
+    a, b, d_p = coupler.stiffness, coupler.damping, coupler.spacing
+    k = j - 1
+    if j == 1:
+        return a * (x_i[0] - x_i[1] - d_p) + b * (v_i[0] - v_i[1])
+    if j == m_i:
+        return a * (x_i[k] - x_i[k - 1] + d_p) + b * (v_i[k] - v_i[k - 1])
+    return (a * (2.0 * x_i[k] - x_i[k - 1] - x_i[k + 1])
+            + b * (2.0 * v_i[k] - v_i[k - 1] - v_i[k + 1]))
+
+
+def b1_coefficient(v, j, m_i, carriage, coupler, davis):
+    """Coefficient of the carriage's own acceleration in its jerk dynamics (1/s)."""
+    if not (1 <= j <= m_i):
+        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
+    b_over_m = coupler.damping / carriage.mass
+    if 1 < j < m_i:
+        b_over_m *= 2.0
+    return -b_over_m - (davis.c1 + 2.0 * davis.c2 * v) - carriage.actuator_rate
+
+
+def coefficient_b(j, v_i, carriage, coupler, davis):
+    """All four acceleration-dynamics coefficients for carriage ``j``.
+
+    ``b1`` is evaluated at the carriage's own velocity, ``b2``/``b3`` are
+    constants that vanish at the head/tail respectively, and ``b4`` collects
+    the stiffness-scaled velocity differences to the neighbours.
+    """
+    m_i = len(v_i)
+    if not (1 <= j <= m_i):
+        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
+    b_over_m = coupler.damping / carriage.mass
+    a_over_m = coupler.stiffness / carriage.mass
+    k = j - 1
+    b1 = b1_coefficient(v_i[k], j, m_i, carriage, coupler, davis)
+    b2 = 0.0 if j == 1 else b_over_m
+    b3 = 0.0 if j == m_i else b_over_m
+    if j == 1:
+        b4 = -a_over_m * (v_i[0] - v_i[1])
+    elif j == m_i:
+        b4 = -a_over_m * (v_i[k] - v_i[k - 1])
+    else:
+        b4 = -a_over_m * (2.0 * v_i[k] - v_i[k - 1] - v_i[k + 1])
+    return BCoefficients(b1, b2, b3, b4)
+
+
+def coefficient_d(j, v, m_i, carriage, coupler, davis):
+    """Observer injection potentials evaluated at velocity ``v``.
+
+    These are the velocity antiderivatives of the b1/b2/b3 coefficients
+    (d/dv d1 == b1 exactly, including the actuator-rate term), so that
+    differences of them reproduce the coefficient nonlinearity in the
+    observer's velocity channel.
+    """
+    if not (1 <= j <= m_i):
+        raise IndexError(f"carriage index {j} out of range for train of {m_i}")
+    b_over_m = coupler.damping / carriage.mass
+    kappa = 2.0 if 1 < j < m_i else 1.0
+    d1 = (-(kappa * b_over_m) - davis.c1 - carriage.actuator_rate) * v - davis.c2 * v * v
+    d2 = 0.0 if j == 1 else b_over_m * v
+    d3 = 0.0 if j == m_i else b_over_m * v
+    return DCoefficients(d1, d2, d3)
+
+
+# ---------------------------------------------------------------------------
+# dynamics
+# ---------------------------------------------------------------------------
+
+def plant_rhs(state, j, x_i, v_i, varpi, carriage, coupler, davis):
+    """Time derivative of the plant-form state of carriage ``j``.
+
+    ``varpi`` is the designed force rate (N/s) driving the first-order
+    actuator; the fault state adds its own force rate through the carriage's
+    fault input row and evolves under the autonomous fault generator.
+    """
+    m = carriage.mass
+    coupling = coupling_force(j, x_i, v_i, coupler)
+    e_row = np.asarray(fault_input_row(carriage))
+    s_mat = exosystem_matrix(carriage.fault.omega)
+    dv = (state.tau - coupling - m * davis_resistance(state.v, davis)) / m
+    dtau = -carriage.actuator_rate * state.tau + varpi + float(e_row @ state.f)
+    return PlantState(x=state.v, v=dv, tau=dtau, f=s_mat @ state.f)
+
+
+def preliminary_control(u, j, x_i, v_i, carriage, coupler, davis):
+    """Force rate (N/s) that turns the plant into a chain of integrators driven by ``u``.
+
+    Cancels the actuator lag acting on the coupler force and the running
+    resistance, and removes the stiffness drift term, so that the carriage's
+    jerk becomes its damping-coupled acceleration dynamics plus ``u``.
+    """
+    m = carriage.mass
+    r = carriage.actuator_rate
+    k = j - 1
+    coupling = coupling_force(j, x_i, v_i, coupler)
+    b4 = coefficient_b(j, v_i, carriage, coupler, davis).b4
+    return m * u + r * coupling + m * r * davis_resistance(v_i[k], davis) - m * b4
+
+
+def composite_rhs(state, j, m_i, w_prev, w_next, u, carriage, coupler, davis):
+    """Time derivative of the composite third-order state of carriage ``j``.
+
+    ``w_prev``/``w_next`` are the neighbouring carriages' accelerations; pass
+    ``None`` at the head/tail where the corresponding coefficient is
+    structurally zero.
+    """
+    b1 = b1_coefficient(state.v, j, m_i, carriage, coupler, davis)
+    b_over_m = coupler.damping / carriage.mass
+    dw = b1 * state.w + u + float(np.dot(fault_accel_row(carriage), state.f))
+    if j > 1:
+        dw += b_over_m * w_prev
+    if j < m_i:
+        dw += b_over_m * w_next
+    s_mat = exosystem_matrix(carriage.fault.omega)
+    return CompositeState(x=state.v, v=state.w, w=dw, f=s_mat @ state.f)
+
+
+def traction_force(x_i, v_i, w, j, carriage, coupler, davis):
+    """Traction/braking force implied by a composite state (inverse of the w definition)."""
+    m = carriage.mass
+    k = j - 1
+    return (m * w + coupling_force(j, x_i, v_i, coupler)
+            + m * davis_resistance(v_i[k], davis))
+
+
+# ---------------------------------------------------------------------------
+# per-carriage observer records
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ObserverState:
+    """Estimates of one carriage's position, velocity, acceleration and fault state."""
+
+    x_hat: float
+    v_hat: float
+    w_hat: float
+    f_hat: np.ndarray
+
+
+@dataclass
+class AuxiliaryInputs:
+    """Observer correction terms for the four estimate channels."""
+
+    mu1: float
+    mu2: float
+    mu3: float
+    mu4: np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# correction inputs and observer dynamics
+# ---------------------------------------------------------------------------
+
+def auxiliary_mu2(j, m_i, v_meas, v_hat, v_prev, vhat_prev, v_next, vhat_next,
+                  gains, carriage, coupler, davis):
+    """Velocity-channel correction from measured/estimated velocity differences.
+
+    Neighbour arguments may be ``None`` at the head/tail, where the
+    corresponding injection potential is structurally zero.
+    """
+    d_true = coefficient_d(j, v_meas, m_i, carriage, coupler, davis)
+    d_hat = coefficient_d(j, v_hat, m_i, carriage, coupler, davis)
+    mu2 = d_true.d1 - d_hat.d1 + gains.k2 * (v_hat - v_meas)
+    if j > 1:
+        mu2 += (coefficient_d(j, v_prev, m_i, carriage, coupler, davis).d2
+                - coefficient_d(j, vhat_prev, m_i, carriage, coupler, davis).d2)
+    if j < m_i:
+        mu2 += (coefficient_d(j, v_next, m_i, carriage, coupler, davis).d3
+                - coefficient_d(j, vhat_next, m_i, carriage, coupler, davis).d3)
+    return mu2
+
+
+def auxiliary_inputs(j, m_i, x_meas, v_meas, est, v_prev, vhat_prev, v_next, vhat_next,
+                     mu2_prev, mu2_next, gains, carriage, coupler, davis):
+    """All four correction terms for carriage ``j``.
+
+    The acceleration-channel term needs the neighbours' velocity-channel
+    corrections, so ``mu2_prev``/``mu2_next`` must already be computed for
+    this step (two-phase step contract); pass ``None`` at the boundaries.
+    """
+    e_x = est.x_hat - x_meas
+    e_v = est.v_hat - v_meas
+    mu1 = -gains.k1 * e_x + (v_meas - est.v_hat)
+    mu2 = auxiliary_mu2(j, m_i, v_meas, est.v_hat, v_prev, vhat_prev,
+                        v_next, vhat_next, gains, carriage, coupler, davis)
+    b1_true = b1_coefficient(v_meas, j, m_i, carriage, coupler, davis)
+    b1_hat = b1_coefficient(est.v_hat, j, m_i, carriage, coupler, davis)
+    mu3 = b1_true * mu2 + gains.k3 * e_v + (b1_hat - b1_true) * (est.w_hat + mu2)
+    b_over_m = coupler.damping / carriage.mass
+    if j > 1:
+        mu3 += b_over_m * mu2_prev
+    if j < m_i:
+        mu3 += b_over_m * mu2_next
+    mu4 = gains.k4 * e_v
+    return AuxiliaryInputs(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4)
+
+
+def observer_rhs(est, aux, u, what_prev, what_next, v_meas, j, m_i,
+                 carriage, coupler, davis):
+    """Time derivative of the observer state of carriage ``j``.
+
+    Mirrors the composite dynamics on the estimates (the coefficient of the
+    own-acceleration term is evaluated at the measured velocity) plus the
+    correction inputs; neighbour estimated accelerations may be ``None`` at
+    the boundaries.
+    """
+    b1 = b1_coefficient(v_meas, j, m_i, carriage, coupler, davis)
+    b_over_m = coupler.damping / carriage.mass
+    dw = b1 * est.w_hat + float(np.dot(fault_accel_row(carriage), est.f_hat)) + u + aux.mu3
+    if j > 1:
+        dw += b_over_m * what_prev
+    if j < m_i:
+        dw += b_over_m * what_next
+    df = exosystem_matrix(carriage.fault.omega) @ est.f_hat + aux.mu4
+    return ObserverState(x_hat=est.v_hat + aux.mu1,
+                         v_hat=est.w_hat + aux.mu2,
+                         w_hat=dw,
+                         f_hat=df)
+
+
+# ---------------------------------------------------------------------------
+# linear error-dynamics oracle
+# ---------------------------------------------------------------------------
+
+def linear_error_oracle(e_x0, e_v0, e_w0, e_f0, mu2_0, gains, a, c, horizon, step):
+    """Estimation-error trajectories predicted by the closed linear error system.
+
+    Integrates e_x' = -k1*e_x and xi' = (A + K C) xi with the classical
+    fixed-step fourth-order scheme, where xi = (e_v, zeta, e_f) and
+    zeta(0) = e_w(0) + mu2(0) - k2*e_v(0).  Returns arrays for t, e_x, e_v
+    and e_f sampled at every step; valid over intervals free of fault-window
+    transitions, during which the nonlinear closed loop produces exactly
+    these errors.
+    """
+    m = closed_loop_matrix(a, c, gains)
+    n_steps = int(round(horizon / step))
+    zeta0 = e_w0 + mu2_0 - gains.k2 * e_v0
+    xi = np.concatenate([[e_v0, zeta0], np.asarray(e_f0, dtype=float).reshape(3)])
+    e_x = e_x0
+    # one-step growth factor of the scalar position-error channel under RK4
+    z = -gains.k1 * step
+    ex_factor = 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+
+    t_out = np.empty(n_steps + 1)
+    ex_out = np.empty(n_steps + 1)
+    ev_out = np.empty(n_steps + 1)
+    ef_out = np.empty((n_steps + 1, 3))
+    for i in range(n_steps + 1):
+        t_out[i] = i * step
+        ex_out[i] = e_x
+        ev_out[i] = xi[0]
+        ef_out[i] = xi[2:5]
+        if i == n_steps:
+            break
+        k1_ = m @ xi
+        k2_ = m @ (xi + 0.5 * step * k1_)
+        k3_ = m @ (xi + 0.5 * step * k2_)
+        k4_ = m @ (xi + step * k3_)
+        xi = xi + (step / 6.0) * (k1_ + 2.0 * k2_ + 2.0 * k3_ + k4_)
+        e_x *= ex_factor
+    return {"t": t_out, "e_x": ex_out, "e_v": ev_out, "e_f": ef_out}
+
+
+# ---------------------------------------------------------------------------
+# head law
+# ---------------------------------------------------------------------------
+
+def beta1(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
+    """Barrier-weighted stabilizing function; evaluates on floats, arrays or duals."""
+    q_tilde = v_tilde + gains.ell1 * x_tilde
+    return beta_partials(x_tilde, q_tilde, gains, rho1, rho2, varrho1, varrho2)[0]
+
+
+# ---------------------------------------------------------------------------
+# chain layout of a configuration
+# ---------------------------------------------------------------------------
+
+def train_slices(config):
+    """``(first, end)`` carriage indices of every train, chain order."""
+    out, start = [], 0
+    for m_i in config.topology.carriages_per_train:
+        out.append((start, start + m_i))
+        start += m_i
+    return out
+
+
+def tail_indices(config):
+    """Index of every train's last carriage, chain order."""
+    return [e - 1 for _, e in train_slices(config)]
+
+
+def snapped_faults(config):
+    """Every carriage's fault model with its windows snapped to the step grid."""
+    return [snap_windows(c.fault, config.step) for c in config.carriages]

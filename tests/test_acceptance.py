@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import short_scenario, true_fault_states
+from oracle import auxiliary_mu2, beta1, fault_accel_row, linear_error_oracle
 from platoonsim import observer as obs
 from platoonsim.autodiff import dual_eval
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
                                    alpha1, alpha2, barrier_phi, barrier_psi,
-                                   beta1, beta_functions, validate_initial,
+                                   beta_functions, validate_initial,
                                    validate_parameters)
 from platoonsim.faults import exosystem_matrix
 from platoonsim.simulator import (_ClosedLoop, fault_interval_errors,
@@ -185,15 +186,15 @@ class TestCriterion06LinearErrorOracle:
         for g, (i, j) in enumerate(config.topology.carriage_ids()):
             m_i = config.topology.carriages_per_train[i - 1]
             prev, nxt = g - 1, g + 1
-            mu2_0 = obs.auxiliary_mu2(
+            mu2_0 = auxiliary_mu2(
                 j, m_i, v0[g], oi[g, 1],
                 None if j == 1 else v0[prev], None if j == 1 else oi[prev, 1],
                 None if j == m_i else v0[nxt], None if j == m_i else oi[nxt, 1],
                 engine.gains[g], config.carriages[g], config.coupler, config.davis)
             a, c = obs.build_augmented_pair(
-                config.carriages[g].fault_accel_row,
+                fault_accel_row(config.carriages[g]),
                 exosystem_matrix(config.carriages[g].fault.omega))
-            oracle = obs.linear_error_oracle(
+            oracle = linear_error_oracle(
                 e_x0=oi[g, 0] - x0[g], e_v0=oi[g, 1] - v0[g],
                 e_w0=oi[g, 2] - w0[g], e_f0=oi[g, 3:6], mu2_0=mu2_0,
                 gains=engine.gains[g], a=a, c=c,

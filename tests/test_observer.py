@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from oracle import (AuxiliaryInputs, CompositeState, ObserverState,
+                    auxiliary_inputs, auxiliary_mu2, composite_rhs,
+                    linear_error_oracle, observer_rhs)
 from platoonsim.errors import PlacementError
 from platoonsim.faults import FaultModel, exosystem_matrix
-from platoonsim.model import (CarriageParams, CouplerParams, DavisCoefficients,
-                              composite_rhs, CompositeState)
-from platoonsim.observer import (AuxiliaryInputs, ObserverState,
-                                 auxiliary_inputs, auxiliary_mu2,
-                                 build_augmented_pair, characteristic_coefficients,
+from platoonsim.model import CarriageParams, CouplerParams, DavisCoefficients
+from platoonsim.observer import (build_augmented_pair, characteristic_coefficients,
                                  check_observability, closed_loop_matrix,
-                                 linear_error_oracle, observer_rhs,
                                  synthesize_gains)
 
 DAVIS = DavisCoefficients(c0=0.01176, c1=0.00077616, c2=1.6e-5)

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import short_scenario
+from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
+                    auxiliary_mu2, b1_coefficient, coefficient_b, composite_rhs,
+                    coupling_force, fault_accel_row, fault_input_row, observer_rhs,
+                    plant_rhs, preliminary_control, snapped_faults, tail_indices,
+                    train_slices)
 from platoonsim import controller as ctrl
-from platoonsim import observer as obs
 from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
 from platoonsim.faults import effective_fault, fault_value, snap_windows
-from platoonsim.model import (b1_coefficient, coefficient_b, CompositeState,
-                              composite_rhs, ConsistTopology, coupling_force,
-                              PlantState, plant_rhs, preliminary_control)
+from platoonsim.model import ConsistTopology
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import (_BLOCK_STEPS, EVENTS_KEPT, MonitorSpec,
                                   SimulationRecord, _ClosedLoop, inject_disturbance,
@@ -89,140 +91,189 @@ class TestConfigValidation:
             validate_config(bad)
 
 
+def mixed_config(config, **changes):
+    """``config`` on topology (4, 2, 3, 2), with a mass and an actuator rate per carriage.
+
+    The carriages repeat ``config``'s nine; mass and actuator rate grow along
+    the chain, so that every ``b2`` differs from the ``b3`` it sits beside and
+    a neighbour term taken from the wrong side shows.  Train pair k starts at
+    the k-th of the gap errors (0, 800, -2000, 300) m with carriages at the
+    coupler spacing, and every pair starts inside its barrier domain.
+    """
+    counts = (4, 2, 3, 2)
+    nc = sum(counts)
+    carriages = []
+    for g in range(nc):
+        base = config.carriages[g % 9]
+        carriages.append(dataclasses.replace(base, mass=base.mass * (1 + 0.1 * g),
+                                             actuator_rate=base.actuator_rate * (1 + 0.05 * g)))
+    d_s, d_p = config.constraints.d_s, config.coupler.spacing
+    initial = []
+    for m_i, gap in zip(counts, (0.0, 800.0, -2000.0, 300.0)):
+        x_head = initial[-1][0] - d_s - gap if initial else config.initial[0][0]
+        for j in range(m_i):
+            initial.append((x_head - d_p * j, config.initial[len(initial) % 9][1], 0.0))
+    return short_scenario(config, 20.0, topology=ConsistTopology(counts),
+                          carriages=tuple(carriages), initial=tuple(initial), **changes)
+
+
+def check_scalar_assembly(config):
+    """Derivatives at a perturbed initial state against the per-carriage oracle."""
+    engine = _ClosedLoop(config)
+    rng = np.random.default_rng(77)
+    t = 450.0  # inside the first carriage's constant-fault window
+    # the initial state moved along with the virtual lead to t, so every
+    # train pair keeps its initial errors, inside the barrier domain (left
+    # where it is, pair 1 would be clamped and every input about 1e51)
+    y = engine.initial_state()
+    lead_moved = np.subtract(config.profile.evaluate(t)[:2], config.profile.evaluate(0.0)[:2])
+    for names, shift in ((("x", "xh"), lead_moved[0]), (("v", "vh"), lead_moved[1])):
+        for name in names:
+            y[engine.sl[name]] += shift
+    # perturb estimates so every correction term is exercised
+    y[engine.sl["xh"]] += rng.uniform(-0.5, 0.5, engine.nc)
+    y[engine.sl["vh"]] += rng.uniform(-0.5, 0.5, engine.nc)
+    y[engine.sl["wh"]] += rng.uniform(-0.5, 0.5, engine.nc)
+    y[engine.sl["fh"]] += rng.uniform(-0.5, 0.5, 3 * engine.nc)
+    engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
+    dy, (u_engine, ef_true, ef_hat) = engine.evaluate(t, y)
+    assert not engine.violations
+
+    topo = config.topology
+    coupler, davis = config.coupler, config.davis
+    nc = engine.nc
+    x = y[engine.sl["x"]]
+    v = y[engine.sl["v"]]
+    w = y[engine.sl["w"]]
+    xh = y[engine.sl["xh"]]
+    vh = y[engine.sl["vh"]]
+    wh = y[engine.sl["wh"]]
+    fh = y[engine.sl["fh"]].reshape(nc, 3)
+
+    x0r, v0r, w0r, u0r = config.profile.evaluate(t)
+    labels = list(topo.carriage_ids())
+    faults = [snap_windows(c.fault, config.step) for c in config.carriages]
+
+    def train_bounds(i):
+        start = sum(topo.carriages_per_train[: i - 1])
+        return start, start + topo.carriages_per_train[i - 1]
+
+    # corrections, two-phase
+    mu2 = np.empty(nc)
+    for g, (i, j) in enumerate(labels):
+        s, e = train_bounds(i)
+        m_i = e - s
+        prev = g - 1 if j > 1 else None
+        nxt = g + 1 if j < m_i else None
+        mu2[g] = auxiliary_mu2(
+            j, m_i, v[g], vh[g],
+            None if prev is None else v[prev],
+            None if prev is None else vh[prev],
+            None if nxt is None else v[nxt],
+            None if nxt is None else vh[nxt],
+            engine.gains[g], config.carriages[g], coupler, davis)
+    aux = []
+    for g, (i, j) in enumerate(labels):
+        s, e = train_bounds(i)
+        m_i = e - s
+        prev = g - 1 if j > 1 else None
+        nxt = g + 1 if j < m_i else None
+        est = ObserverState(x_hat=xh[g], v_hat=vh[g], w_hat=wh[g], f_hat=fh[g])
+        aux.append(auxiliary_inputs(
+            j, m_i, x[g], v[g], est,
+            None if prev is None else v[prev],
+            None if prev is None else vh[prev],
+            None if nxt is None else v[nxt],
+            None if nxt is None else vh[nxt],
+            None if prev is None else mu2[prev],
+            None if nxt is None else mu2[nxt],
+            engine.gains[g], config.carriages[g], coupler, davis))
+        assert aux[g].mu2 == pytest.approx(mu2[g], rel=1e-12)
+
+    # chain-ordered controls
+    u = np.empty(nc)
+    whdot = np.empty(nc)
+    vr1, vr2 = config.constraints.varrho(config.head_gains.ell1)
+    front = (x0r, v0r, w0r, u0r)
+    for g, (i, j) in enumerate(labels):
+        s, e = train_bounds(i)
+        m_i = e - s
+        b1 = b1_coefficient(v[g], j, m_i, config.carriages[g], coupler, davis)
+        b_over_m = coupler.damping / config.carriages[g].mass
+        cf_hat = float(np.dot(fault_accel_row(config.carriages[g]), fh[g]))
+        if j == 1:
+            x_f, v_f, wh_f, g_front = front
+            pe = ctrl.TrainPairErrors.from_states(
+                x_f, v_f, x[g], v[g], config.constraints.d_s,
+                config.head_gains.ell1)
+            u[g] = ctrl.head_control(
+                g_front, b1, b_over_m, wh[g], wh[g + 1], cf_hat, aux[g].mu3,
+                pe.x_tilde, pe.v_tilde, wh_f - wh[g], config.head_gains,
+                config.constraints.rho1, config.constraints.rho2, vr1, vr2,
+                saturate=True)
+            whdot[g] = (b1 * wh[g] + b_over_m * wh[g + 1] + cf_hat
+                        + u[g] + aux[g].mu3)
+        else:
+            p = g - 1
+            wh_next = wh[g + 1] if j < m_i else None
+            u[g] = ctrl.follower_control(
+                xh[g], vh[g], wh[g], xh[p], vh[p], wh[p], wh_next,
+                vh[g] + aux[g].mu1, wh[g] + aux[g].mu2,
+                vh[p] + aux[p].mu1, wh[p] + aux[p].mu2, whdot[p],
+                b1, b_over_m, 0.0 if wh_next is None else b_over_m,
+                cf_hat, aux[g].mu3, config.follower_gains, coupler.spacing)
+            whdot[g] = b1 * wh[g] + b_over_m * wh[p] + cf_hat + u[g] + aux[g].mu3
+            if wh_next is not None:
+                whdot[g] += b_over_m * wh_next
+        if j == m_i:
+            front = (x[g], v[g], wh[g], whdot[g])
+
+    assert u_engine == pytest.approx(u, rel=1e-12, abs=1e-12)
+
+    # state and observer derivatives; the jerks cancel the same large terms
+    # in a different order, so they are compared at the scale of the inputs
+    scale = max(np.abs(u).max(), 1.0)
+    for g, (i, j) in enumerate(labels):
+        s, e = train_bounds(i)
+        m_i = e - s
+        f_t = fault_value(t, faults[g])
+        state = CompositeState(x=x[g], v=v[g], w=w[g], f=f_t)
+        d_true = composite_rhs(
+            state, j, m_i, w[g - 1] if j > 1 else None,
+            w[g + 1] if j < m_i else None, u[g],
+            config.carriages[g], coupler, davis)
+        assert dy[engine.sl["x"]][g] == pytest.approx(d_true.x, rel=1e-12)
+        assert dy[engine.sl["v"]][g] == pytest.approx(d_true.v, rel=1e-12)
+        assert dy[engine.sl["w"]][g] == pytest.approx(
+            d_true.w + engine.delta[g], rel=1e-12, abs=1e-12 * scale)
+        est = ObserverState(x_hat=xh[g], v_hat=vh[g], w_hat=wh[g], f_hat=fh[g])
+        d_obs = observer_rhs(
+            est, aux[g], u[g], wh[g - 1] if j > 1 else None,
+            wh[g + 1] if j < m_i else None, v[g], j, m_i,
+            config.carriages[g], coupler, davis)
+        assert dy[engine.sl["xh"]][g] == pytest.approx(d_obs.x_hat, rel=1e-12)
+        assert dy[engine.sl["vh"]][g] == pytest.approx(d_obs.v_hat, rel=1e-12)
+        assert dy[engine.sl["wh"]][g] == pytest.approx(d_obs.w_hat, rel=1e-12,
+                                                       abs=1e-12 * scale)
+        assert dy[engine.sl["fh"]].reshape(nc, 3)[g] == pytest.approx(
+            d_obs.f_hat, rel=1e-12, abs=1e-15)
+
+
 class TestEngineAgainstScalarContract:
-    """The vectorized engine must agree with the per-carriage module functions."""
+    """The vectorized engine must agree with the per-carriage oracle functions."""
 
     def test_derivatives_match_scalar_assembly(self, s5_config):
-        config = short_scenario(s5_config, 20.0)
-        engine = _ClosedLoop(config)
-        rng = np.random.default_rng(77)
-        y = engine.initial_state()
-        # perturb estimates so every correction term is exercised
-        y[engine.sl["xh"]] += rng.uniform(-0.5, 0.5, engine.nc)
-        y[engine.sl["vh"]] += rng.uniform(-0.5, 0.5, engine.nc)
-        y[engine.sl["wh"]] += rng.uniform(-0.5, 0.5, engine.nc)
-        y[engine.sl["fh"]] += rng.uniform(-0.5, 0.5, 3 * engine.nc)
-        engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
-        t = 450.0  # inside the first carriage's constant-fault window
-        dy, (u_engine, ef_true, ef_hat) = engine.evaluate(t, y)
+        check_scalar_assembly(short_scenario(s5_config, 20.0))
 
-        topo = config.topology
-        coupler, davis = config.coupler, config.davis
-        nc = engine.nc
-        x = y[engine.sl["x"]]
-        v = y[engine.sl["v"]]
-        w = y[engine.sl["w"]]
-        xh = y[engine.sl["xh"]]
-        vh = y[engine.sl["vh"]]
-        wh = y[engine.sl["wh"]]
-        fh = y[engine.sl["fh"]].reshape(nc, 3)
 
-        x0r, v0r, w0r, u0r = config.profile.evaluate(t)
-        labels = list(topo.carriage_ids())
-        faults = [snap_windows(c.fault, config.step) for c in config.carriages]
+class TestEngineAgainstScalarContractMixed:
+    """The same check on a mixed consist: unequal masses and actuator rates."""
 
-        def train_bounds(i):
-            start = sum(topo.carriages_per_train[: i - 1])
-            return start, start + topo.carriages_per_train[i - 1]
+    def test_config_is_feasible(self, s5_config):
+        assert validate_config(mixed_config(s5_config)) == []
 
-        # corrections, two-phase
-        mu2 = np.empty(nc)
-        for g, (i, j) in enumerate(labels):
-            s, e = train_bounds(i)
-            m_i = e - s
-            prev = g - 1 if j > 1 else None
-            nxt = g + 1 if j < m_i else None
-            mu2[g] = obs.auxiliary_mu2(
-                j, m_i, v[g], vh[g],
-                None if prev is None else v[prev],
-                None if prev is None else vh[prev],
-                None if nxt is None else v[nxt],
-                None if nxt is None else vh[nxt],
-                engine.gains[g], config.carriages[g], coupler, davis)
-        aux = []
-        for g, (i, j) in enumerate(labels):
-            s, e = train_bounds(i)
-            m_i = e - s
-            prev = g - 1 if j > 1 else None
-            nxt = g + 1 if j < m_i else None
-            est = obs.ObserverState(x_hat=xh[g], v_hat=vh[g], w_hat=wh[g],
-                                    f_hat=fh[g])
-            aux.append(obs.auxiliary_inputs(
-                j, m_i, x[g], v[g], est,
-                None if prev is None else v[prev],
-                None if prev is None else vh[prev],
-                None if nxt is None else v[nxt],
-                None if nxt is None else vh[nxt],
-                None if prev is None else mu2[prev],
-                None if nxt is None else mu2[nxt],
-                engine.gains[g], config.carriages[g], coupler, davis))
-            assert aux[g].mu2 == pytest.approx(mu2[g], rel=1e-12)
-
-        # chain-ordered controls
-        u = np.empty(nc)
-        whdot = np.empty(nc)
-        vr1, vr2 = config.constraints.varrho(config.head_gains.ell1)
-        front = (x0r, v0r, w0r, u0r)
-        for g, (i, j) in enumerate(labels):
-            s, e = train_bounds(i)
-            m_i = e - s
-            b1 = b1_coefficient(v[g], j, m_i, config.carriages[g], coupler, davis)
-            b_over_m = coupler.damping / config.carriages[g].mass
-            cf_hat = float(np.dot(config.carriages[g].fault_accel_row, fh[g]))
-            if j == 1:
-                x_f, v_f, wh_f, g_front = front
-                pe = ctrl.TrainPairErrors.from_states(
-                    x_f, v_f, x[g], v[g], config.constraints.d_s,
-                    config.head_gains.ell1)
-                u[g] = ctrl.head_control(
-                    g_front, b1, b_over_m, wh[g], wh[g + 1], cf_hat, aux[g].mu3,
-                    pe.x_tilde, pe.v_tilde, wh_f - wh[g], config.head_gains,
-                    config.constraints.rho1, config.constraints.rho2, vr1, vr2,
-                    saturate=True)
-                whdot[g] = (b1 * wh[g] + b_over_m * wh[g + 1] + cf_hat
-                            + u[g] + aux[g].mu3)
-            else:
-                p = g - 1
-                wh_next = wh[g + 1] if j < m_i else None
-                u[g] = ctrl.follower_control(
-                    xh[g], vh[g], wh[g], xh[p], vh[p], wh[p], wh_next,
-                    vh[g] + aux[g].mu1, wh[g] + aux[g].mu2,
-                    vh[p] + aux[p].mu1, wh[p] + aux[p].mu2, whdot[p],
-                    b1, b_over_m, 0.0 if wh_next is None else b_over_m,
-                    cf_hat, aux[g].mu3, config.follower_gains, coupler.spacing)
-                whdot[g] = b1 * wh[g] + b_over_m * wh[p] + cf_hat + u[g] + aux[g].mu3
-                if wh_next is not None:
-                    whdot[g] += b_over_m * wh_next
-            if j == m_i:
-                front = (x[g], v[g], wh[g], whdot[g])
-
-        assert u_engine == pytest.approx(u, rel=1e-12, abs=1e-12)
-
-        # state and observer derivatives
-        for g, (i, j) in enumerate(labels):
-            s, e = train_bounds(i)
-            m_i = e - s
-            f_t = fault_value(t, faults[g])
-            state = CompositeState(x=x[g], v=v[g], w=w[g], f=f_t)
-            d_true = composite_rhs(
-                state, j, m_i, w[g - 1] if j > 1 else None,
-                w[g + 1] if j < m_i else None, u[g],
-                config.carriages[g], coupler, davis)
-            assert dy[engine.sl["x"]][g] == pytest.approx(d_true.x, rel=1e-12)
-            assert dy[engine.sl["v"]][g] == pytest.approx(d_true.v, rel=1e-12)
-            assert dy[engine.sl["w"]][g] == pytest.approx(
-                d_true.w + engine.delta[g], rel=1e-12, abs=1e-12)
-            est = obs.ObserverState(x_hat=xh[g], v_hat=vh[g], w_hat=wh[g],
-                                    f_hat=fh[g])
-            d_obs = obs.observer_rhs(
-                est, aux[g], u[g], wh[g - 1] if j > 1 else None,
-                wh[g + 1] if j < m_i else None, v[g], j, m_i,
-                config.carriages[g], coupler, davis)
-            assert dy[engine.sl["xh"]][g] == pytest.approx(d_obs.x_hat, rel=1e-12)
-            assert dy[engine.sl["vh"]][g] == pytest.approx(d_obs.v_hat, rel=1e-12)
-            assert dy[engine.sl["wh"]][g] == pytest.approx(d_obs.w_hat, rel=1e-12)
-            assert dy[engine.sl["fh"]].reshape(nc, 3)[g] == pytest.approx(
-                d_obs.f_hat, rel=1e-12, abs=1e-15)
+    def test_derivatives_match_scalar_assembly(self, s5_config):
+        check_scalar_assembly(mixed_config(s5_config))
 
 
 def neighbour_indices(nc):
@@ -259,12 +310,13 @@ def per_carriage_controls(engine, t, y):
 
     u = np.zeros(nc)
     whdot = np.empty(nc)
-    for ti, (s, e) in enumerate(engine.train_slices):
+    tails = tail_indices(cfg)
+    for ti, (s, e) in enumerate(train_slices(cfg)):
         g = s
         if ti == 0:
             x_f, v_f, wh_f, g_front = x0r, v0r, w0r, u0r
         else:
-            f = engine.tail_idx[ti - 1]
+            f = tails[ti - 1]
             x_f, v_f, wh_f, g_front = xm[f], vm[f], wh[f], whdot[f]
         u[g] = ctrl.head_control(
             g_front, b1v[g], engine.b3[g], wh[g], wh[g + 1], cf_hat[g], mu3[g],
@@ -294,7 +346,7 @@ def random_feasible_state(engine, t, gap, combined, rng):
     nc, sl = engine.nc, engine.sl
     x, v = np.empty(nc), np.empty(nc)
     front_x, front_v = engine.config.profile.evaluate(t)[:2]
-    for k, (s, e) in enumerate(engine.train_slices):
+    for k, (s, e) in enumerate(train_slices(engine.config)):
         xt = gap[k] * (engine.rho1 if gap[k] > 0 else engine.rho2)
         qt = combined[k] * (engine.vr1 if combined[k] > 0 else engine.vr2)
         x[s] = front_x - engine.d_s - xt
@@ -317,6 +369,22 @@ def random_feasible_state(engine, t, gap, combined, rng):
     return y
 
 
+def check_per_carriage_controls(engine, t, gap, combined, seed):
+    """Controls and estimated-jerk derivatives at a random feasible state."""
+    # train pairs at random points of their barrier domains, carriages
+    # and estimates scattered around them
+    y = random_feasible_state(engine, t, gap, combined, np.random.default_rng(seed))
+    dy, (u, _, _) = engine.evaluate(t, y)
+    assert not engine.violations
+    u_ref, whdot_ref = per_carriage_controls(engine, t, y)
+    # both forms cancel the same large terms in a different order, so a
+    # carriage whose input is small against them is compared at the scale
+    # of the whole input vector
+    scale = max(np.abs(u_ref).max(), 1.0)
+    assert np.abs(u - u_ref).max() <= 1e-12 * scale
+    assert np.abs(dy[engine.sl["wh"]] - whdot_ref).max() <= 1e-12 * scale
+
+
 class TestEngineAgainstPerCarriageControls:
     """The array control layer against the carriage-by-carriage assembly."""
 
@@ -328,18 +396,21 @@ class TestEngineAgainstPerCarriageControls:
     @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(3), combined=unit_intervals(3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_random_feasible_states(self, engine, t, gap, combined, seed):
-        # train pairs at random points of their barrier domains, carriages
-        # and estimates scattered around them
-        y = random_feasible_state(engine, t, gap, combined, np.random.default_rng(seed))
-        dy, (u, _, _) = engine.evaluate(t, y)
-        assert not engine.violations
-        u_ref, whdot_ref = per_carriage_controls(engine, t, y)
-        # both forms cancel the same large terms in a different order, so a
-        # carriage whose input is small against them is compared at the scale
-        # of the whole input vector
-        scale = max(np.abs(u_ref).max(), 1.0)
-        assert np.abs(u - u_ref).max() <= 1e-12 * scale
-        assert np.abs(dy[engine.sl["wh"]] - whdot_ref).max() <= 1e-12 * scale
+        check_per_carriage_controls(engine, t, gap, combined, seed)
+
+
+class TestEngineAgainstPerCarriageControlsMixed:
+    """The same check on a mixed consist: unequal masses and actuator rates."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, s5_config):
+        return _ClosedLoop(mixed_config(s5_config))
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(4), combined=unit_intervals(4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_feasible_states(self, engine, t, gap, combined, seed):
+        check_per_carriage_controls(engine, t, gap, combined, seed)
 
 
 def pair_errors(engine, t, y):
@@ -348,9 +419,10 @@ def pair_errors(engine, t, y):
     xm, vm, wh = y[sl["x"]], y[sl["v"]], y[sl["wh"]]
     x_f, v_f, w_f = engine.config.profile.evaluate(t)[:3]
     out = []
-    for k, (s, e) in enumerate(engine.train_slices):
+    tails = tail_indices(engine.config)
+    for k, (s, e) in enumerate(train_slices(engine.config)):
         if k:
-            f = engine.tail_idx[k - 1]
+            f = tails[k - 1]
             x_f, v_f, w_f = float(xm[f]), float(vm[f]), float(wh[f])
         err = ctrl.TrainPairErrors.from_states(x_f, v_f, float(xm[s]), float(vm[s]),
                                                engine.d_s, engine.hgains.ell1)
@@ -359,6 +431,51 @@ def pair_errors(engine, t, y):
 
 
 QUANTITY_ORDER = {"xtilde": 0, "qtilde": 1}
+
+
+def check_head_law_per_pair(configs, outside, t, gap, combined, push, seed):
+    """The head increments, clamp events and abort of a saturating/aborting engine pair.
+
+    Returns the saturating engine and the state it was evaluated at.
+    """
+    saturating, aborting = (_ClosedLoop(c) for c in configs)
+    for k in outside:
+        quantity, factor, negative = push[k]
+        sign = -1.0 if negative else 1.0
+        if quantity != "qtilde":
+            gap[k] = sign * factor
+        if quantity != "xtilde":
+            combined[k] = sign * factor
+    y = random_feasible_state(saturating, t, gap, combined, np.random.default_rng(seed))
+    lead = saturating.config.profile.evaluate(t)[:3]
+    got = saturating._head_feedback(t, y, *lead)
+
+    h = saturating.hgains
+    bounds = (saturating.rho1, saturating.rho2, saturating.vr1, saturating.vr2)
+    expected, events = [], []
+    for pair, (xt, vt, wt) in enumerate(pair_errors(saturating, t, y), start=1):
+        def record(kind, value, lo, hi, pair=pair):
+            events.append({"t": t, "pair": pair, "quantity": kind,
+                           "value": value, "low": lo, "high": hi})
+        beta = ctrl.beta_functions(xt, vt, wt, h, *bounds, saturate=True, record=record)
+        expected.append(ctrl.head_feedback(vt + h.ell1 * xt, vt, wt, beta, h))
+    assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+
+    assert saturating.violations == events
+    keys = [(e["pair"], QUANTITY_ORDER[e["quantity"]]) for e in events]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert {pair for pair, _ in keys} == {k + 1 for k in outside}
+
+    if not outside:
+        assert aborting._head_feedback(t, y, *lead) == got
+        return saturating, y
+    with pytest.raises(BarrierDomainError) as raised:
+        aborting._head_feedback(t, y, *lead)
+    first = events[0]
+    assert (raised.value.value, raised.value.low, raised.value.high) == (
+        first["value"], first["low"], first["high"])
+    assert not aborting.violations
+    return saturating, y
 
 
 class TestHeadLawPerPair:
@@ -384,43 +501,43 @@ class TestHeadLawPerPair:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_increments_events_and_abort(self, configs, outside, t, gap, combined, push,
                                          seed):
-        saturating, aborting = (_ClosedLoop(c) for c in configs)
-        for k in outside:
-            quantity, factor, negative = push[k]
-            sign = -1.0 if negative else 1.0
-            if quantity != "qtilde":
-                gap[k] = sign * factor
-            if quantity != "xtilde":
-                combined[k] = sign * factor
-        y = random_feasible_state(saturating, t, gap, combined, np.random.default_rng(seed))
-        lead = saturating.config.profile.evaluate(t)[:3]
-        got = saturating._head_feedback(t, y, *lead)
+        check_head_law_per_pair(configs, outside, t, gap, combined, push, seed)
 
-        h = saturating.hgains
-        bounds = (saturating.rho1, saturating.rho2, saturating.vr1, saturating.vr2)
-        expected, events = [], []
-        for pair, (xt, vt, wt) in enumerate(pair_errors(saturating, t, y), start=1):
-            def record(kind, value, lo, hi, pair=pair):
-                events.append({"t": t, "pair": pair, "quantity": kind,
-                               "value": value, "low": lo, "high": hi})
-            beta = ctrl.beta_functions(xt, vt, wt, h, *bounds, saturate=True, record=record)
-            expected.append(ctrl.head_feedback(vt + h.ell1 * xt, vt, wt, beta, h))
-        assert [float(v).hex() for v in got] == [v.hex() for v in expected]
 
-        assert saturating.violations == events
-        keys = [(e["pair"], QUANTITY_ORDER[e["quantity"]]) for e in events]
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert {pair for pair, _ in keys} == {k + 1 for k in outside}
+class TestHeadLawPerPairMixed:
+    """The same checks on a mixed consist: unequal masses and actuator rates.
 
-        if not outside:
-            assert aborting._head_feedback(t, y, *lead) == got
-            return
-        with pytest.raises(BarrierDomainError) as raised:
-            aborting._head_feedback(t, y, *lead)
-        first = events[0]
-        assert (raised.value.value, raised.value.low, raised.value.high) == (
-            first["value"], first["low"], first["high"])
-        assert not aborting.violations
+    The full evaluation is checked too, against the carriage-by-carriage
+    assembly: for every carriage ahead of the first pair pushed outside (all
+    of them when none is), since behind it the clamped head law's
+    astronomically large increment reaches every derivative through the
+    chain.  There the derivatives only have to be finite.
+    """
+
+    @pytest.fixture(scope="class")
+    def configs(self, s5_config):
+        config = mixed_config(s5_config)
+        return config, dataclasses.replace(config, abort_on_violation=True)
+
+    @pytest.mark.parametrize("outside", [(), (3,), (1, 2), (0, 1, 2, 3)],
+                             ids=["none", "one", "two", "every"])
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(4), combined=unit_intervals(4),
+           push=st.lists(st.tuples(st.sampled_from(["xtilde", "qtilde", "both"]),
+                                   st.floats(1.05, 3.0), st.booleans()),
+                         min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_increments_events_and_abort(self, configs, outside, t, gap, combined, push,
+                                         seed):
+        engine, y = check_head_law_per_pair(configs, outside, t, gap, combined, push, seed)
+        dy, (u, _, _) = engine.evaluate(t, y)
+        assert np.isfinite(dy).all()
+        u_ref, whdot_ref = per_carriage_controls(engine, t, y)
+        ahead = engine.heads[min(outside)] if outside else engine.nc
+        if ahead:
+            scale = max(np.abs(u_ref[:ahead]).max(), 1.0)
+            assert np.abs(u - u_ref)[:ahead].max() <= 1e-12 * scale
+            assert np.abs(dy[engine.sl["wh"]] - whdot_ref)[:ahead].max() <= 1e-12 * scale
 
 
 def scalar_derivatives(engine, t, y):
@@ -453,12 +570,12 @@ def scalar_derivatives(engine, t, y):
         (mp, mn), (ep, en) = neighbours(measured, g, j, m_i), neighbours(estimated, g, j, m_i)
         return mp, ep, mn, en
 
-    mu2 = [obs.auxiliary_mu2(j, m_i, vm[g], vh[g], *around(g, j, m_i, vm, vh),
+    mu2 = [auxiliary_mu2(j, m_i, vm[g], vh[g], *around(g, j, m_i, vm, vh),
                              engine.gains[g], cfg.carriages[g], coupler, davis)
            for g, j, m_i, _ in chain]
-    est = [obs.ObserverState(x_hat=xh[g], v_hat=vh[g], w_hat=wh[g], f_hat=fh[g])
+    est = [ObserverState(x_hat=xh[g], v_hat=vh[g], w_hat=wh[g], f_hat=fh[g])
            for g in range(nc)]
-    aux = [obs.auxiliary_inputs(j, m_i, xm[g], vm[g], est[g], *around(g, j, m_i, vm, vh),
+    aux = [auxiliary_inputs(j, m_i, xm[g], vm[g], est[g], *around(g, j, m_i, vm, vh),
                                 *neighbours(mu2, g, j, m_i), engine.gains[g],
                                 cfg.carriages[g], coupler, davis)
            for g, j, m_i, _ in chain]
@@ -470,7 +587,7 @@ def scalar_derivatives(engine, t, y):
         carriage = cfg.carriages[g]
         b1 = b1_coefficient(vm[g], j, m_i, carriage, coupler, davis)
         b_over_m = coupler.damping / carriage.mass
-        cf_hat = float(np.dot(carriage.fault_accel_row, fh[g]))
+        cf_hat = float(np.dot(fault_accel_row(carriage), fh[g]))
         wh_prev, wh_next = neighbours(wh, g, j, m_i)
         designed = cfg.control_law == "designed"
         if designed and j == 1:
@@ -487,7 +604,7 @@ def scalar_derivatives(engine, t, y):
                 vh[g] + aux[g].mu1, wh[g] + aux[g].mu2, vh[p] + aux[p].mu1, wh[p] + aux[p].mu2,
                 d_obs[p].w_hat, b1, b_over_m, 0.0 if wh_next is None else b_over_m,
                 cf_hat, aux[g].mu3, cfg.follower_gains, coupler.spacing)
-        d_obs[g] = obs.observer_rhs(est[g], aux[g], u[g], wh_prev, wh_next, vm[g], j,
+        d_obs[g] = observer_rhs(est[g], aux[g], u[g], wh_prev, wh_next, vm[g], j,
                                     m_i, carriage, coupler, davis)
         if j == m_i:
             front = (xm[g], vm[g], wh[g], d_obs[g].w_hat)
@@ -526,6 +643,28 @@ def fault_edges(config):
     return sorted(edges)
 
 
+def check_scalar_contract(engine, t, gap, combined, seed):
+    """Derivatives, controls and fault force rates at a random feasible state."""
+    rng = np.random.default_rng(seed)
+    y = random_feasible_state(engine, t, gap, combined, rng)
+    engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
+    dy, (u, ef_true, ef_hat) = engine.evaluate(t, y)
+    assert not engine.violations
+    dy_ref, u_ref = scalar_derivatives(engine, t, y)
+
+    def close(got, ref):
+        return np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+    assert close(u, u_ref)
+    for name, part in engine.sl.items():
+        assert close(dy[part], dy_ref[part]), name
+    carriages = engine.config.carriages
+    fh = y[engine.sl["fh"]].reshape(engine.nc, 3)
+    assert close(ef_true, [effective_fault(t, snap_windows(c.fault, engine.config.step),
+                                           c.mass)[0] for c in carriages])
+    assert close(ef_hat, [np.dot(fault_input_row(c), f) for c, f in zip(carriages, fh)])
+
+
 class TestEngineAgainstScalarContractProperty:
     """The engine against the per-carriage module functions at random states and times."""
 
@@ -542,24 +681,27 @@ class TestEngineAgainstScalarContractProperty:
            gap=unit_intervals(3), combined=unit_intervals(3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_random_states(self, engine, t, gap, combined, seed):
-        rng = np.random.default_rng(seed)
-        y = random_feasible_state(engine, t, gap, combined, rng)
-        engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
-        dy, (u, ef_true, ef_hat) = engine.evaluate(t, y)
-        assert not engine.violations
-        dy_ref, u_ref = scalar_derivatives(engine, t, y)
+        check_scalar_contract(engine, t, gap, combined, seed)
 
-        def close(got, ref):
-            return np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
-        assert close(u, u_ref)
-        for name, part in engine.sl.items():
-            assert close(dy[part], dy_ref[part]), name
-        carriages = engine.config.carriages
-        fh = y[engine.sl["fh"]].reshape(engine.nc, 3)
-        assert close(ef_true, [effective_fault(t, snap_windows(c.fault, engine.config.step),
-                                               c.mass)[0] for c in carriages])
-        assert close(ef_hat, [np.dot(c.fault_input_row, f) for c, f in zip(carriages, fh)])
+class TestEngineAgainstScalarContractPropertyMixed:
+    """The same check on a mixed consist: unequal masses and actuator rates."""
+
+    @pytest.fixture(scope="class", params=[("designed", "composite"), ("zero", "composite"),
+                                           ("designed", "both"), ("zero", "both")],
+                    ids=lambda p: "-".join(p))
+    def engine(self, request, s5_config):
+        law, representation = request.param
+        return _ClosedLoop(mixed_config(s5_config, control_law=law,
+                                        representation=representation))
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.one_of(st.floats(0.0, 2400.0),
+                       st.sampled_from(fault_edges(mixed_config(paper_s5())))),
+           gap=unit_intervals(4), combined=unit_intervals(4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_states(self, engine, t, gap, combined, seed):
+        check_scalar_contract(engine, t, gap, combined, seed)
 
 
 def coupled_jerk_terms(engine, y):
@@ -640,7 +782,7 @@ class TestTrueFaultTerms:
 
     def check(self, engine, t):
         ef_true, cf_true = engine.time_terms(t)[4:]
-        for g, (fault, carriage) in enumerate(zip(engine.snapped_faults,
+        for g, (fault, carriage) in enumerate(zip(snapped_faults(engine.config),
                                                   engine.config.carriages)):
             ef, cf = effective_fault(t, fault, carriage.mass)
             assert ef_true[g] == pytest.approx(ef, rel=1e-12, abs=0.0), (t, g)
@@ -771,7 +913,7 @@ def coupling_vector_loop(engine, x, v):
     """Coupler force per carriage, telescoped train by train (the engine's oracle)."""
     out = np.zeros(engine.nc)
     a, b, d_p = engine.a_stiff, engine.b_damp, engine.d_p
-    for s, e in engine.train_slices:
+    for s, e in train_slices(engine.config):
         tk = a * (x[s:e - 1] - x[s + 1:e] - d_p) + b * (v[s:e - 1] - v[s + 1:e])
         out[s:e - 1] += tk
         out[s + 1:e] -= tk
@@ -781,7 +923,7 @@ def coupling_vector_loop(engine, x, v):
 def stiffness_drift_loop(engine, v):
     """b4 per carriage, telescoped train by train (the engine's oracle)."""
     out = np.zeros(engine.nc)
-    for s, e in engine.train_slices:
+    for s, e in train_slices(engine.config):
         uk = engine.a_stiff * (v[s:e - 1] - v[s + 1:e])
         out[s:e - 1] += uk
         out[s + 1:e] -= uk
@@ -794,10 +936,11 @@ def pair_errors_loop(engine, t, xm, vm):
     eps = np.empty(engine.n_trains)
     vt = np.empty(engine.n_trains)
     front_x, front_v = x0r, v0r
-    for ti, (s, _) in enumerate(engine.train_slices):
+    tails = tail_indices(engine.config)
+    for ti, (s, _) in enumerate(train_slices(engine.config)):
         eps[ti] = front_x - xm[s]
         vt[ti] = front_v - vm[s]
-        fi = engine.tail_idx[ti]
+        fi = tails[ti]
         front_x, front_v = xm[fi], vm[fi]
     return eps, vt
 
@@ -826,7 +969,8 @@ def topology_engine(request, s5_config):
 
 def train_of(engine):
     """Per carriage: (global index, index in its train, train length, first index)."""
-    return [(g, g - s + 1, e - s, s) for s, e in engine.train_slices for g in range(s, e)]
+    return [(g, g - s + 1, e - s, s) for s, e in train_slices(engine.config)
+            for g in range(s, e)]
 
 
 class TestNeighbourOperators:
@@ -943,7 +1087,7 @@ class TestDeterminismAndStructure:
         y = engine.initial_state()
         base = engine.evaluate(1.0, y)[0][engine.sl["wh"]]
         scale = max(np.abs(base).max(), 1.0)
-        ends = set(engine.heads) | set(engine.tail_idx)
+        ends = set(engine.heads) | set(tail_indices(engine.config))
         for g in range(engine.nc - 1):
             moved = y.copy()
             moved[engine.sl["xh"]][g] += 0.1
