@@ -15,7 +15,7 @@ from .controller import (ConstraintSpec, FollowerGains, HeadGains,
                          head_control, validate_initial, validate_parameters,
                          z_errors)
 from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
-                     PlacementError, Violation)
+                     PlacementError, TimeseriesFormatError, Violation)
 from .faults import FaultModel, effective_fault, exosystem_matrix, fault_value
 from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)

@@ -18,21 +18,21 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .controller import ConstraintSpec, FollowerGains, HeadGains
-from .errors import BarrierDomainError, ConfigurationError, IntegrationFault
+from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
+                     TimeseriesFormatError)
 from .faults import FaultModel
 from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)
 from .presets import PRESETS, get_preset
 from .reference import ReferencePhase, ReferenceProfile
-from .simulator import (_CARRIAGE_FIELDS, _CARRIAGE_UNITS, _PAIR_FIELDS, _PAIR_UNITS,
-                        _PLANT_FIELDS, _PLANT_UNITS, MonitorSpec, NoiseSpec,
-                        ScenarioConfig, SimulationRecord, run_scenario,
-                        validate_config)
+from .simulator import (MonitorSpec, NoiseSpec, ScenarioConfig, SimulationRecord,
+                        column_names, run_scenario, validate_config)
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -257,9 +257,12 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 def write_timeseries(record, path):
-    """CSV with one header row; 17 significant digits for exact round-trips."""
+    """CSV with one header row; 17 significant digits for exact round-trips.
+
+    The record's table is written as it stands, without a copy.
+    """
     header = ",".join(record.column_names())
-    np.savetxt(path, record.matrix(), fmt="%.17g", delimiter=",",
+    np.savetxt(path, record.table, fmt="%.17g", delimiter=",",
                header=header, comments="")
 
 
@@ -267,34 +270,48 @@ def read_timeseries(path):
     """Rebuild a :class:`SimulationRecord` from a written CSV.
 
     Every column written by :func:`write_timeseries` is read back, the
-    plant columns of a ``--representation both`` run included.  The file
-    holds only the sampled rows, so the record's ``step`` is the spacing of
-    the first two samples and its ``stride`` is 1.
+    plant columns of a ``--representation both`` run included, into one
+    table that the record wraps.  The file holds only the sampled rows, so
+    the record's ``step`` is the spacing of the first two samples and its
+    ``stride`` is 1.  Raises :class:`TimeseriesFormatError` when the header
+    is not a record's column layout or the rows do not fit it.
     """
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")
-    matrix = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    cols = {name: matrix[:, k] for k, name in enumerate(names)}
+    with open(path, "rb") as fh:
+        names = fh.readline().decode(errors="replace").strip().split(",")
+        n_rows = sum(1 for line in fh if line.strip())
+    if names == [""]:
+        raise TimeseriesFormatError(f"{path}: empty file, no header row")
     labels = []
     for name in names:
-        if name.startswith("x_m_"):
-            i, j = name.split("_")[-2:]
+        i, _, j = name.removeprefix("x_m_").partition("_")
+        if name.startswith("x_m_") and i.isdigit() and j.isdigit():
             labels.append((int(i), int(j)))
-    n_pairs = sum(1 for name in names if name.startswith("eps_m_"))
-    data = {}
-    carriage_fields = _CARRIAGE_FIELDS
-    if any(name.startswith("plant_x_") for name in names):
-        carriage_fields += _PLANT_FIELDS
-    units = {**_CARRIAGE_UNITS, **_PLANT_UNITS}
-    for f in carriage_fields:
-        data[f] = np.column_stack([cols[f"{f}_{units[f]}_{i}_{j}"] for i, j in labels])
-    for f in _PAIR_FIELDS:
-        data[f] = np.column_stack(
-            [cols[f"{f}_{_PAIR_UNITS[f]}_{p}"] for p in range(1, n_pairs + 1)])
-    t = cols["t_s"]
+    n_trains = sum(name.startswith("eps_m_") for name in names)
+    plant = any(name.startswith("plant_x_") for name in names)
+    expected = column_names(labels, n_trains, plant)
+    if names != expected:
+        k = next((k for k, (a, b) in enumerate(zip(names, expected)) if a != b),
+                 min(len(names), len(expected)))
+        got = repr(names[k]) if k < len(names) else "missing"
+        want = repr(expected[k]) if k < len(expected) else "the end of the header"
+        raise TimeseriesFormatError(f"{path}: header column {k + 1} is {got}, expected {want}")
+    if not labels:
+        raise TimeseriesFormatError(f"{path}: header names no carriage columns")
+    if not n_rows:
+        raise TimeseriesFormatError(f"{path}: header row only, no samples")
+    try:
+        # given max_rows, loadtxt warns about the blank lines it skips
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, max_rows=n_rows, ndmin=2)
+    except ValueError as exc:
+        raise TimeseriesFormatError(f"{path}: rows do not fit the header: {exc}") from None
+    if table.shape[1] != len(names):
+        raise TimeseriesFormatError(
+            f"{path}: rows hold {table.shape[1]} values, the header names {len(names)}")
+    t = table[:, 0]
     step = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    return SimulationRecord(t=t, carriage_labels=tuple(labels), data=data,
-                            step=step, stride=1)
+    return SimulationRecord(table, tuple(labels), n_trains, step, 1, plant)
 
 
 def _update_index(out_dir, entry):

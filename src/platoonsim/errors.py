@@ -42,6 +42,10 @@ class BarrierDomainError(ValueError):
         self.high = high
 
 
+class TimeseriesFormatError(ValueError):
+    """A time-series CSV whose header or rows are not a record's column layout."""
+
+
 class PlacementError(RuntimeError):
     """Observer gain synthesis failed (unobservable pair or ill-conditioned transform)."""
 

@@ -40,7 +40,7 @@ evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -288,7 +288,6 @@ class _ClosedLoop:
                     cache[key] = obs.synthesize_gains(
                         a, c, config.observer_eigenvalues, k1=config.observer_k1)
             gains.append(cache[key])
-        self.gains = tuple(gains)
         self.k1g = np.array([g.k1 for g in gains])
         self.k2g = np.array([g.k2 for g in gains])
         self.k3g = np.array([g.k3 for g in gains])
@@ -596,48 +595,68 @@ _PLANT_FIELDS = ("plant_x", "plant_v", "plant_tau")
 _PLANT_UNITS = {"plant_x": "m", "plant_v": "mps", "plant_tau": "N"}
 
 
+def column_names(carriage_labels, n_trains, plant=False):
+    """Record columns in file order.
+
+    ``t_s``, then every carriage's fields, every train pair's, and with
+    ``plant`` every carriage's plant-side fields.
+    """
+    return ["t_s"] + [f"{f}_{units[f]}_{owner}"
+                      for fields, units, owners in _blocks(carriage_labels, n_trains, plant)
+                      for owner in owners for f in fields]
+
+
+def _blocks(carriage_labels, n_trains, plant):
+    """``(fields, units, owner suffixes)`` of each block of columns after ``t_s``."""
+    carriages = [f"{i}_{j}" for i, j in carriage_labels]
+    blocks = [(_CARRIAGE_FIELDS, _CARRIAGE_UNITS, carriages),
+              (_PAIR_FIELDS, _PAIR_UNITS, [str(p) for p in range(1, n_trains + 1)])]
+    if plant:
+        blocks.append((_PLANT_FIELDS, _PLANT_UNITS, carriages))
+    return blocks
+
+
 @dataclass
 class SimulationRecord:
-    """Sampled time series of one run (fixed stride, monotone time column)."""
+    """Sampled time series of one run (fixed stride, monotone time column).
 
-    t: np.ndarray
+    The samples are held once, in ``table``: one row per sample and one
+    column per name of :meth:`column_names`.  ``t`` and every
+    ``data[field]`` ((n_samples, nc) or (n_samples, n_trains)) are strided
+    views into it.
+    """
+
+    table: np.ndarray
     carriage_labels: tuple            # (i, j) per carriage, chain order
-    data: dict                        # field -> (n_samples, nc) or (n_samples, n_trains)
+    n_trains: int
     step: float
     stride: int
+    plant: bool = False               # plant-side columns follow the pair columns
+    t: np.ndarray = field(init=False, repr=False)
+    data: dict = field(init=False, repr=False)  # field -> view into table
 
-    @property
-    def n_trains(self):
-        return self.data["eps"].shape[1]
+    def __post_init__(self):
+        width = len(self.column_names())
+        if self.table.ndim != 2 or self.table.shape[1] != width:
+            raise ValueError(f"record table of shape {self.table.shape} needs {width} columns")
+        self.t = self.table[:, 0]
+        self.data = {}
+        start = 1
+        for fields, _, owners in _blocks(self.carriage_labels, self.n_trains, self.plant):
+            stop = start + len(fields) * len(owners)
+            for k, f in enumerate(fields):
+                self.data[f] = self.table[:, start + k:stop:len(fields)]
+            start = stop
+
+    @classmethod
+    def allocate(cls, n_samples, carriage_labels, n_trains, step, stride, plant=False):
+        """A record of ``n_samples`` rows whose table is allocated but not filled."""
+        labels = tuple(carriage_labels)
+        width = len(column_names(labels, n_trains, plant))
+        return cls(np.empty((n_samples, width)), labels, n_trains, step, stride, plant)
 
     def column_names(self):
-        names = ["t_s"]
-        for i, j in self.carriage_labels:
-            for f in _CARRIAGE_FIELDS:
-                names.append(f"{f}_{_CARRIAGE_UNITS[f]}_{i}_{j}")
-        for p in range(1, self.n_trains + 1):
-            for f in _PAIR_FIELDS:
-                names.append(f"{f}_{_PAIR_UNITS[f]}_{p}")
-        if "plant_x" in self.data:
-            for i, j in self.carriage_labels:
-                for f in _PLANT_FIELDS:
-                    names.append(f"{f}_{_PLANT_UNITS[f]}_{i}_{j}")
-        return names
-
-    def matrix(self):
-        """All columns as one float matrix, in ``column_names`` order."""
-        cols = [self.t]
-        for c in range(len(self.carriage_labels)):
-            for f in _CARRIAGE_FIELDS:
-                cols.append(self.data[f][:, c])
-        for p in range(self.n_trains):
-            for f in _PAIR_FIELDS:
-                cols.append(self.data[f][:, p])
-        if "plant_x" in self.data:
-            for c in range(len(self.carriage_labels)):
-                for f in _PLANT_FIELDS:
-                    cols.append(self.data[f][:, c])
-        return np.column_stack(cols)
+        return column_names(self.carriage_labels, self.n_trains, self.plant)
 
 
 @dataclass
@@ -847,17 +866,14 @@ def run_scenario(config):
     n_samples = len(sample_steps)
 
     nc = engine.nc
-    nt = engine.n_trains
-    data = {f: np.empty((n_samples, nc)) for f in _CARRIAGE_FIELDS}
-    for f in _PAIR_FIELDS:
-        data[f] = np.empty((n_samples, nt))
-    if engine.has_plant and not engine.measure_from_plant:
-        for f in _PLANT_FIELDS:
-            data[f] = np.empty((n_samples, nc))
-    t_out = np.empty(n_samples)
+    record = SimulationRecord.allocate(
+        n_samples, config.topology.carriage_ids(), engine.n_trains, h, stride,
+        plant=engine.has_plant and not engine.measure_from_plant)
+    t_out, data = record.t, record.data
 
-    rng = np.random.default_rng(config.noise.seed)
     noise_on = config.noise.enabled and config.noise.variance > 0.0
+    if noise_on:
+        rng = np.random.default_rng(config.noise.seed)
     y = engine.initial_state()
     sample_pos = 0
     for step_i in range(n_steps + 1):
@@ -881,10 +897,6 @@ def run_scenario(config):
             raise IntegrationFault(fault.time, labels=fault.labels,
                                    message=f"integration fault at t={t:.6g}s") from fault
 
-    record = SimulationRecord(
-        t=t_out,
-        carriage_labels=tuple(config.topology.carriage_ids()),
-        data=data, step=h, stride=stride)
     report = monitor_requirements(
         record, config.constraints, config.head_gains.ell1, config.coupler.spacing,
         config.monitor, saturation_events=engine.violations,

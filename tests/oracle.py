@@ -8,13 +8,14 @@ the observer's correction inputs and dynamics, the closed linear
 estimation-error system and the barrier composite beta1.  The tests hold
 the engine to these forms; nothing in the package calls them.
 
-The configuration helpers at the end (train slices, tails, snapped faults)
-give the tests the chain layout that the engine keeps only while it builds
-its operators.
+The configuration helpers at the end (train slices, tails, snapped faults,
+observer gains) give the tests the chain layout and the per-carriage gains
+that the engine keeps only while it builds its operators.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from platoonsim.controller import beta_partials
 from platoonsim.faults import exosystem_matrix, snap_windows
-from platoonsim.observer import closed_loop_matrix
+from platoonsim.observer import (ObserverGains, build_augmented_pair, closed_loop_matrix,
+                                 synthesize_gains)
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +413,19 @@ def tail_indices(config):
 def snapped_faults(config):
     """Every carriage's fault model with its windows snapped to the step grid."""
     return [snap_windows(c.fault, config.step) for c in config.carriages]
+
+
+@functools.lru_cache(maxsize=32)
+def observer_gains(config):
+    """Every carriage's observer gains, chain order, as the engine builds them.
+
+    The configured override when there is one, else the gains synthesized
+    for the carriage's fault row and generator.
+    """
+    if config.observer_gain_override is not None:
+        gains = ObserverGains(k1=config.observer_k1, k=tuple(config.observer_gain_override))
+        return (gains,) * len(config.carriages)
+    pairs = (build_augmented_pair(fault_accel_row(c), exosystem_matrix(c.fault.omega))
+             for c in config.carriages)
+    return tuple(synthesize_gains(a, c, config.observer_eigenvalues, k1=config.observer_k1)
+                 for a, c in pairs)

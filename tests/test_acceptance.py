@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import short_scenario, true_fault_states
-from oracle import auxiliary_mu2, beta1, fault_accel_row, linear_error_oracle
+from oracle import (auxiliary_mu2, beta1, fault_accel_row, linear_error_oracle,
+                    observer_gains)
 from platoonsim import observer as obs
 from platoonsim.autodiff import dual_eval
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
@@ -182,6 +183,7 @@ class TestCriterion06LinearErrorOracle:
         v0 = np.array([s[1] for s in config.initial])
         w0 = np.array([s[2] for s in config.initial])
         oi = np.asarray(config.observer_initial)
+        gains = observer_gains(config)
         worst = 0.0
         for g, (i, j) in enumerate(config.topology.carriage_ids()):
             m_i = config.topology.carriages_per_train[i - 1]
@@ -190,14 +192,14 @@ class TestCriterion06LinearErrorOracle:
                 j, m_i, v0[g], oi[g, 1],
                 None if j == 1 else v0[prev], None if j == 1 else oi[prev, 1],
                 None if j == m_i else v0[nxt], None if j == m_i else oi[nxt, 1],
-                engine.gains[g], config.carriages[g], config.coupler, config.davis)
+                gains[g], config.carriages[g], config.coupler, config.davis)
             a, c = obs.build_augmented_pair(
                 fault_accel_row(config.carriages[g]),
                 exosystem_matrix(config.carriages[g].fault.omega))
             oracle = linear_error_oracle(
                 e_x0=oi[g, 0] - x0[g], e_v0=oi[g, 1] - v0[g],
                 e_w0=oi[g, 2] - w0[g], e_f0=oi[g, 3:6], mu2_0=mu2_0,
-                gains=engine.gains[g], a=a, c=c,
+                gains=gains[g], a=a, c=c,
                 horizon=config.duration, step=config.step)
             worst = max(worst,
                         np.abs(sim["e_x"][:, g] - oracle["e_x"]).max(),

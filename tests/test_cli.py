@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from platoonsim.cli import (config_from_dict, config_hash, config_to_dict,
                             load_config, main, read_timeseries,
                             write_timeseries)
 from platoonsim.controller import FollowerGains, HeadGains
-from platoonsim.errors import ConfigurationError
+from platoonsim.errors import ConfigurationError, TimeseriesFormatError
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import (CONTROL_LAWS, REPRESENTATIONS, SimulationRecord,
                                   monitor_requirements, run_scenario)
@@ -33,13 +35,15 @@ def records(draw):
     trains = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
     labels = tuple((i, j) for i, m in enumerate(trains, start=1) for j in range(1, m + 1))
     n = draw(st.integers(1, 5))
-    fields = CARRIAGE_FIELDS + (PLANT_FIELDS if draw(st.booleans()) else ())
-    data = {f: draw(arrays(np.float64, (n, len(labels)), elements=FINITE)) for f in fields}
+    plant = draw(st.booleans())
+    record = SimulationRecord.allocate(n, labels, len(trains), step=draw(FINITE),
+                                       stride=draw(st.integers(1, 100)), plant=plant)
+    for f in CARRIAGE_FIELDS + (PLANT_FIELDS if plant else ()):
+        record.data[f][:] = draw(arrays(np.float64, (n, len(labels)), elements=FINITE))
     for f in PAIR_FIELDS:
-        data[f] = draw(arrays(np.float64, (n, len(trains)), elements=FINITE))
-    t = draw(arrays(np.float64, n, elements=FINITE))
-    return SimulationRecord(t=t, carriage_labels=labels, data=data,
-                            step=draw(FINITE), stride=draw(st.integers(1, 100)))
+        record.data[f][:] = draw(arrays(np.float64, (n, len(trains)), elements=FINITE))
+    record.t[:] = draw(arrays(np.float64, n, elements=FINITE))
+    return record
 
 
 @st.composite
@@ -227,6 +231,96 @@ class TestRunCommand:
         assert code == 0
         index = json.loads((tmp_path / "index.json").read_text())
         assert {r["name"] for r in index["runs"]} == {"tiny", "paper-s5"}
+
+
+class TestRecordMemory:
+    """A record's samples are held once: written without a copy, read into one table."""
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        config = short_scenario(paper_s5(), 20.0, record_stride=1, representation="both")
+        return run_scenario(config)[0]
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            out = call(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def views_of_one_table(record):
+        return [np.shares_memory(values, record.table)
+                for values in (record.t, *record.data.values())]
+
+    def test_run_fills_one_table(self, record):
+        assert record.table.shape == (2001, len(record.column_names()))
+        assert all(self.views_of_one_table(record))
+
+    def test_write_and_read_peaks(self, record, tmp_path):
+        path = tmp_path / "ts.csv"
+        _, write_peak = self.traced_peak(write_timeseries, record, path)
+        loaded, read_peak = self.traced_peak(read_timeseries, path)
+        assert write_peak < 0.25 * record.table.nbytes
+        assert read_peak < 1.25 * record.table.nbytes
+        assert all(self.views_of_one_table(loaded))
+        assert np.array_equal(loaded.table, record.table)
+
+
+class TestMalformedTimeseries:
+    """A CSV that is not a record's layout raises a named error at its first mismatch."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        record = SimulationRecord.allocate(3, ((1, 1), (1, 2), (2, 1)), 2, step=0.5,
+                                           stride=1)
+        record.table[:] = np.arange(record.table.size).reshape(record.table.shape)
+        path = tmp_path / "ts.csv"
+        write_timeseries(record, path)
+        return path
+
+    @staticmethod
+    def rewrite(path, edit):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+
+    @staticmethod
+    def read_error(path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TimeseriesFormatError) as info:
+                read_timeseries(path)
+        assert isinstance(info.value, ValueError)
+        assert str(path) in str(info.value)
+        return str(info.value)
+
+    def test_missing_column(self, written):
+        def drop_v(lines):
+            k = lines[0].split(",").index("v_mps_1_1")
+            return [",".join(cell for c, cell in enumerate(line.rstrip("\n").split(","))
+                             if c != k) + "\n" for line in lines]
+        self.rewrite(written, drop_v)
+        assert "column 3 is 'w_mps2_1_1', expected 'v_mps_1_1'" in self.read_error(written)
+
+    def test_reordered_column(self, written):
+        self.rewrite(written, lambda lines: [
+            lines[0].replace("x_m_1_2,v_mps_1_2", "v_mps_1_2,x_m_1_2"), *lines[1:]])
+        assert "column 12 is 'v_mps_1_2', expected 'x_m_1_2'" in self.read_error(written)
+
+    def test_ragged_row(self, written):
+        self.rewrite(written, lambda lines: [
+            *lines[:2], lines[2].rsplit(",", 1)[0] + "\n", *lines[3:]])
+        assert "number of columns changed from 39 to 38 at row 2" in self.read_error(written)
+
+    def test_empty_file(self, written):
+        written.write_text("")
+        assert "empty file" in self.read_error(written)
+
+    def test_header_only_file(self, written):
+        self.rewrite(written, lambda lines: lines[:1])
+        assert "no samples" in self.read_error(written)
 
 
 class TestValidateCommand:

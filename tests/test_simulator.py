@@ -3,18 +3,23 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import short_scenario
 from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
                     auxiliary_mu2, b1_coefficient, coefficient_b, composite_rhs,
-                    coupling_force, fault_accel_row, fault_input_row, observer_rhs,
-                    plant_rhs, preliminary_control, snapped_faults, tail_indices,
-                    train_slices)
+                    coupling_force, fault_accel_row, fault_input_row, observer_gains,
+                    observer_rhs, plant_rhs, preliminary_control, snapped_faults,
+                    tail_indices, train_slices)
+import platoonsim
 from platoonsim import controller as ctrl
 from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
 from platoonsim.faults import effective_fault, fault_value, snap_windows
@@ -71,6 +76,34 @@ class TestDisturbance:
             assert np.array_equal(inject_disturbance(a, 0.5, 9),
                                   inject_disturbance(b, 0.5, 9))
 
+    @pytest.mark.parametrize("noise", [False, True], ids=["noise-free", "noisy"])
+    def test_generator_built_only_for_a_noisy_run(self, noise):
+        # in a fresh interpreter, as this one has imported numpy.random already
+        script = ("import dataclasses, sys\n"
+                  "from platoonsim.presets import paper_s5\n"
+                  "from platoonsim.simulator import run_scenario\n"
+                  "config = paper_s5()\n"
+                  "run_scenario(dataclasses.replace(config, duration=0.1, noise=\n"
+                  f"    dataclasses.replace(config.noise, enabled={noise})))\n"
+                  "print('numpy.random' in sys.modules)\n")
+        src = Path(platoonsim.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout.split() == [str(noise)]
+
+    def test_noisy_run_draws_one_disturbance_per_step(self, s5_config):
+        config = short_scenario(s5_config, 0.2, noise=True, record_stride=1)
+        record, _ = run_scenario(config)
+        engine = _ClosedLoop(config)
+        rng = np.random.default_rng(config.noise.seed)
+        y = engine.initial_state()
+        h = config.step
+        for k in range(len(record.t) - 1):
+            engine.delta = inject_disturbance(rng, config.noise.variance, engine.nc)
+            y = rk4_step(engine.rhs, y, k * h, h)
+        for name in ("x", "v", "w"):
+            assert np.array_equal(y[engine.sl[name]], record.data[name][-1]), name
+
 
 class TestConfigValidation:
     def test_degenerate_gains_rejected(self, s5_config):
@@ -89,6 +122,11 @@ class TestConfigValidation:
         bad = dataclasses.replace(s5_config, representation="hybrid")
         with pytest.raises(ConfigurationError):
             validate_config(bad)
+
+
+# The engine-level properties report a failing example as found: shrinking
+# one through whole-network evaluations takes minutes.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def mixed_config(config, **changes):
@@ -141,6 +179,7 @@ def check_scalar_assembly(config):
 
     topo = config.topology
     coupler, davis = config.coupler, config.davis
+    gains = observer_gains(config)
     nc = engine.nc
     x = y[engine.sl["x"]]
     v = y[engine.sl["v"]]
@@ -171,7 +210,7 @@ def check_scalar_assembly(config):
             None if prev is None else vh[prev],
             None if nxt is None else v[nxt],
             None if nxt is None else vh[nxt],
-            engine.gains[g], config.carriages[g], coupler, davis)
+            gains[g], config.carriages[g], coupler, davis)
     aux = []
     for g, (i, j) in enumerate(labels):
         s, e = train_bounds(i)
@@ -187,7 +226,7 @@ def check_scalar_assembly(config):
             None if nxt is None else vh[nxt],
             None if prev is None else mu2[prev],
             None if nxt is None else mu2[nxt],
-            engine.gains[g], config.carriages[g], coupler, davis))
+            gains[g], config.carriages[g], coupler, davis))
         assert aux[g].mu2 == pytest.approx(mu2[g], rel=1e-12)
 
     # chain-ordered controls
@@ -274,6 +313,25 @@ class TestEngineAgainstScalarContractMixed:
 
     def test_derivatives_match_scalar_assembly(self, s5_config):
         check_scalar_assembly(mixed_config(s5_config))
+
+
+class TestObserverGainsOracle:
+    """``oracle.observer_gains`` gives the gains the engine runs with."""
+
+    @pytest.mark.parametrize("which", ["paper_s5", "mixed", "override"])
+    def test_matches_engine_gain_arrays(self, s5_config, which):
+        config = short_scenario(s5_config, 20.0)
+        if which == "mixed":
+            config = mixed_config(s5_config)
+        elif which == "override":
+            config = dataclasses.replace(
+                config, observer_gain_override=(4.0, 5.0, -6.0, 7.0, 8.0))
+        engine = _ClosedLoop(config)
+        gains = observer_gains(config)
+        assert len(gains) == engine.nc
+        for name in ("k1", "k2", "k3", "k4"):
+            oracle = np.array([getattr(g, name) for g in gains])
+            assert np.array_equal(oracle, getattr(engine, name + "g")), name
 
 
 def neighbour_indices(nc):
@@ -392,7 +450,7 @@ class TestEngineAgainstPerCarriageControls:
     def engine(self, s5_config):
         return _ClosedLoop(short_scenario(s5_config, 20.0))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
     @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(3), combined=unit_intervals(3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_random_feasible_states(self, engine, t, gap, combined, seed):
@@ -406,7 +464,7 @@ class TestEngineAgainstPerCarriageControlsMixed:
     def engine(self, s5_config):
         return _ClosedLoop(mixed_config(s5_config))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
     @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(4), combined=unit_intervals(4),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_random_feasible_states(self, engine, t, gap, combined, seed):
@@ -493,7 +551,7 @@ class TestHeadLawPerPair:
 
     @pytest.mark.parametrize("outside", [(), (1,), (0, 2), (0, 1, 2)],
                              ids=["none", "one", "two", "every"])
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(3), combined=unit_intervals(3),
            push=st.lists(st.tuples(st.sampled_from(["xtilde", "qtilde", "both"]),
                                    st.floats(1.05, 3.0), st.booleans()),
@@ -521,7 +579,7 @@ class TestHeadLawPerPairMixed:
 
     @pytest.mark.parametrize("outside", [(), (3,), (1, 2), (0, 1, 2, 3)],
                              ids=["none", "one", "two", "every"])
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(4), combined=unit_intervals(4),
            push=st.lists(st.tuples(st.sampled_from(["xtilde", "qtilde", "both"]),
                                    st.floats(1.05, 3.0), st.booleans()),
@@ -550,6 +608,7 @@ def scalar_derivatives(engine, t, y):
     """
     cfg = engine.config
     coupler, davis = cfg.coupler, cfg.davis
+    gains = observer_gains(cfg)
     sl, nc = engine.sl, engine.nc
     meas = ("xp", "vp") if engine.measure_from_plant else ("x", "v")
     xm, vm = y[sl[meas[0]]], y[sl[meas[1]]]
@@ -571,12 +630,12 @@ def scalar_derivatives(engine, t, y):
         return mp, ep, mn, en
 
     mu2 = [auxiliary_mu2(j, m_i, vm[g], vh[g], *around(g, j, m_i, vm, vh),
-                             engine.gains[g], cfg.carriages[g], coupler, davis)
+                             gains[g], cfg.carriages[g], coupler, davis)
            for g, j, m_i, _ in chain]
     est = [ObserverState(x_hat=xh[g], v_hat=vh[g], w_hat=wh[g], f_hat=fh[g])
            for g in range(nc)]
     aux = [auxiliary_inputs(j, m_i, xm[g], vm[g], est[g], *around(g, j, m_i, vm, vh),
-                                *neighbours(mu2, g, j, m_i), engine.gains[g],
+                                *neighbours(mu2, g, j, m_i), gains[g],
                                 cfg.carriages[g], coupler, davis)
            for g, j, m_i, _ in chain]
 
@@ -676,7 +735,7 @@ class TestEngineAgainstScalarContractProperty:
         return _ClosedLoop(short_scenario(s5_config, 20.0, control_law=law,
                                           representation=representation))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(t=st.one_of(st.floats(0.0, 2400.0), st.sampled_from(fault_edges(paper_s5()))),
            gap=unit_intervals(3), combined=unit_intervals(3),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -695,7 +754,7 @@ class TestEngineAgainstScalarContractPropertyMixed:
         return _ClosedLoop(mixed_config(s5_config, control_law=law,
                                         representation=representation))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(t=st.one_of(st.floats(0.0, 2400.0),
                        st.sampled_from(fault_edges(mixed_config(paper_s5())))),
            gap=unit_intervals(4), combined=unit_intervals(4),
@@ -753,7 +812,7 @@ class TestEstimatedJerkIdentity:
                                           representation=request.param,
                                           carriages=carriages))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(t=st.one_of(st.floats(0.0, 2400.0), st.sampled_from(fault_edges(paper_s5()))),
            gap=unit_intervals(3), combined=unit_intervals(3),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -788,7 +847,7 @@ class TestTrueFaultTerms:
             assert ef_true[g] == pytest.approx(ef, rel=1e-12, abs=0.0), (t, g)
             assert cf_true[g] == pytest.approx(cf, rel=1e-12, abs=0.0), (t, g)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
     @given(t=st.floats(0.0, 2400.0))
     def test_random_times(self, engine, t):
         self.check(engine, t)
@@ -902,7 +961,7 @@ class TestBlockTimeTerms:
                 self.check(engine, t)
         assert engine._block_first == 0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
     @given(t=st.floats(0.0, 2400.0))
     def test_off_grid_times(self, engine, t):
         self.check(engine, t)
@@ -976,7 +1035,7 @@ def train_of(engine):
 class TestNeighbourOperators:
     """The constant operators against the per-carriage model coefficients."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_tridiagonal_operator_is_the_b_coefficients(self, topology_engine, seed):
         engine = topology_engine
@@ -1002,7 +1061,7 @@ class TestNeighbourOperators:
         assert np.array_equal(engine.jerk_op, np.block([[engine.tri, np.zeros((nc, nc))],
                                                         [np.zeros((nc, nc)), engine.tri]]))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_telescope_gives_coupler_forces_and_b4(self, topology_engine, seed):
         engine = topology_engine
@@ -1034,7 +1093,7 @@ class TestPlantPathAgainstLoops:
     def engine(self, topology_engine):
         return topology_engine
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, phases=NO_SHRINK)
     @given(t=st.floats(0.0, 2400.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_links_and_pair_errors(self, engine, t, seed):
         rng = np.random.default_rng(seed)
@@ -1258,17 +1317,15 @@ class TestConstraintHandling:
 
 def synthetic_record(xtilde_column):
     n = len(xtilde_column)
-    nc = 2
     t = np.linspace(0.0, 200.0, n)
-    data = {f: np.zeros((n, nc)) for f in
-            ("x", "v", "w", "tau", "u", "f_eff", "f_eff_hat", "e_x", "e_v", "e_w")}
-    data["x"][:, 0] = 26.0  # nominal gap between the two carriages
-    for f in ("eps", "xtilde", "vtilde", "qtilde"):
-        data[f] = np.zeros((n, 1))
-    data["xtilde"][:, 0] = xtilde_column
-    data["eps"][:, 0] = xtilde_column + 7053.0
-    return SimulationRecord(t=t, carriage_labels=((1, 1), (1, 2)), data=data,
-                            step=float(t[1] - t[0]), stride=1)
+    record = SimulationRecord.allocate(n, ((1, 1), (1, 2)), 1,
+                                       step=float(t[1] - t[0]), stride=1)
+    record.table[:] = 0.0
+    record.t[:] = t
+    record.data["x"][:, 0] = 26.0  # nominal gap between the two carriages
+    record.data["xtilde"][:, 0] = xtilde_column
+    record.data["eps"][:, 0] = xtilde_column + 7053.0
+    return record
 
 
 class TestMonitorRequirements:
