@@ -8,7 +8,7 @@ backstepping and barrier-constrained controllers, and checks the gap,
 velocity-difference and convergence requirements on the result.
 """
 
-from .autodiff import Dual, dual_eval, gradient
+from .autodiff import Dual, gradient
 from .controller import (ConstraintSpec, FollowerGains, HeadGains,
                          TrainPairErrors, alpha1, alpha2, alpha3, barrier_phi,
                          barrier_psi, beta_functions, follower_control,
@@ -16,7 +16,7 @@ from .controller import (ConstraintSpec, FollowerGains, HeadGains,
                          z_errors)
 from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
                      PlacementError, TimeseriesFormatError, Violation)
-from .faults import FaultModel, effective_fault, exosystem_matrix, fault_value
+from .faults import FaultModel, exosystem_matrix
 from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)
 from .observer import (ObserverGains, build_augmented_pair,

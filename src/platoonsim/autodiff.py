@@ -5,8 +5,7 @@ respect to a fixed set of seed directions.  Arithmetic propagates the
 derivative part exactly (no finite differencing).  The control laws use
 closed-form partials; dual numbers produce the constant partials of the
 affine alpha2 once per gain set, and the tests use them as the reference
-for the closed forms.  The arithmetic special-cases two-direction
-gradients, the width of the beta1 partials.
+for the closed forms.
 """
 
 from __future__ import annotations
@@ -27,44 +26,30 @@ class Dual:
         return f"Dual({self.value!r}, {self.grad!r})"
 
     def __neg__(self):
-        g = self.grad
-        if len(g) == 2:
-            return Dual(-self.value, (-g[0], -g[1]))
-        return Dual(-self.value, tuple(-x for x in g))
+        return Dual(-self.value, tuple(-x for x in self.grad))
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            a, b = self.grad, other.grad
-            if len(a) == 2:
-                return Dual(self.value + other.value, (a[0] + b[0], a[1] + b[1]))
-            return Dual(self.value + other.value, tuple(x + y for x, y in zip(a, b)))
+            return Dual(self.value + other.value,
+                        tuple(x + y for x, y in zip(self.grad, other.grad)))
         return Dual(self.value + other, self.grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            a, b = self.grad, other.grad
-            if len(a) == 2:
-                return Dual(self.value - other.value, (a[0] - b[0], a[1] - b[1]))
-            return Dual(self.value - other.value, tuple(x - y for x, y in zip(a, b)))
+            return Dual(self.value - other.value,
+                        tuple(x - y for x, y in zip(self.grad, other.grad)))
         return Dual(self.value - other, self.grad)
 
     def __rsub__(self, other):
-        return Dual(other - self.value, (-self.grad[0], -self.grad[1])
-                    if len(self.grad) == 2 else tuple(-x for x in self.grad))
+        return Dual(other - self.value, tuple(-x for x in self.grad))
 
     def __mul__(self, other):
         if isinstance(other, Dual):
             u, v = self.value, other.value
-            a, b = self.grad, other.grad
-            if len(a) == 2:
-                return Dual(u * v, (a[0] * v + u * b[0], a[1] * v + u * b[1]))
-            return Dual(u * v, tuple(x * v + u * y for x, y in zip(a, b)))
-        g = self.grad
-        if len(g) == 2:
-            return Dual(self.value * other, (g[0] * other, g[1] * other))
-        return Dual(self.value * other, tuple(x * other for x in g))
+            return Dual(u * v, tuple(x * v + u * y for x, y in zip(self.grad, other.grad)))
+        return Dual(self.value * other, tuple(x * other for x in self.grad))
 
     __rmul__ = __mul__
 
@@ -72,43 +57,28 @@ class Dual:
         if isinstance(other, Dual):
             inv = 1.0 / other.value
             val = self.value * inv
-            a, b = self.grad, other.grad
-            if len(a) == 2:
-                return Dual(val, ((a[0] - val * b[0]) * inv, (a[1] - val * b[1]) * inv))
-            return Dual(val, tuple((x - val * y) * inv for x, y in zip(a, b)))
+            return Dual(val, tuple((x - val * y) * inv
+                                   for x, y in zip(self.grad, other.grad)))
         inv = 1.0 / other
-        g = self.grad
-        if len(g) == 2:
-            return Dual(self.value * inv, (g[0] * inv, g[1] * inv))
-        return Dual(self.value * inv, tuple(x * inv for x in g))
+        return Dual(self.value * inv, tuple(x * inv for x in self.grad))
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.value
         val = other * inv
         scale = -val * inv
-        g = self.grad
-        if len(g) == 2:
-            return Dual(val, (scale * g[0], scale * g[1]))
-        return Dual(val, tuple(scale * x for x in g))
+        return Dual(val, tuple(scale * x for x in self.grad))
 
     def __pow__(self, n):
         # integer/float powers of the value part only
-        val = self.value ** n
         scale = n * self.value ** (n - 1)
-        g = self.grad
-        if len(g) == 2:
-            return Dual(val, (scale * g[0], scale * g[1]))
-        return Dual(val, tuple(scale * x for x in g))
+        return Dual(self.value ** n, tuple(scale * x for x in self.grad))
 
 
 def log(x):
     """Natural logarithm for floats and duals."""
     if isinstance(x, Dual):
         inv = 1.0 / x.value
-        g = x.grad
-        if len(g) == 2:
-            return Dual(math.log(x.value), (inv * g[0], inv * g[1]))
-        return Dual(math.log(x.value), tuple(inv * y for y in g))
+        return Dual(math.log(x.value), tuple(inv * y for y in x.grad))
     return math.log(x)
 
 
@@ -126,13 +96,3 @@ def gradient(fn, inputs):
         return out.value, out.grad
     return out, (0.0,) * len(inputs)
 
-
-def dual_eval(fn, inputs, seed):
-    """Value of ``fn`` at ``inputs`` and its directional derivative along ``seed``."""
-    inputs = tuple(inputs)
-    seed = tuple(seed)
-    args = tuple(Dual(v, (s,)) for v, s in zip(inputs, seed))
-    out = fn(*args)
-    if isinstance(out, Dual):
-        return out.value, out.grad[0]
-    return out, 0.0

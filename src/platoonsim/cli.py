@@ -4,7 +4,8 @@ Commands
 --------
 ``run``      execute one or more scenarios, write per-run CSV time series and
              JSON summaries plus a batch ``index.json``; exit 0 only if every
-             run's verdicts pass (or ``--no-verdict`` is given).
+             run's verdicts pass (or ``--no-verdict`` is given).  The
+             command-line overrides apply before the feasibility check.
 ``validate`` load and feasibility-check scenarios without running them.
 
 Exit codes: 0 pass, 1 verdict failure, 2 configuration error, 3 runtime or
@@ -17,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -32,7 +34,8 @@ from .model import (CarriageParams, ConsistTopology, CouplerParams,
 from .presets import PRESETS, get_preset
 from .reference import ReferencePhase, ReferenceProfile
 from .simulator import (MonitorSpec, NoiseSpec, ScenarioConfig, SimulationRecord,
-                        column_names, run_scenario, validate_config)
+                        column_names, require_feasible, run_scenario)
+from .simulator import validate_config  # noqa: F401  (part of this module's interface)
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -44,181 +47,176 @@ EXIT_RUNTIME = 3
 # config (de)serialization: JSON object model with units in the field names
 # ---------------------------------------------------------------------------
 
-def config_to_dict(config):
-    """Plain-JSON form of a scenario configuration."""
-    return {
-        "topology": {"carriages_per_train": list(config.topology.carriages_per_train)},
-        "davis": {
-            "c0_N_per_kg": config.davis.c0,
-            "c1_Ns_per_m_kg": config.davis.c1,
-            "c2_Ns2_per_m2_kg": config.davis.c2,
-        },
-        "coupler": {
-            "stiffness_N_per_m": config.coupler.stiffness,
-            "damping_Ns_per_m": config.coupler.damping,
-            "spacing_m": config.coupler.spacing,
-        },
-        "carriages": [
-            {
-                "mass_kg": c.mass,
-                "actuator_rate_1_per_s": c.actuator_rate,
-                "fault": {
-                    "omega_rad_per_s": c.fault.omega,
-                    "upsilon_Nps_per_unit": c.fault.upsilon,
-                    "nu_s_per_rad": c.fault.nu,
-                    "constant_amp": c.fault.constant_amp,
-                    "periodic_amp": c.fault.periodic_amp,
-                    "phase_rad": c.fault.phase,
-                    "window_const_s": list(c.fault.window_const),
-                    "window_periodic_s": list(c.fault.window_periodic),
-                },
-            }
-            for c in config.carriages
-        ],
-        "constraints": {
-            "gamma1_m": config.constraints.gamma1,
-            "gamma2_m": config.constraints.gamma2,
-            "service_distance_m": config.constraints.d_s,
-            "sigma1_mps": config.constraints.sigma1,
-            "sigma2_mps": config.constraints.sigma2,
-        },
-        "follower_gains": {"l1": config.follower_gains.l1,
-                           "l2": config.follower_gains.l2,
-                           "l3": config.follower_gains.l3},
-        "head_gains": {"ell1": config.head_gains.ell1, "ell2": config.head_gains.ell2,
-                       "ell3": config.head_gains.ell3, "ell4": config.head_gains.ell4},
-        "observer": {
-            "k1": config.observer_k1,
-            "eigenvalues": list(config.observer_eigenvalues),
-            "gain_override": (list(config.observer_gain_override)
-                              if config.observer_gain_override is not None else None),
-        },
-        "reference": {
-            "x0_m": config.profile.x0,
-            "v0_mps": config.profile.v0,
-            "w0_mps2": config.profile.w0,
-            "v_max_mps": config.profile.v_max,
-            "phases": [{"duration_s": p.duration, "jerk_mps3": p.jerk}
-                       for p in config.profile.phases],
-        },
-        "initial_states": [{"x_m": x, "v_mps": v, "w_mps2": w}
-                           for (x, v, w) in config.initial],
-        "observer_initial": (
-            None if config.observer_initial is None else
-            [{"x_hat_m": s[0], "v_hat_mps": s[1], "w_hat_mps2": s[2],
-              "f_hat": list(s[3:6])} for s in config.observer_initial]),
-        "integration": {"step_s": config.step, "duration_s": config.duration,
-                        "record_stride": config.record_stride},
-        "noise": {"enabled": config.noise.enabled, "variance": config.noise.variance,
-                  "seed": config.noise.seed},
-        "representation": config.representation,
-        "monitor": {
-            "tail_window_s": config.monitor.tail_window,
-            "tol_xtilde_mean_m": config.monitor.tol_xtilde_mean,
-            "tol_vtilde_mean_mps": config.monitor.tol_vtilde_mean,
-            "tol_gap_mean_m": config.monitor.tol_gap_mean,
-            "tol_vgap_mean_mps": config.monitor.tol_vgap_mean,
-        },
-        "abort_on_violation": config.abort_on_violation,
-        "control_law": config.control_law,
-    }
+_REQUIRED = object()
+_N, _I, _B, _S = "number", "integer", "boolean", "string"
+# scalar kinds: the Python types that json parses a value of the kind into, and its name
+_KINDS = {_N: ((int, float), "a finite number"), _I: ((int,), "an integer"),
+          _B: ((bool,), "true or false"), _S: ((str,), "a string")}
+
+# The scenario file format: per record type, each field's (JSON key,
+# attribute, kind[, default]).  A kind is a scalar kind, a record type of
+# this table (a JSON object) or [kind] (a JSON array of it, a tuple in the
+# record).  A dotted key puts the field into a JSON object of its own.  A
+# field with a default may be left out, and one whose default is None may be
+# null.  "state" and "estimate" are tuple rows: their attributes are
+# positions, and an array field fills the rest of the row.
+_FORMAT = {
+    ConsistTopology: (("carriages_per_train", "carriages_per_train", [_I]),),
+    DavisCoefficients: (("c0_N_per_kg", "c0", _N), ("c1_Ns_per_m_kg", "c1", _N),
+                        ("c2_Ns2_per_m2_kg", "c2", _N)),
+    CouplerParams: (("stiffness_N_per_m", "stiffness", _N),
+                    ("damping_Ns_per_m", "damping", _N), ("spacing_m", "spacing", _N)),
+    FaultModel: (("omega_rad_per_s", "omega", _N), ("upsilon_Nps_per_unit", "upsilon", _N),
+                 ("nu_s_per_rad", "nu", _N), ("constant_amp", "constant_amp", _N),
+                 ("periodic_amp", "periodic_amp", _N), ("phase_rad", "phase", _N),
+                 ("window_const_s", "window_const", [_N]),
+                 ("window_periodic_s", "window_periodic", [_N])),
+    CarriageParams: (("mass_kg", "mass", _N), ("actuator_rate_1_per_s", "actuator_rate", _N),
+                     ("fault", "fault", FaultModel)),
+    ConstraintSpec: (("gamma1_m", "gamma1", _N), ("gamma2_m", "gamma2", _N),
+                     ("service_distance_m", "d_s", _N), ("sigma1_mps", "sigma1", _N),
+                     ("sigma2_mps", "sigma2", _N)),
+    FollowerGains: (("l1", "l1", _N), ("l2", "l2", _N), ("l3", "l3", _N)),
+    HeadGains: (("ell1", "ell1", _N), ("ell2", "ell2", _N), ("ell3", "ell3", _N),
+                ("ell4", "ell4", _N)),
+    ReferencePhase: (("duration_s", "duration", _N), ("jerk_mps3", "jerk", _N)),
+    ReferenceProfile: (("x0_m", "x0", _N), ("v0_mps", "v0", _N), ("w0_mps2", "w0", _N),
+                       ("v_max_mps", "v_max", _N), ("phases", "phases", [ReferencePhase])),
+    "state": (("x_m", 0, _N), ("v_mps", 1, _N), ("w_mps2", 2, _N)),
+    "estimate": (("x_hat_m", 0, _N), ("v_hat_mps", 1, _N), ("w_hat_mps2", 2, _N),
+                 ("f_hat", slice(3, None), [_N])),
+    NoiseSpec: (("enabled", "enabled", _B), ("variance", "variance", _N), ("seed", "seed", _I)),
+    MonitorSpec: (("tail_window_s", "tail_window", _N),
+                  ("tol_xtilde_mean_m", "tol_xtilde_mean", _N),
+                  ("tol_vtilde_mean_mps", "tol_vtilde_mean", _N),
+                  ("tol_gap_mean_m", "tol_gap_mean", _N),
+                  ("tol_vgap_mean_mps", "tol_vgap_mean", _N)),
+    ScenarioConfig: (
+        ("topology", "topology", ConsistTopology), ("davis", "davis", DavisCoefficients),
+        ("coupler", "coupler", CouplerParams), ("carriages", "carriages", [CarriageParams]),
+        ("constraints", "constraints", ConstraintSpec),
+        ("follower_gains", "follower_gains", FollowerGains),
+        ("head_gains", "head_gains", HeadGains),
+        ("observer.k1", "observer_k1", _N),
+        ("observer.eigenvalues", "observer_eigenvalues", [_N]),
+        ("observer.gain_override", "observer_gain_override", [_N], None),
+        ("reference", "profile", ReferenceProfile),
+        ("initial_states", "initial", ["state"]),
+        ("observer_initial", "observer_initial", ["estimate"], None),
+        ("integration.step_s", "step", _N), ("integration.duration_s", "duration", _N),
+        ("integration.record_stride", "record_stride", _I, 1),
+        ("noise", "noise", NoiseSpec), ("representation", "representation", _S, "composite"),
+        ("monitor", "monitor", MonitorSpec),
+        ("abort_on_violation", "abort_on_violation", _B, False),
+        ("control_law", "control_law", _S, "designed")),
+}
 
 
-def _require(mapping, key, context):
+def _encode(value, kind):
+    """Plain-JSON form of ``value``, a field of ``kind``."""
+    if isinstance(kind, list):
+        return None if value is None else [_encode(v, kind[0]) for v in value]
+    if kind not in _FORMAT:
+        return value
+    doc = {}
+    for key, attr, sub, *_ in _FORMAT[kind]:
+        group, _, key = key.rpartition(".")
+        field = value[attr] if isinstance(kind, str) else getattr(value, attr)
+        (doc.setdefault(group, {}) if group else doc)[key] = _encode(field, sub)
+    return doc
+
+
+class _Fields:
+    """One JSON object of a scenario file, read one field at a time.
+
+    ``get`` names the field's path (``carriages[2].fault.phase_rad``) in
+    every error it raises, checks the JSON type, and marks the key as read;
+    ``unknown`` lists the keys that no read asked for.  Numbers are passed
+    through as parsed, so a loaded file has the hash of the file's values.
+    """
+
+    def __init__(self, doc, path):
+        if type(doc) is not dict:
+            raise ConfigurationError(f"{path or 'configuration'} must be a JSON object")
+        self.doc, self.path, self.read, self.groups = doc, path, set(), {}
+
+    def get(self, key, kind, default=_REQUIRED):
+        """Field ``key`` as ``kind`` (a kind of ``_FORMAT``, or "object" for its raw fields).
+
+        A missing field takes ``default``; without one it is an error.
+        """
+        if key in self.groups:
+            return self.groups[key]
+        self.read.add(key)
+        path = f"{self.path}.{key}" if self.path else key
+        if key not in self.doc:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"missing field {path}")
+            return default
+        value = self.doc[key]
+        if value is None and default is None:
+            return None
+        value = self._check(value, kind, path)
+        if kind == "object":
+            self.groups[key] = value
+        return value
+
+    def _check(self, value, kind, path):
+        if isinstance(kind, list):
+            if type(value) is not list:
+                raise ConfigurationError(f"field {path} must be an array, got {value!r}")
+            return tuple(self._check(v, kind[0], f"{path}[{k}]") for k, v in enumerate(value))
+        if kind == "object":
+            return _Fields(value, path)
+        if kind in _FORMAT:
+            return _decode(_Fields(value, path), kind)
+        if kind == _I and type(value) is float and value.is_integer():
+            value = int(value)
+        types, name = _KINDS[kind]
+        # json parses NaN and Infinity as floats
+        if type(value) not in types or (kind == _N and not -math.inf < value < math.inf):
+            raise ConfigurationError(f"field {path} must be {name}, got {value!r}")
+        return value
+
+    def unknown(self):
+        """Paths of the keys, here and in the groups read, that no read asked for."""
+        prefix = f"{self.path}." if self.path else ""
+        return ([prefix + key for key in self.doc if key not in self.read]
+                + [name for group in self.groups.values() for name in group.unknown()])
+
+
+def _decode(fields, kind):
+    """The ``kind`` record (or row) that the JSON object ``fields`` holds."""
+    values = []
+    for key, attr, sub, *default in _FORMAT[kind]:
+        group, _, key = key.rpartition(".")
+        owner = fields.get(group, "object") if group else fields
+        values.append((attr, owner.get(key, sub, *default)))
+    unknown = fields.unknown()
+    if unknown:
+        raise ConfigurationError("unknown field " + ", ".join(unknown))
+    if isinstance(kind, str):
+        return tuple(x for attr, v in values
+                     for x in (v if isinstance(attr, slice) else (v,)))
     try:
-        return mapping[key]
-    except (KeyError, TypeError):
-        raise ConfigurationError(f"missing or malformed field {context}.{key}") from None
+        return kind(**dict(values))
+    except (TypeError, ValueError) as exc:    # ConfigurationError included
+        raise ConfigurationError(f"{fields.path or 'configuration'}: {exc}") from exc
+
+
+def config_to_dict(config):
+    """Plain-JSON form of a scenario configuration (the format is ``_FORMAT``)."""
+    return _encode(config, ScenarioConfig)
 
 
 def config_from_dict(doc):
-    """Inverse of :func:`config_to_dict`, with field-level error reporting."""
-    try:
-        topo = ConsistTopology(tuple(_require(doc["topology"], "carriages_per_train",
-                                              "topology")))
-        dv = doc["davis"]
-        davis = DavisCoefficients(c0=_require(dv, "c0_N_per_kg", "davis"),
-                                  c1=_require(dv, "c1_Ns_per_m_kg", "davis"),
-                                  c2=_require(dv, "c2_Ns2_per_m2_kg", "davis"))
-        cp = doc["coupler"]
-        coupler = CouplerParams(stiffness=_require(cp, "stiffness_N_per_m", "coupler"),
-                                damping=_require(cp, "damping_Ns_per_m", "coupler"),
-                                spacing=_require(cp, "spacing_m", "coupler"))
-        carriages = []
-        for idx, c in enumerate(doc["carriages"]):
-            f = _require(c, "fault", f"carriages[{idx}]")
-            fault = FaultModel(
-                omega=_require(f, "omega_rad_per_s", "fault"),
-                upsilon=_require(f, "upsilon_Nps_per_unit", "fault"),
-                nu=_require(f, "nu_s_per_rad", "fault"),
-                constant_amp=_require(f, "constant_amp", "fault"),
-                periodic_amp=_require(f, "periodic_amp", "fault"),
-                phase=_require(f, "phase_rad", "fault"),
-                window_const=tuple(_require(f, "window_const_s", "fault")),
-                window_periodic=tuple(_require(f, "window_periodic_s", "fault")))
-            carriages.append(CarriageParams(
-                mass=_require(c, "mass_kg", f"carriages[{idx}]"),
-                actuator_rate=_require(c, "actuator_rate_1_per_s", f"carriages[{idx}]"),
-                fault=fault))
-        cs = doc["constraints"]
-        constraints = ConstraintSpec(
-            gamma1=_require(cs, "gamma1_m", "constraints"),
-            gamma2=_require(cs, "gamma2_m", "constraints"),
-            d_s=_require(cs, "service_distance_m", "constraints"),
-            sigma1=_require(cs, "sigma1_mps", "constraints"),
-            sigma2=_require(cs, "sigma2_mps", "constraints"))
-        fg = doc["follower_gains"]
-        hg = doc["head_gains"]
-        ob = doc["observer"]
-        rf = doc["reference"]
-        profile = ReferenceProfile(
-            x0=_require(rf, "x0_m", "reference"),
-            v0=_require(rf, "v0_mps", "reference"),
-            w0=_require(rf, "w0_mps2", "reference"),
-            phases=tuple(ReferencePhase(duration=p["duration_s"], jerk=p["jerk_mps3"])
-                         for p in _require(rf, "phases", "reference")),
-            v_max=_require(rf, "v_max_mps", "reference"))
-        initial = tuple((s["x_m"], s["v_mps"], s["w_mps2"])
-                        for s in doc["initial_states"])
-        obs_init = doc.get("observer_initial")
-        if obs_init is not None:
-            obs_init = tuple(
-                (s["x_hat_m"], s["v_hat_mps"], s["w_hat_mps2"], *s["f_hat"])
-                for s in obs_init)
-        it = doc["integration"]
-        ns = doc["noise"]
-        mn = doc["monitor"]
-        gain_override = ob.get("gain_override")
-        return ScenarioConfig(
-            topology=topo, davis=davis, coupler=coupler, carriages=tuple(carriages),
-            constraints=constraints,
-            follower_gains=FollowerGains(l1=fg["l1"], l2=fg["l2"], l3=fg["l3"]),
-            head_gains=HeadGains(ell1=hg["ell1"], ell2=hg["ell2"],
-                                 ell3=hg["ell3"], ell4=hg["ell4"]),
-            profile=profile, initial=initial, observer_initial=obs_init,
-            observer_k1=_require(ob, "k1", "observer"),
-            observer_eigenvalues=tuple(_require(ob, "eigenvalues", "observer")),
-            observer_gain_override=(tuple(gain_override)
-                                    if gain_override is not None else None),
-            step=_require(it, "step_s", "integration"),
-            duration=_require(it, "duration_s", "integration"),
-            record_stride=int(it.get("record_stride", 1)),
-            noise=NoiseSpec(enabled=bool(ns["enabled"]), variance=ns["variance"],
-                            seed=int(ns["seed"])),
-            representation=doc.get("representation", "composite"),
-            monitor=MonitorSpec(
-                tail_window=mn["tail_window_s"],
-                tol_xtilde_mean=mn["tol_xtilde_mean_m"],
-                tol_vtilde_mean=mn["tol_vtilde_mean_mps"],
-                tol_gap_mean=mn["tol_gap_mean_m"],
-                tol_vgap_mean=mn["tol_vgap_mean_mps"]),
-            abort_on_violation=bool(doc.get("abort_on_violation", False)),
-            control_law=doc.get("control_law", "designed"),
-        )
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed configuration: {exc}") from exc
+    """Inverse of :func:`config_to_dict`, with field-level error reporting.
+
+    Every field is read by its path: numbers must be JSON numbers, integer
+    fields integral, flags JSON booleans, and a key that names no field is
+    an error.
+    """
+    return _decode(_Fields(doc, ""), ScenarioConfig)
 
 
 def config_hash(config):
@@ -233,6 +231,11 @@ def load_config(path):
     Raises :class:`ConfigurationError` carrying every violated feasibility
     inequality, or a parse error with position information.
     """
+    return require_feasible(_read_config(path), str(path))
+
+
+def _read_config(path):
+    """Parse and build a scenario configuration file, without the feasibility check."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -243,13 +246,7 @@ def load_config(path):
         raise ConfigurationError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    config = config_from_dict(doc)
-    violations = validate_config(config)
-    if violations:
-        raise ConfigurationError(
-            f"{path} is infeasible:\n" + "\n".join(str(v) for v in violations),
-            violations=violations)
-    return config
+    return config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +328,23 @@ def _update_index(out_dir, entry):
 # commands
 # ---------------------------------------------------------------------------
 
-def _gather_configs(args):
-    jobs = []
-    for path in args.config or []:
-        jobs.append((Path(path).stem, load_config(path)))
-    for name in args.preset or []:
-        config = get_preset(name)
-        violations = validate_config(config)
-        if violations:
-            raise ConfigurationError(
-                f"preset {name} is infeasible:\n" + "\n".join(str(v) for v in violations),
-                violations=violations)
-        jobs.append((name, config))
+def _gather_configs(args, overrides=False):
+    """``(name, config)`` per scenario, each checked for feasibility once.
+
+    With ``overrides`` the run command's options apply before the check.
+    """
+    jobs = [(Path(path).stem, path, _read_config(path)) for path in args.config or []]
+    jobs += [(name, f"preset {name}", get_preset(name)) for name in args.preset or []]
     if not jobs:
         raise ConfigurationError("no scenario given; use --config PATH or --preset NAME")
     seen = {}
     named = []
-    for name, config in jobs:
+    for name, source, config in jobs:
+        if overrides:
+            config = _apply_overrides(config, args)
         seen[name] = seen.get(name, 0) + 1
-        named.append((name if seen[name] == 1 else f"{name}-{seen[name]}", config))
+        named.append((name if seen[name] == 1 else f"{name}-{seen[name]}",
+                      require_feasible(config, source)))
     return named
 
 
@@ -378,15 +373,8 @@ def _apply_overrides(config, args):
 def cmd_run(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(name, _apply_overrides(config, args)) for name, config in _gather_configs(args)]
-    for _, config in jobs:
-        violations = validate_config(config)
-        if violations:
-            raise ConfigurationError(
-                "overrides made the scenario infeasible:\n"
-                + "\n".join(str(v) for v in violations), violations=violations)
     all_pass = True
-    for name, config in jobs:
+    for name, config in _gather_configs(args, overrides=True):
         record, report = run_scenario(config)
         report.config_hash = config_hash(config)
         ts_path = out_dir / f"{name}_timeseries.csv"

@@ -3,14 +3,15 @@
 Faults are a superposition of a windowed constant mode and a windowed
 sinusoid.  Both modes are states of a small autonomous linear generator
 (constant + rotation pair), which is the structure the observer exploits:
-inside each occurrence window the analytic signal below satisfies the
-generator dynamics exactly, and the observer carries an internal copy of
-the generator to estimate the fault without bias.
+inside each occurrence window the windowed signal (f1 = F_c; f2, f3 =
+F_p sin, F_p cos of omega*t + phase) satisfies the generator dynamics
+exactly, and the observer carries an internal copy of the generator to
+estimate the fault without bias.  The simulator evaluates the signal for
+the whole network at once; the tests keep its per-carriage form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,39 +52,6 @@ def exosystem_matrix(omega):
     return np.array([[0.0, 0.0, 0.0],
                      [0.0, 0.0, omega],
                      [0.0, -omega, 0.0]])
-
-
-def fault_value(t, model):
-    """Fault state (3-vector) at time ``t``.
-
-    f1 is the windowed constant; (f2, f3) is the windowed rotation pair with
-    f3 = A*cos(omega*t + phase) and f2 = A*sin(omega*t + phase), the unique
-    companion that makes the pair satisfy the generator dynamics inside the
-    window.  Only f1 and f3 carry force through the input row; f2 exists for
-    the generator's internal consistency.
-    """
-    f1 = model.constant_amp if model.window_const[0] <= t <= model.window_const[1] else 0.0
-    if model.window_periodic[0] <= t <= model.window_periodic[1]:
-        arg = model.omega * t + model.phase
-        f2 = model.periodic_amp * math.sin(arg)
-        f3 = model.periodic_amp * math.cos(arg)
-    else:
-        f2 = 0.0
-        f3 = 0.0
-    return np.array([f1, f2, f3])
-
-
-def effective_fault(t, model, mass):
-    """Force-rate and jerk contribution of the fault at time ``t``.
-
-    Returns ``(E.f, C.f)`` where E is the fault input row (N/s) and C = E/m
-    is its jerk-level counterpart (m/s^3).
-    """
-    if mass <= 0:
-        raise ConfigurationError("mass must be positive")
-    f = fault_value(t, model)
-    ef = model.upsilon * f[0] + model.nu * model.omega * f[2]
-    return ef, ef / mass
 
 
 def snap_windows(model, step):

@@ -41,6 +41,10 @@ class DavisCoefficients:
         if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
             raise ConfigurationError("Davis coefficients must be nonnegative")
 
+    def resistance(self, v):
+        """R(v) at ``v`` (a float or an array of velocities), N/kg."""
+        return self.c0 + self.c1 * v + self.c2 * v * v
+
 
 @dataclass(frozen=True)
 class CouplerParams:
@@ -101,6 +105,14 @@ class ConsistTopology:
     @property
     def total_carriages(self):
         return sum(self.carriages_per_train)
+
+    def head_indices(self):
+        """Chain-order index of every train's head carriage, 0-based."""
+        heads, start = [], 0
+        for m in self.carriages_per_train:
+            heads.append(start)
+            start += m
+        return heads
 
     def carriage_ids(self):
         """All (train, carriage) labels, 1-based, in chain order."""

@@ -113,20 +113,13 @@ class ScenarioConfig:
 
 def initial_pair_errors(config):
     """Gap/velocity errors of every train pair at t=0 (pair 1 is against the profile)."""
-    nc_per = config.topology.carriages_per_train
     x0p, v0p, _, _ = config.profile.evaluate(0.0)
-    out = {}
-    start = 0
-    front_x, front_v = x0p, v0p
-    for i, m_i in enumerate(nc_per, start=1):
-        head_x, head_v, _ = config.initial[start]
-        out[i] = TrainPairErrors.from_states(front_x, front_v, head_x, head_v,
-                                             config.constraints.d_s,
-                                             config.head_gains.ell1)
-        tail_x, tail_v, _ = config.initial[start + m_i - 1]
-        front_x, front_v = tail_x, tail_v
-        start += m_i
-    return out
+    heads = config.topology.head_indices()
+    # the front of pair 1 is the virtual lead, of every other the tail ahead
+    fronts = [(x0p, v0p)] + [config.initial[h - 1][:2] for h in heads[1:]]
+    return {i: TrainPairErrors.from_states(*front, *config.initial[h][:2],
+                                           config.constraints.d_s, config.head_gains.ell1)
+            for i, (front, h) in enumerate(zip(fronts, heads), start=1)}
 
 
 def validate_config(config):
@@ -160,6 +153,20 @@ def validate_config(config):
         out.extend(ctrl.validate_initial(initial_pair_errors(config),
                                          config.constraints, config.head_gains.ell1))
     return out
+
+
+def require_feasible(config, source="scenario"):
+    """``config`` itself when it is runnable.
+
+    Otherwise raises :class:`ConfigurationError` naming ``source`` and
+    listing every violation of :func:`validate_config`.
+    """
+    violations = validate_config(config)
+    if violations:
+        raise ConfigurationError(
+            f"{source} is infeasible:\n" + "\n".join(str(v) for v in violations),
+            violations=violations)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +218,13 @@ class _ClosedLoop:
         self.vr1, self.vr2 = config.constraints.varrho(config.head_gains.ell1)
         self.fgains = config.follower_gains
         self.hgains = config.head_gains
+        self.davis = davis
         self.c1, self.c2 = davis.c1, davis.c2
-        self.c0 = davis.c0
         self.a_stiff, self.b_damp = coupler.stiffness, coupler.damping
         self.zero_control = config.control_law == "zero"
         self.saturate = not config.abort_on_violation
 
-        heads, start = [], 0
-        for m_i in topo.carriages_per_train:
-            heads.append(start)
-            start += m_i
+        heads = topo.head_indices()
         self.heads = np.array(heads)
         # tail of the train ahead of each head; the first head's entry is a
         # placeholder for the virtual lead
@@ -420,7 +424,7 @@ class _ClosedLoop:
         if self.has_plant:
             y[self.sl["xp"]], y[self.sl["vp"]] = x0, v0
             coupling = self.coupling_vector(x0, v0)
-            resist = self.c0 + self.c1 * v0 + self.c2 * v0 * v0
+            resist = self.davis.resistance(v0)
             y[self.sl["tau"]] = self.mass * w0 + coupling + self.mass * resist
         return y
 
@@ -486,7 +490,7 @@ class _ClosedLoop:
             sl = self.sl
             xp, vp, tau = y[sl["xp"]], y[sl["vp"]], y[sl["tau"]]
             coupling = self.coupling_vector(xp, vp)
-            resist = self.c0 + self.c1 * vp + self.c2 * vp * vp
+            resist = self.davis.resistance(vp)
             b4 = self.stiffness_drift(vp)
             varpi = (self.mass * u + self.rate * coupling
                      + self.mass * self.rate * resist - self.mass * b4
@@ -554,12 +558,12 @@ class _ClosedLoop:
             xm, vm = y[sl["xp"]], y[sl["vp"]]
             tau = y[sl["tau"]]
             coupling = self.coupling_vector(xm, vm)
-            resist = self.c0 + self.c1 * vm + self.c2 * vm * vm
+            resist = self.davis.resistance(vm)
             wm = (tau - coupling - self.mass * resist) / self.mass
         else:
             xm, vm, wm = y[sl["x"]], y[sl["v"]], y[sl["w"]]
             coupling = self.coupling_vector(xm, vm)
-            resist = self.c0 + self.c1 * vm + self.c2 * vm * vm
+            resist = self.davis.resistance(vm)
             tau = self.mass * wm + coupling + self.mass * resist
         x0r, v0r = self.time_terms(t)[:2]
         eps = xm[self.front_tails] - xm[self.heads]
@@ -850,12 +854,7 @@ def run_scenario(config):
     ``record_stride``-th step plus the final state, and returns the record
     together with the monitored summary.
     """
-    violations = validate_config(config)
-    if violations:
-        raise ConfigurationError(
-            "infeasible scenario:\n" + "\n".join(str(v) for v in violations),
-            violations=violations)
-
+    require_feasible(config)
     engine = _ClosedLoop(config)
     h = config.step
     n_steps = int(round(config.duration / h))

@@ -10,8 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracle import snapped_faults
-from platoonsim.faults import fault_value
+from oracle import fault_value, snapped_faults
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import run_scenario
 

@@ -8,6 +8,10 @@ the observer's correction inputs and dynamics, the closed linear
 estimation-error system and the barrier composite beta1.  The tests hold
 the engine to these forms; nothing in the package calls them.
 
+The fault signal of one carriage and the directional derivative on dual
+numbers are the tests' references for the engine's windowed fault terms
+and for the closed-form partials of the control laws.
+
 The configuration helpers at the end (train slices, tails, snapped faults,
 observer gains) give the tests the chain layout and the per-carriage gains
 that the engine keeps only while it builds its operators.
@@ -16,12 +20,15 @@ that the engine keeps only while it builds its operators.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from platoonsim.autodiff import Dual
 from platoonsim.controller import beta_partials
+from platoonsim.errors import ConfigurationError
 from platoonsim.faults import exosystem_matrix, snap_windows
 from platoonsim.observer import (ObserverGains, build_augmented_pair, closed_loop_matrix,
                                  synthesize_gains)
@@ -50,6 +57,54 @@ def global_index(topology, i, j):
     if not (1 <= j <= topology.carriages_per_train[i - 1]):
         raise IndexError(f"carriage index {j} out of range for train {i}")
     return sum(topology.carriages_per_train[: i - 1]) + (j - 1)
+
+
+# ---------------------------------------------------------------------------
+# fault signal and dual numbers
+# ---------------------------------------------------------------------------
+
+def fault_value(t, model):
+    """Fault state (3-vector) at time ``t``.
+
+    f1 is the windowed constant; (f2, f3) is the windowed rotation pair with
+    f3 = A*cos(omega*t + phase) and f2 = A*sin(omega*t + phase), the unique
+    companion that makes the pair satisfy the generator dynamics inside the
+    window.  Only f1 and f3 carry force through the input row; f2 exists for
+    the generator's internal consistency.
+    """
+    f1 = model.constant_amp if model.window_const[0] <= t <= model.window_const[1] else 0.0
+    if model.window_periodic[0] <= t <= model.window_periodic[1]:
+        arg = model.omega * t + model.phase
+        f2 = model.periodic_amp * math.sin(arg)
+        f3 = model.periodic_amp * math.cos(arg)
+    else:
+        f2 = 0.0
+        f3 = 0.0
+    return np.array([f1, f2, f3])
+
+
+def effective_fault(t, model, mass):
+    """Force-rate and jerk contribution of the fault at time ``t``.
+
+    Returns ``(E.f, C.f)`` where E is the fault input row (N/s) and C = E/m
+    is its jerk-level counterpart (m/s^3).
+    """
+    if mass <= 0:
+        raise ConfigurationError("mass must be positive")
+    f = fault_value(t, model)
+    ef = model.upsilon * f[0] + model.nu * model.omega * f[2]
+    return ef, ef / mass
+
+
+def dual_eval(fn, inputs, seed):
+    """Value of ``fn`` at ``inputs`` and its directional derivative along ``seed``."""
+    inputs = tuple(inputs)
+    seed = tuple(seed)
+    args = tuple(Dual(v, (s,)) for v, s in zip(inputs, seed))
+    out = fn(*args)
+    if isinstance(out, Dual):
+        return out.value, out.grad[0]
+    return out, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import short_scenario, true_fault_states
-from oracle import (auxiliary_mu2, beta1, fault_accel_row, linear_error_oracle,
-                    observer_gains)
+from oracle import (auxiliary_mu2, beta1, dual_eval, fault_accel_row,
+                    linear_error_oracle, observer_gains)
 from platoonsim import observer as obs
-from platoonsim.autodiff import dual_eval
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
                                    alpha1, alpha2, barrier_phi, barrier_psi,
                                    beta_functions, validate_initial,

@@ -1,7 +1,10 @@
 """CLI, configuration file and output-format tests."""
 
 import dataclasses
+import functools
 import json
+import operator
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import short_scenario
+from platoonsim import cli, simulator
 from platoonsim.cli import (config_from_dict, config_hash, config_to_dict,
                             load_config, main, read_timeseries,
                             write_timeseries)
@@ -87,6 +91,11 @@ class TestConfigRoundTrip:
         assert config_hash(config) == config_hash(paper_s5())
         other = dataclasses.replace(config, step=0.02)
         assert config_hash(other) != config_hash(config)
+
+    def test_preset_hash_is_pinned(self):
+        # summary and index files carry this hash; the file format must keep it
+        assert config_hash(paper_s5()) == (
+            "66909994207cf0d5af45d73d239d4326ea1d7623e9b5deff346ed69864af0cdb")
 
 
 class TestPresetContent:
@@ -178,6 +187,65 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.json")
 
 
+def preset_doc_with(keys, value=None, delete=False):
+    """``paper_s5``'s file form with the field at ``keys`` set to ``value`` or deleted."""
+    doc = config_to_dict(paper_s5())
+    owner = functools.reduce(operator.getitem, keys[:-1], doc)
+    if delete:
+        del owner[keys[-1]]
+    else:
+        owner[keys[-1]] = value
+    return doc
+
+
+class TestStrictFields:
+    """Every field is read by its path; its JSON type is checked and unknown keys are errors."""
+
+    @pytest.mark.parametrize("keys, value, name", [
+        (("noise", "enabled"), "false", "noise.enabled"),
+        (("abort_on_violation",), "false", "abort_on_violation"),
+        (("integration", "record_stride"), 2.5, "integration.record_stride"),
+        (("noise", "seed"), 1.7, "noise.seed"),
+        (("carriages", 0, "mass_kg"), True, "carriages[0].mass_kg"),
+        (("carriages",), {}, "carriages"),
+        (("integration", "step_s"), float("nan"), "integration.step_s"),
+    ], ids=["string-flag", "string-abort", "fractional-stride", "fractional-seed",
+            "boolean-number", "object-for-array", "not-a-number"])
+    def test_wrong_type_is_named(self, keys, value, name):
+        with pytest.raises(ConfigurationError, match=re.escape(f"field {name} must be")):
+            config_from_dict(preset_doc_with(keys, value))
+
+    @pytest.mark.parametrize("keys, name", [
+        (("follower_gains", "l1"), "follower_gains.l1"),
+        (("noise", "seed"), "noise.seed"),
+        (("monitor", "tail_window_s"), "monitor.tail_window_s"),
+        (("reference", "phases", 0, "duration_s"), "reference.phases[0].duration_s"),
+    ], ids=["gain", "seed", "tail-window", "phase-duration"])
+    def test_missing_field_is_named(self, keys, name):
+        with pytest.raises(ConfigurationError, match=re.escape(f"missing field {name}")):
+            config_from_dict(preset_doc_with(keys, delete=True))
+
+    @pytest.mark.parametrize("keys, name", [
+        (("abort_on_violaton",), "abort_on_violaton"),
+        (("integration", "record_strid"), "integration.record_strid"),
+    ], ids=["top-level", "nested"])
+    def test_unknown_field_is_named(self, keys, name):
+        with pytest.raises(ConfigurationError, match=re.escape(f"unknown field {name}")):
+            config_from_dict(preset_doc_with(keys, True))
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("carriages", 0, "mass_kg"), -1.0, "carriages[0]: carriage mass must be positive"),
+        (("carriages", 0, "fault", "window_const_s"), [1.0, 2.0, 3.0], "carriages[0].fault: "),
+    ], ids=["out-of-range", "wrong-length"])
+    def test_record_error_names_its_object(self, keys, value, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict(preset_doc_with(keys, value))
+
+    def test_integral_float_is_an_integer(self):
+        config = config_from_dict(preset_doc_with(("integration", "record_stride"), 3.0))
+        assert config.record_stride == 3 and type(config.record_stride) is int
+
+
 class TestRunCommand:
     def run_args(self, tmp_path, *extra):
         return ["run", "--preset", "paper-s5", "--out", str(tmp_path),
@@ -210,6 +278,28 @@ class TestRunCommand:
         path.write_text(json.dumps(doc))
         code = main(["run", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
+
+    def test_overrides_apply_before_the_feasibility_check(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(preset_doc_with(("integration", "duration_s"), 5000.0)))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(self.run_args(tmp_path, "--config", str(path), "--no-verdict")) == 0
+        assert main(["run", "--preset", "paper-s5", "--out", str(tmp_path),
+                     "--duration", "5000"]) == 2
+        assert "preset paper-s5 is infeasible" in capsys.readouterr().err
+
+    def test_each_job_is_checked_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        original = simulator.validate_config
+        monkeypatch.setattr(simulator, "validate_config", counted)
+        monkeypatch.setattr(cli, "validate_config", counted)
+        assert main(self.run_args(tmp_path, "--no-verdict")) == 0
+        assert len(calls) == 2      # the run command's check and run_scenario's own
 
     def test_unstable_step_is_runtime_fault(self, tmp_path):
         import warnings

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import beta1
+from oracle import beta1, dual_eval
 from platoonsim import controller as ctrl
-from platoonsim.autodiff import dual_eval, gradient
+from platoonsim.autodiff import gradient
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
                                    TrainPairErrors, alpha1, alpha2,
                                    alpha2_partials, alpha3, barrier_phi,

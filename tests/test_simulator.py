@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from conftest import short_scenario
 from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
                     auxiliary_mu2, b1_coefficient, coefficient_b, composite_rhs,
-                    coupling_force, fault_accel_row, fault_input_row, observer_gains,
-                    observer_rhs, plant_rhs, preliminary_control, snapped_faults,
-                    tail_indices, train_slices)
+                    coupling_force, effective_fault, fault_accel_row, fault_input_row,
+                    fault_value, observer_gains, observer_rhs, plant_rhs,
+                    preliminary_control, snapped_faults, tail_indices, train_slices)
 import platoonsim
 from platoonsim import controller as ctrl
 from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
-from platoonsim.faults import effective_fault, fault_value, snap_windows
+from platoonsim.faults import snap_windows
 from platoonsim.model import ConsistTopology
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import (_BLOCK_STEPS, EVENTS_KEPT, MonitorSpec,
@@ -833,7 +833,7 @@ class TestEstimatedJerkIdentity:
 
 
 class TestTrueFaultTerms:
-    """The engine's windowed fault force rate against ``faults.effective_fault``."""
+    """The engine's windowed fault force rate against ``oracle.effective_fault``."""
 
     @pytest.fixture(scope="class")
     def engine(self, s5_config):
