@@ -35,11 +35,20 @@ derivative with unit weight, so over the whole network, in chain order,
 these derivatives are the lead's jerk plus a cumulative sum of the
 per-carriage increments; no law needs another's output within an
 evaluation.
+
+An engine evaluates in buffers of its own: it copies the state passed in
+into its state buffer, works on views of that buffer, of its derivative
+buffer and of a few scratch arrays, all built once with the engine, and
+returns a copy of the derivative buffer with new control and estimated
+fault arrays.  What it returns belongs to the caller, and the state passed
+in is only read.  One engine is therefore not re-entrant: it serves one
+evaluation at a time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,14 +132,21 @@ def initial_pair_errors(config):
 
 
 def validate_config(config):
-    """All feasibility violations of a scenario (empty list means runnable)."""
+    """All feasibility violations of a scenario (empty list means runnable).
+
+    Raises :class:`ConfigurationError` for a scenario that is malformed
+    rather than infeasible: an unknown option, or a per-carriage entry of
+    the wrong count or length.
+    """
     out = []
-    if config.step <= 0:
-        out.append(Violation("step > 0", config.step, 0.0, "integration"))
-    if config.duration <= 0:
+    # written so that NaN fails every check
+    if not 0 < config.step < math.inf:
+        out.append(Violation("0 < step < inf", config.step, 0.0, "integration"))
+    if not config.duration > 0:
         out.append(Violation("duration > 0", config.duration, 0.0, "integration"))
-    if config.record_stride < 1:
-        out.append(Violation("record_stride >= 1", config.record_stride, 1.0, "integration"))
+    if not isinstance(config.record_stride, numbers.Integral) or config.record_stride < 1:
+        out.append(Violation("record_stride is an integer >= 1", config.record_stride, 1.0,
+                             "integration"))
     if config.representation not in REPRESENTATIONS:
         raise ConfigurationError(f"unknown representation {config.representation!r}")
     if config.control_law not in CONTROL_LAWS:
@@ -140,13 +156,19 @@ def validate_config(config):
         raise ConfigurationError(f"need {nc} carriage parameter sets, got {len(config.carriages)}")
     if len(config.initial) != nc:
         raise ConfigurationError(f"need {nc} initial states, got {len(config.initial)}")
-    if config.observer_initial is not None and len(config.observer_initial) != nc:
-        raise ConfigurationError("observer_initial length mismatch")
+    if any(np.shape(s) != (3,) for s in config.initial):
+        raise ConfigurationError("every initial state needs 3 values (x, v, w)")
+    if config.observer_initial is not None:
+        if len(config.observer_initial) != nc:
+            raise ConfigurationError("observer_initial length mismatch")
+        if any(np.shape(s) != (6,) for s in config.observer_initial):
+            raise ConfigurationError(
+                "every observer_initial entry needs 6 values (xh, vh, wh, f1, f2, f3)")
     if config.duration > config.profile.horizon * (1 + 1e-12):
         out.append(Violation("duration <= profile horizon", config.duration,
                              config.profile.horizon, "reference"))
-    if config.noise.variance < 0:
-        out.append(Violation("noise variance >= 0", config.noise.variance, 0.0, "noise"))
+    if not 0 <= config.noise.variance < math.inf:
+        out.append(Violation("0 <= noise variance < inf", config.noise.variance, 0.0, "noise"))
     out.extend(ctrl.validate_parameters(config.follower_gains, config.head_gains,
                                         config.constraints))
     if not any(v.subject == "head gains" or v.subject == "constraints" for v in out):
@@ -202,7 +224,14 @@ def inject_disturbance(rng, variance, n_carriages):
 # ---------------------------------------------------------------------------
 
 class _ClosedLoop:
-    """Precompiled right-hand side of the full network for one configuration."""
+    """Precompiled right-hand side of the full network for one configuration.
+
+    :meth:`evaluate` copies the state into the engine's state buffer and
+    works in its derivative and scratch buffers through views built in
+    ``__init__``.  The arrays it returns are never buffers that a later
+    call overwrites, and the state passed in is never written.  An engine
+    is not re-entrant: evaluations on one engine must not overlap.
+    """
 
     def __init__(self, config):
         self.config = config
@@ -341,6 +370,52 @@ class _ClosedLoop:
         names = np.array([row[x_meas], row[v_meas], row["wh"]])[:, None] * nc
         self.pair_idx = np.vstack((names + self.front_tails, names + self.heads)).T
 
+        # The state and derivative buffers, the scratch arrays and every view
+        # of them that an evaluation reads or writes, built once: a view costs
+        # about as much as a small array operation.
+        self._y = np.empty(self.n_states)
+        self._dy = np.empty(self.n_states)
+        rows, d_rows = self._y.reshape(-1, nc), self._dy.reshape(-1, nc)
+        est, d_est = rows[self.est_rows], d_rows[self.est_rows]
+        self._est_pair = est[:2]
+        self._est_ahead, self._est_behind = est[:, :-1], est[:, 1:]
+        self._vh, self._wh = est[1], est[2]
+        self._meas = rows[self.meas_rows]
+        self._meas_v = self._meas[1]
+        fh = self._y[self.sl["fh"]].reshape(nc, 3)
+        self._fh_const, self._fh_cos, self._fh_rotated = fh[:, 0], fh[:, 2], fh[:, :0:-1]
+        self._y_jerk = self._y[self.jerk]
+        self._d_xh, self._d_vh, self._d_wh = d_est
+        self._d_pair_ahead, self._d_pair_behind = d_est[:2, :-1], d_est[:2, 1:]
+        self._d_fh = self._dy[self.sl["fh"]].reshape(nc, 3)
+        self._d_f23 = self._d_fh[:, 1:]
+        self._accel = self._dy[self.jerk]
+        if has_composite:
+            # x' = v and v' = w: composite rows 0 and 2 take rows 2 and 4
+            self._vw, self._d_xv = rows[2:5:2], d_rows[0:3:2]
+            self._d_w = self._dy[self.sl["w"]]
+        if has_plant:
+            self._vp, self._tau = rows[row["vp"]], rows[row["tau"]]
+            plant_xv = rows[row["xp"]:row["vp"] + 1]
+            self._plant_ahead, self._plant_behind = plant_xv[:, :-1], plant_xv[:, 1:]
+            self._d_xp, self._d_vp, self._d_tau = (
+                d_rows[row["xp"]], d_rows[row["vp"]], d_rows[row["tau"]])
+            # per link, position and velocity of the carriage ahead minus the one behind
+            self._links = np.empty((2, nc - 1))
+            self._dx_links, self._dv_links = self._links
+        self._err = np.empty((2, nc))          # estimate minus measurement, (x, v)
+        self._e_x, self._e_v = self._err
+        self._e_v_col = self._e_v[:, None]
+        self._coupled = np.empty(self.jerk.stop - self.jerk.start)
+        self._coupled_w, self._coupled_own = self._coupled[:nc], self._coupled[-nc:]
+        # follower differences to the carriage ahead: (x + d_p, v, wh) of the
+        # estimates, then (xhdot, vhdot)
+        self._diffs = np.empty((5, nc - 1))
+        self._diffs_est, self._diffs_gap, self._diffs_d = (
+            self._diffs[:3], self._diffs[0], self._diffs[3:])
+        self._inc = np.empty(nc)
+        self._inc_follow = self._inc[1:]
+
         self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
         self.violations = []           # first EVENTS_KEPT saturations per (pair, quantity)
         self.saturations = {}          # pair -> quantity -> count, first and last time
@@ -392,14 +467,17 @@ class _ClosedLoop:
         ef_true.flags.writeable = cf_true.flags.writeable = False
         return [self.config.profile.evaluate(t) for t in times], ef_true, cf_true
 
-    def coupling_vector(self, x, v):
-        """Coupler force on every carriage (telescoped per train)."""
-        return (self.a_stiff * (x[:-1] - x[1:] - self.d_p)
-                + self.b_damp * (v[:-1] - v[1:])).dot(self.telescope)
+    def coupling_vector(self, dx, dv):
+        """Coupler force on every carriage (telescoped per train).
 
-    def stiffness_drift(self, v):
-        """b4 coefficient per carriage: stiffness-scaled velocity differences over mass."""
-        return -(self.a_stiff * (v[:-1] - v[1:])).dot(self.telescope) / self.mass
+        ``dx`` and ``dv`` are per link, link k joining carriages k and k + 1:
+        position and velocity of carriage k minus those of carriage k + 1.
+        """
+        return (self.a_stiff * (dx - self.d_p) + self.b_damp * dv).dot(self.telescope)
+
+    def stiffness_drift(self, dv):
+        """b4 coefficient per carriage: stiffness-scaled link velocity differences over mass."""
+        return -(self.a_stiff * dv).dot(self.telescope) / self.mass
 
     def initial_state(self):
         cfg = self.config
@@ -423,7 +501,7 @@ class _ClosedLoop:
         y[self.sl["fh"]] = fh.ravel()
         if self.has_plant:
             y[self.sl["xp"]], y[self.sl["vp"]] = x0, v0
-            coupling = self.coupling_vector(x0, v0)
+            coupling = self.coupling_vector(x0[:-1] - x0[1:], v0[:-1] - v0[1:])
             resist = self.davis.resistance(v0)
             y[self.sl["tau"]] = self.mass * w0 + coupling + self.mass * resist
         return y
@@ -431,74 +509,70 @@ class _ClosedLoop:
     # -- derivative evaluation ----------------------------------------------
 
     def evaluate(self, t, y):
-        """Derivative vector plus the per-stage diagnostics (controls, faults)."""
+        """Derivative vector plus the per-stage diagnostics ``(u, ef_true, ef_hat)``.
+
+        ``y`` is copied into the engine's state buffer and never written.
+        The derivative, ``u`` and ``ef_hat`` are new arrays that belong to
+        the caller; ``ef_true`` is the shared, read-only time-term row.
+        """
         nc = self.nc
-        # (indexing, not unpacking: iterating over an array costs more per row)
-        rows = y.reshape(-1, nc)
-        est = rows[self.est_rows]
-        vh, wh = est[1], est[2]
-        meas = rows[self.meas_rows]
-        fh = y[self.sl["fh"]].reshape(nc, 3)
+        if y is not self._y:
+            self._y[:] = y
+        vh, wh, meas, err, e_v = self._vh, self._wh, self._meas, self._err, self._e_v
         x0r, v0r, w0r, u0r, ef_true, cf_true = self.time_terms(t)
-        ef_hat = fh[:, 0] * self.upsilon + fh[:, 2] * self.nu_omega
+        ef_hat = self._fh_const * self.upsilon + self._fh_cos * self.nu_omega
         cf_hat = ef_hat / self.mass
 
-        dy = np.empty(self.n_states)
-        d_rows = dy.reshape(-1, nc)
-        d_est = d_rows[self.est_rows]
         if self.has_composite:
-            d_rows[0:3:2] = rows[2:5:2]     # x' = v, v' = w
+            self._d_xv[:] = self._vw        # x' = v, v' = w
 
         # observer corrections, mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh);
-        # xhdot and vhdot = wh + mu2 go straight into dy
-        err = est[:2] - meas
-        e_v = err[1]
-        mu2 = self.mu2_op.dot(e_v) + self.c2 * e_v * (meas[1] + vh)
-        np.add(vh, self.neg_k1g * err[0] - e_v, out=d_est[0])
-        np.add(wh, mu2, out=d_est[1])
-        d_fh = dy[self.sl["fh"]].reshape(nc, 3)
-        np.multiply(self.k4g, e_v[:, None], out=d_fh)
-        d_fh[:, 1:] += self.rotation * fh[:, :0:-1]
+        # xhdot and vhdot = wh + mu2 go straight into the derivative buffer
+        np.subtract(self._est_pair, meas, out=err)
+        mu2 = self.mu2_op.dot(e_v) + self.c2 * e_v * (self._meas_v + vh)
+        np.add(vh, self.neg_k1g * self._e_x - e_v, out=self._d_xh)
+        np.add(wh, mu2, out=self._d_vh)
+        np.multiply(self.k4g, self._e_v_col, out=self._d_fh)
+        np.add(self._d_f23, self.rotation * self._fh_rotated, out=self._d_f23)
 
         # B(v) a = T a - 2 c2 v a, at once for the composite channel (v, w)
         # and the estimated one (vh, vhdot).  The estimated jerk without
         # control input, which every control law cancels, is
         # B(vh) vhdot + k3 e_v + cf_hat.
-        accel = dy[self.jerk]
-        coupled = self.jerk_op.dot(accel) - self.two_c2 * y[self.jerk] * accel
-        own = coupled[-nc:] + self.k3g * e_v + cf_hat
+        accel, coupled = self._accel, self._coupled
+        np.subtract(self.jerk_op.dot(accel), self.two_c2 * self._y_jerk * accel, out=coupled)
+        own = self._coupled_own + self.k3g * e_v + cf_hat
         if self.zero_control:
             u = np.zeros(nc)
-            d_est[2] = own
+            self._d_wh[:] = own
         else:
             # follower differences to the carriage ahead (a head's entry is
             # replaced by its barrier law)
-            diffs = np.empty((5, nc - 1))
-            np.subtract(est[:, 1:], est[:, :-1], out=diffs[:3])
-            diffs[0] += self.d_p
-            np.subtract(d_est[:2, 1:], d_est[:2, :-1], out=diffs[3:])
-            inc = np.empty(nc)
-            np.dot(self.alpha3_coef, diffs, out=inc[1:])
-            inc[self.heads] = self._head_feedback(t, y, x0r, v0r, w0r)
+            diffs, inc = self._diffs, self._inc
+            np.subtract(self._est_behind, self._est_ahead, out=self._diffs_est)
+            np.add(self._diffs_gap, self.d_p, out=self._diffs_gap)
+            np.subtract(self._d_pair_behind, self._d_pair_ahead, out=self._diffs_d)
+            np.dot(self.alpha3_coef, diffs, out=self._inc_follow)
+            inc[self.heads] = self._head_feedback(t, self._y, x0r, v0r, w0r)
             inc[0] += u0r
-            whdot = inc.cumsum(out=d_est[2])
+            whdot = inc.cumsum(out=self._d_wh)
             u = whdot - own
 
         if self.has_composite:
-            np.add(coupled[:nc] + cf_true + u, self.delta, out=dy[self.sl["w"]])
+            np.add(self._coupled_w + cf_true + u, self.delta, out=self._d_w)
         if self.has_plant:
-            sl = self.sl
-            xp, vp, tau = y[sl["xp"]], y[sl["vp"]], y[sl["tau"]]
-            coupling = self.coupling_vector(xp, vp)
+            vp, tau, dv = self._vp, self._tau, self._dv_links
+            np.subtract(self._plant_ahead, self._plant_behind, out=self._links)
+            coupling = self.coupling_vector(self._dx_links, dv)
             resist = self.davis.resistance(vp)
-            b4 = self.stiffness_drift(vp)
+            b4 = self.stiffness_drift(dv)
             varpi = (self.mass * u + self.rate * coupling
                      + self.mass * self.rate * resist - self.mass * b4
                      + self.mass * self.delta)
-            dy[sl["xp"]] = vp
-            dy[sl["vp"]] = (tau - coupling - self.mass * resist) / self.mass
-            dy[sl["tau"]] = -self.rate * tau + varpi + ef_true
-        return dy, (u, ef_true, ef_hat)
+            self._d_xp[:] = vp
+            np.divide(tau - coupling - self.mass * resist, self.mass, out=self._d_vp)
+            np.add(-self.rate * tau + varpi, ef_true, out=self._d_tau)
+        return self._dy.copy(), (u, ef_true, ef_hat)
 
     def rhs(self, t, y):
         return self.evaluate(t, y)[0]
@@ -557,12 +631,12 @@ class _ClosedLoop:
         if self.measure_from_plant:
             xm, vm = y[sl["xp"]], y[sl["vp"]]
             tau = y[sl["tau"]]
-            coupling = self.coupling_vector(xm, vm)
+            coupling = self.coupling_vector(xm[:-1] - xm[1:], vm[:-1] - vm[1:])
             resist = self.davis.resistance(vm)
             wm = (tau - coupling - self.mass * resist) / self.mass
         else:
             xm, vm, wm = y[sl["x"]], y[sl["v"]], y[sl["w"]]
-            coupling = self.coupling_vector(xm, vm)
+            coupling = self.coupling_vector(xm[:-1] - xm[1:], vm[:-1] - vm[1:])
             resist = self.davis.resistance(vm)
             tau = self.mass * wm + coupling + self.mass * resist
         x0r, v0r = self.time_terms(t)[:2]

@@ -25,8 +25,9 @@ from platoonsim.errors import BarrierDomainError, ConfigurationError, Integratio
 from platoonsim.faults import snap_windows
 from platoonsim.model import ConsistTopology
 from platoonsim.presets import paper_s5
-from platoonsim.simulator import (_BLOCK_STEPS, EVENTS_KEPT, MonitorSpec,
-                                  SimulationRecord, _ClosedLoop, inject_disturbance,
+from platoonsim.simulator import (_BLOCK_STEPS, EVENTS_KEPT, REPRESENTATIONS,
+                                  MonitorSpec, SimulationRecord, _ClosedLoop,
+                                  inject_disturbance,
                                   monitor_requirements, rk4_step, run_scenario,
                                   validate_config)
 
@@ -122,6 +123,24 @@ class TestConfigValidation:
         bad = dataclasses.replace(s5_config, representation="hybrid")
         with pytest.raises(ConfigurationError):
             validate_config(bad)
+
+    @pytest.mark.parametrize("change, violation", [
+        (lambda c: dict(step=math.nan), "0 < step < inf"),
+        (lambda c: dict(step=math.inf), "0 < step < inf"),
+        (lambda c: dict(duration=math.nan), "duration > 0"),
+        (lambda c: dict(noise=dataclasses.replace(c.noise, enabled=True, variance=math.nan)),
+         "0 <= noise variance < inf"),
+        (lambda c: dict(record_stride=2.5), "record_stride is an integer >= 1"),
+        (lambda c: dict(initial=c.initial[:-1] + (c.initial[-1][:2],)), None),
+        (lambda c: dict(observer_initial=tuple((*s[:2], 0.0, 0.0, 0.0, 0.0)[:5 if g == 4 else 6]
+                                               for g, s in enumerate(c.initial))), None),
+    ], ids=["step-nan", "step-inf", "duration-nan", "variance-nan", "stride-float",
+            "initial-entry", "observer-initial-entry"])
+    def test_malformed_scenario_named_error(self, s5_config, change, violation):
+        with pytest.raises(ConfigurationError) as info:
+            run_scenario(dataclasses.replace(s5_config, **change(s5_config)))
+        if violation is not None:
+            assert violation in [v.name for v in info.value.violations]
 
 
 # The engine-level properties report a failing example as found: shrinking
@@ -917,6 +936,62 @@ class TestTimeTermCache:
         assert sum(map(len, blocks)) < 3 * n_steps
 
 
+class TestEngineBuffers:
+    """An engine evaluates in its own buffers; what it returns is the caller's."""
+
+    @pytest.fixture(scope="class", params=["paper_s5", "mixed"])
+    def config(self, request, s5_config):
+        if request.param == "mixed":
+            return mixed_config(s5_config)
+        return short_scenario(s5_config, 20.0)
+
+    @pytest.fixture(params=REPRESENTATIONS)
+    def engine(self, request, config):
+        return _ClosedLoop(dataclasses.replace(config, representation=request.param))
+
+    @staticmethod
+    def states(engine, seed):
+        rng = np.random.default_rng(seed)
+        n_trains = engine.n_trains
+        return random_feasible_state(engine, 0.0, rng.uniform(-0.5, 0.5, n_trains),
+                                     rng.uniform(-0.5, 0.5, n_trains), rng)
+
+    def test_returned_arrays_survive_the_next_evaluation(self, engine):
+        y_a, y_b = self.states(engine, 1), self.states(engine, 2)
+        kept_a, kept_b = y_a.copy(), y_b.copy()
+        engine.delta = np.random.default_rng(3).uniform(-0.1, 0.1, engine.nc)
+        dy_a, (u_a, _, ef_hat_a) = engine.evaluate(0.5, y_a)
+        returned = [a.copy() for a in (dy_a, u_a, ef_hat_a)]
+        engine.evaluate(0.75, y_b)
+        for got, want in zip((dy_a, u_a, ef_hat_a), returned):
+            assert bitwise_equal(got, want)
+        # the states passed in were only read
+        assert bitwise_equal(y_a, kept_a) and bitwise_equal(y_b, kept_b)
+
+    def test_alternating_trajectories_match_separate_engines(self, engine):
+        h, n_steps = engine.config.step, 25
+        rng = np.random.default_rng(4)
+        deltas = rng.uniform(-0.1, 0.1, (n_steps, engine.nc))
+        # the initial state, and one whose estimates start off by a little more
+        start = engine.initial_state()
+        est = [engine.sl[name] for name in ("xh", "vh", "wh")]
+        other = start.copy()
+        for part, spread in zip(est, (0.5, 0.2, 0.1)):
+            other[part] += rng.uniform(-spread, spread, engine.nc)
+        starts = (start, other)
+        shared = list(starts)
+        alone = [_ClosedLoop(engine.config) for _ in starts]
+        separate = list(starts)
+        for k in range(n_steps):
+            for i in range(2):
+                engine.delta = alone[i].delta = deltas[k]
+                shared[i] = rk4_step(engine.rhs, shared[i], k * h, h)
+                separate[i] = rk4_step(alone[i].rhs, separate[i], k * h, h)
+        assert not engine.violations
+        for got, want in zip(shared, separate):
+            assert bitwise_equal(got, want)
+
+
 def per_time_terms(engine, t):
     """The time-only terms at one time, formed from that time alone (the oracle)."""
     amps = np.where((t >= engine.window_start) & (t <= engine.window_end),
@@ -1069,8 +1144,8 @@ class TestNeighbourOperators:
         rng = np.random.default_rng(seed)
         x = engine.initial_state()[engine.sl["x"]] + rng.normal(0.0, 5.0, engine.nc)
         v = rng.uniform(0.0, 100.0, engine.nc)
-        coupling = engine.coupling_vector(x, v)
-        b4 = engine.stiffness_drift(v)
+        coupling = engine.coupling_vector(x[:-1] - x[1:], v[:-1] - v[1:])
+        b4 = engine.stiffness_drift(v[:-1] - v[1:])
         for g, j, m_i, s in train_of(engine):
             x_i, v_i = x[s:s + m_i], v[s:s + m_i]
             force = coupling_force(j, x_i, v_i, cfg.coupler)
@@ -1100,8 +1175,9 @@ class TestPlantPathAgainstLoops:
         y = engine.initial_state() + rng.normal(0.0, 50.0, engine.n_states)
         sl = engine.sl
         x, v = y[sl["x"]], y[sl["v"]]
-        assert bitwise_equal(engine.coupling_vector(x, v), coupling_vector_loop(engine, x, v))
-        assert bitwise_equal(engine.stiffness_drift(v), stiffness_drift_loop(engine, v))
+        dx, dv = x[:-1] - x[1:], v[:-1] - v[1:]
+        assert bitwise_equal(engine.coupling_vector(dx, dv), coupling_vector_loop(engine, x, v))
+        assert bitwise_equal(engine.stiffness_drift(dv), stiffness_drift_loop(engine, v))
         row = engine.sample_row(t, y, engine.evaluate(t, y)[1])
         eps, vt = pair_errors_loop(engine, t, x, v)
         assert bitwise_equal(row["eps"], eps)
