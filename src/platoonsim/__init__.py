@@ -10,10 +10,9 @@ velocity-difference and convergence requirements on the result.
 
 from .autodiff import Dual, gradient
 from .controller import (ConstraintSpec, FollowerGains, HeadGains,
-                         TrainPairErrors, alpha1, alpha2, alpha3, barrier_phi,
-                         barrier_psi, beta_functions, follower_control,
-                         head_control, validate_initial, validate_parameters,
-                         z_errors)
+                         TrainPairErrors, barrier_phi, barrier_psi,
+                         beta_functions, follower_control, head_control,
+                         validate_initial, validate_parameters)
 from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
                      PlacementError, TimeseriesFormatError, Violation)
 from .faults import FaultModel, exosystem_matrix

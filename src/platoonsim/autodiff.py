@@ -3,9 +3,8 @@
 A :class:`Dual` carries a value and a tuple of partial derivatives with
 respect to a fixed set of seed directions.  Arithmetic propagates the
 derivative part exactly (no finite differencing).  The control laws use
-closed-form partials; dual numbers produce the constant partials of the
-affine alpha2 once per gain set, and the tests use them as the reference
-for the closed forms.
+closed-form partials and build no dual number; the tests use dual numbers
+as the reference for those closed forms.
 """
 
 from __future__ import annotations
@@ -73,13 +72,10 @@ class Dual:
         scale = n * self.value ** (n - 1)
         return Dual(self.value ** n, tuple(scale * x for x in self.grad))
 
-
-def log(x):
-    """Natural logarithm for floats and duals."""
-    if isinstance(x, Dual):
-        inv = 1.0 / x.value
-        return Dual(math.log(x.value), tuple(inv * y for y in x.grad))
-    return math.log(x)
+    def log(self):
+        """Natural logarithm; ``np.log`` of a dual number calls this."""
+        inv = 1.0 / self.value
+        return Dual(math.log(self.value), tuple(inv * y for y in self.grad))
 
 
 def seed_variables(values):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .controller import ConstraintSpec, FollowerGains, HeadGains
 from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
-                     TimeseriesFormatError)
+                     PlacementError, TimeseriesFormatError)
 from .faults import FaultModel
 from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)
@@ -454,7 +454,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, PlacementError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationFault, BarrierDomainError) as exc:

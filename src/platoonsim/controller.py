@@ -9,18 +9,17 @@ inter-train gap and a gap/velocity error combination inside prescribed open
 intervals for all time, not just asymptotically.
 
 The laws evaluate on floats and on numpy arrays with one entry per carriage
-or per train pair.  The simulator runs the follower increments once per
-derivative evaluation, as alpha3's five constant weights
-(:func:`alpha3_coefficients`) on each follower's differences to its
-predecessor, and the head law once per train pair on floats: inside the
-barrier domain :func:`beta_partials` then :func:`head_feedback`, outside it
-:func:`beta_functions`, which clamps or raises.  The partials of the barrier
-composite beta1 are closed forms (:func:`beta_partials`); alpha2 is affine,
-so its partials are constants, computed once per gain set.  The tests
-check the closed forms with forward-mode dual numbers
-(:mod:`platoonsim.autodiff`) through the barrier composite beta1 of their
-per-carriage oracle (``tests/oracle.py``), and the weights with the scalar
-:func:`alpha3`.
+or per train pair, each in one closed form.  alpha2 is affine, so the
+follower command alpha3 is five constant weights (:func:`alpha3_coefficients`)
+on a follower's differences to its predecessor plus the predecessor's
+estimated jerk; the simulator applies the weights once per derivative
+evaluation.  The head law runs once per train pair on floats: the pure clamp
+:func:`clamp_pair_errors` for a pair outside the barrier domain, then
+:func:`beta_partials` (the closed-form partials of the barrier composite
+beta1) and :func:`head_feedback`.  The tests keep the scalar follower chain
+alpha1 -> alpha2 -> alpha3 and a recording clamp in ``tests/oracle.py`` as
+references, and check the closed forms with forward-mode dual numbers
+(:mod:`platoonsim.autodiff`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Dual, gradient, log
+from .autodiff import gradient  # noqa: F401  (the benchmark patches controller.gradient)
 from .errors import BarrierDomainError, ConfigurationError, Violation
 
 _SATURATION_MARGIN = 1e-9  # distance to the boundary used when clamping
@@ -118,43 +117,6 @@ class TrainPairErrors:
 # follower backstepping
 # ---------------------------------------------------------------------------
 
-def alpha1(xhat, xhat_prev, vhat_prev, gains, d_p):
-    """Virtual velocity command for a follower (affine in its arguments)."""
-    z1 = xhat - xhat_prev + d_p
-    return vhat_prev - (gains.l1 + 1.0) * z1
-
-
-def alpha2(xhat, xhat_prev, vhat, vhat_prev, what_prev, gains, d_p):
-    """Virtual acceleration command; evaluates on floats, arrays or duals.
-
-    Combines damping on the velocity-command error with the feedforward of
-    the command's own partial derivatives and the quadratic compensation
-    terms that the stability argument pairs with each of them.
-    """
-    p_x = -(gains.l1 + 1.0)   # d(alpha1)/d(xhat)
-    p_xp = gains.l1 + 1.0     # d(alpha1)/d(xhat_prev)
-    p_vp = 1.0                # d(alpha1)/d(vhat_prev)
-    z1 = xhat - xhat_prev + d_p
-    z2 = vhat - (vhat_prev - (gains.l1 + 1.0) * z1)
-    return (-gains.l2 * z2 - z1 - 0.5 * z2
-            + p_x * vhat - 0.5 * p_x * p_x * z2
-            + p_xp * vhat_prev - 0.5 * p_xp * p_xp * z2
-            + p_vp * what_prev - 0.5 * p_vp * p_vp * z2)
-
-
-@functools.lru_cache(maxsize=None)
-def alpha2_partials(gains, d_p):
-    """Gradient of alpha2 w.r.t. its five state arguments.
-
-    alpha2 is affine, so the gradient is constant; it is still produced by a
-    forward-mode sweep (at the origin) and cached per gain set.
-    """
-    _, grad = gradient(
-        lambda a, b, c, d, e: alpha2(a, b, c, d, e, gains, d_p),
-        (0.0, 0.0, 0.0, 0.0, 0.0))
-    return grad
-
-
 @functools.lru_cache(maxsize=None)
 def alpha3_coefficients(gains):
     """alpha3 as five constant weights on the differences to the predecessor.
@@ -176,35 +138,6 @@ def alpha3_coefficients(gains):
                      -(k + c)])
 
 
-def z_errors(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, gains, d_p):
-    """Backstepping errors (z1, z2, z3) of a follower."""
-    z1 = xhat - xhat_prev + d_p
-    a1 = alpha1(xhat, xhat_prev, vhat_prev, gains, d_p)
-    z2 = vhat - a1
-    a2 = alpha2(xhat, xhat_prev, vhat, vhat_prev, what_prev, gains, d_p)
-    z3 = what - a2
-    return z1, z2, z3
-
-
-def alpha3(xhat, vhat, what, xhat_prev, vhat_prev, what_prev,
-           xhdot, vhdot, xhdot_prev, vhdot_prev, whdot_prev, gains, d_p):
-    """Virtual jerk command for a follower.
-
-    The five ``*dot`` arguments are the observer-state derivatives of this
-    carriage and the one ahead (so the command is implementable from
-    communicated data; the predecessor's derivative already contains its
-    control input).  Evaluates on floats or arrays.  ``whdot_prev`` enters
-    with d(alpha2)/d(what_prev) = 1, so a follower chain of these commands
-    is a cumulative sum.
-    """
-    z1, z2, z3 = z_errors(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, gains, d_p)
-    p = alpha2_partials(gains, d_p)
-    return (-gains.l3 * z3 - z2
-            + p[0] * xhdot + p[1] * xhdot_prev
-            + p[2] * vhdot + p[3] * vhdot_prev
-            + p[4] * whdot_prev)
-
-
 def follower_control(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, what_next,
                      xhdot, vhdot, xhdot_prev, vhdot_prev, whdot_prev,
                      b1, b2, b3, cf_hat, mu3, gains, d_p):
@@ -212,12 +145,16 @@ def follower_control(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, what_nex
 
     Cancels the estimated acceleration coupling (own, preceding and, unless
     this is the tail, following carriage), the estimated fault jerk and the
-    observer correction, then applies the backstepping command.
-    ``what_next`` may be ``None`` at the tail where ``b3`` is structurally
-    zero.
+    observer correction, then applies the backstepping command alpha3: the
+    :func:`alpha3_coefficients` weights on the differences to the carriage
+    ahead, plus ``whdot_prev``, which enters with weight 1.  Evaluates on
+    floats or arrays.  ``what_next`` may be ``None`` at the tail where
+    ``b3`` is structurally zero.
     """
-    a3 = alpha3(xhat, vhat, what, xhat_prev, vhat_prev, what_prev,
-                xhdot, vhdot, xhdot_prev, vhdot_prev, whdot_prev, gains, d_p)
+    c_x, c_v, c_w, c_xd, c_vd = alpha3_coefficients(gains)
+    a3 = (c_x * (xhat - xhat_prev + d_p) + c_v * (vhat - vhat_prev)
+          + c_w * (what - what_prev) + c_xd * (xhdot - xhdot_prev)
+          + c_vd * (vhdot - vhdot_prev) + whdot_prev)
     coupling = b1 * what + b2 * what_prev + cf_hat + mu3
     if what_next is not None:
         coupling += b3 * what_next
@@ -228,13 +165,11 @@ def follower_control(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, what_nex
 # barrier transforms and head-carriage law
 # ---------------------------------------------------------------------------
 
-def _clamp_to_domain(value, upper, lower, saturate, record=None):
+def _clamp_to_domain(value, upper, lower, saturate):
     if -lower < value < upper:
         return value
     if not saturate:
         raise BarrierDomainError(value, -lower, upper)
-    if record is not None:
-        record(value, -lower, upper)
     if value >= upper:
         return upper - _SATURATION_MARGIN
     return -lower + _SATURATION_MARGIN
@@ -243,7 +178,7 @@ def _clamp_to_domain(value, upper, lower, saturate, record=None):
 def _log(x):
     if type(x) is float:
         return math.log(x)   # np.log takes about 1 us longer on a Python float
-    return log(x) if type(x) is Dual else np.log(x)
+    return np.log(x)         # arrays, numpy scalars, and duals through Dual.log
 
 
 def _barrier(arg, upper, lower):
@@ -282,20 +217,16 @@ def barrier_psi(q_tilde, varrho1, varrho2, saturate=False):
 
 
 def clamp_pair_errors(x_tilde, v_tilde, ell1, rho1, rho2, varrho1, varrho2,
-                      saturate=False, record=None):
+                      saturate=False):
     """Gap error and combined error of one train pair, inside the barrier domain.
 
     The gap error is clamped first; the combined error q = v + ell1*x formed
     with it is then clamped to its own interval.  Returns the clamped
-    ``(x_tilde, q_tilde)``.  Each clamp is reported as
-    ``record(quantity, value, low, high)``; without ``saturate`` an argument
-    outside its interval raises :class:`BarrierDomainError`.
+    ``(x_tilde, q_tilde)``; without ``saturate`` an argument outside its
+    interval raises :class:`BarrierDomainError`.
     """
-    rec_x = (lambda v, lo, hi: record("xtilde", v, lo, hi)) if record else None
-    rec_q = (lambda v, lo, hi: record("qtilde", v, lo, hi)) if record else None
-    xt = _clamp_to_domain(x_tilde, rho1, rho2, saturate, rec_x)
-    qt = _clamp_to_domain(v_tilde + ell1 * xt, varrho1, varrho2, saturate, rec_q)
-    return xt, qt
+    xt = _clamp_to_domain(x_tilde, rho1, rho2, saturate)
+    return xt, _clamp_to_domain(v_tilde + ell1 * xt, varrho1, varrho2, saturate)
 
 
 def beta_partials(x_tilde, q_tilde, gains, rho1, rho2, varrho1, varrho2):
@@ -316,15 +247,15 @@ def beta_partials(x_tilde, q_tilde, gains, rho1, rho2, varrho1, varrho2):
 
 
 def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
-                   varrho1, varrho2, saturate=False, record=None):
+                   varrho1, varrho2, saturate=False):
     """beta1, beta2 and the partials of beta1 w.r.t. the gap/velocity errors.
 
     When ``saturate`` is set, out-of-domain arguments are pulled back to just
-    inside the boundary (see :func:`clamp_pair_errors`, which reports
-    through ``record``) so integration stays defined.
+    inside the boundary (see :func:`clamp_pair_errors`) so integration stays
+    defined.
     """
     xt, qt = clamp_pair_errors(x_tilde, v_tilde, gains.ell1, rho1, rho2,
-                               varrho1, varrho2, saturate, record)
+                               varrho1, varrho2, saturate)
     val, d_x, d_v = beta_partials(xt, qt, gains, rho1, rho2, varrho1, varrho2)
     return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
 
@@ -347,7 +278,7 @@ def head_feedback(q_tilde, v_tilde, what_tilde, beta, gains):
 
 def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
                  x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
-                 varrho1, varrho2, saturate=False, record=None):
+                 varrho1, varrho2, saturate=False):
     """Control input of a head carriage.
 
     ``g_front`` is the estimated-acceleration derivative of the tail ahead
@@ -357,7 +288,7 @@ def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
     the loop on the barrier-transformed errors.
     """
     beta = beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
-                          varrho1, varrho2, saturate=saturate, record=record)
+                          varrho1, varrho2, saturate=saturate)
     own = b1 * what + cf_hat + mu3
     if what_next is not None:
         own += b3 * what_next

@@ -169,6 +169,28 @@ def validate_config(config):
                              config.profile.horizon, "reference"))
     if not 0 <= config.noise.variance < math.inf:
         out.append(Violation("0 <= noise variance < inf", config.noise.variance, 0.0, "noise"))
+    if not isinstance(config.noise.seed, numbers.Integral) or config.noise.seed < 0:
+        out.append(Violation("noise seed is an integer >= 0", config.noise.seed, 0.0, "noise"))
+    states = [("initial", config.initial), ("observer_initial", config.observer_initial or ())]
+    for name, rows in states:
+        for label, row in zip(config.topology.carriage_ids(), rows):
+            bad = [value for value in row if not math.isfinite(value)]
+            if bad:
+                out.append(Violation(f"{name} entries are finite", bad[0], math.inf,
+                                     f"carriage {label}"))
+    # observer settings that gain placement rejects; its augmented pair has 5 states
+    if not config.observer_k1 > 0:
+        out.append(Violation("observer k1 > 0", config.observer_k1, 0.0, "observer"))
+    override = config.observer_gain_override
+    if override is not None and len(override) != 5:
+        out.append(Violation("observer gain override has 5 entries", len(override), 5,
+                             "observer"))
+    if override is None:
+        eigenvalues = [complex(lam) for lam in config.observer_eigenvalues]
+        if len(eigenvalues) != 5:
+            out.append(Violation("5 observer eigenvalues", len(eigenvalues), 5, "observer"))
+        out.extend(Violation("observer eigenvalue real part < 0", lam.real, 0.0, "observer")
+                   for lam in eigenvalues if not lam.real < 0)
     out.extend(ctrl.validate_parameters(config.follower_gains, config.head_gains,
                                         config.constraints))
     if not any(v.subject == "head gains" or v.subject == "constraints" for v in out):
@@ -581,9 +603,9 @@ class _ClosedLoop:
         """Closed-loop terms of the head laws (see ``controller.head_feedback``).
 
         One train pair at a time, on floats.  A pair outside the open barrier
-        domain goes through ``controller.beta_functions``, which clamps it
-        (recorded in pair order, the gap error before the combined error) or,
-        in abort mode, raises :class:`BarrierDomainError`.
+        domain is clamped by ``controller.clamp_pair_errors`` and each clamp
+        recorded, in pair order, the gap error before the combined error; in
+        abort mode the clamp raises :class:`BarrierDomainError` instead.
         """
         gains = self.hgains
         ell1, d_s = gains.ell1, self.d_s
@@ -596,16 +618,19 @@ class _ClosedLoop:
             vt = v_f - v_h
             wt = w_f - w_h
             qt = vt + ell1 * xt
-            if -rho2 < xt < rho1 and -vr2 < qt < vr1:
-                b1, d_x, d_v = ctrl.beta_partials(xt, qt, gains, rho1, rho2, vr1, vr2)
-                beta = (b1, wt + ell1 * vt - b1, d_x, d_v)
-            else:
-                def record(kind, value, lo, hi, pair=pair):
-                    self._saturated({"t": t, "pair": pair, "quantity": kind,
-                                     "value": value, "low": lo, "high": hi})
-                beta = ctrl.beta_functions(xt, vt, wt, gains, rho1, rho2, vr1, vr2,
-                                           saturate=self.saturate, record=record)
-            out.append(ctrl.head_feedback(qt, vt, wt, beta, gains))
+            xc, qc = xt, qt
+            if not (-rho2 < xt < rho1 and -vr2 < qt < vr1):
+                xc, qc = ctrl.clamp_pair_errors(xt, vt, ell1, rho1, rho2, vr1, vr2,
+                                                self.saturate)
+                # the combined error is clamped as formed with the clamped gap error
+                for kind, value, lo, hi in (("xtilde", xt, -rho2, rho1),
+                                            ("qtilde", vt + ell1 * xc, -vr2, vr1)):
+                    if not lo < value < hi:
+                        self._saturated({"t": t, "pair": pair, "quantity": kind,
+                                         "value": value, "low": lo, "high": hi})
+            b1, d_x, d_v = ctrl.beta_partials(xc, qc, gains, rho1, rho2, vr1, vr2)
+            out.append(ctrl.head_feedback(qt, vt, wt, (b1, wt + ell1 * vt - b1, d_x, d_v),
+                                          gains))
         return out
 
     def _saturated(self, event):
@@ -933,10 +958,8 @@ def run_scenario(config):
     h = config.step
     n_steps = int(round(config.duration / h))
     stride = config.record_stride
-    sample_steps = list(range(0, n_steps, stride))
-    if not sample_steps or sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
-    n_samples = len(sample_steps)
+    # the steps 0, stride, 2*stride, ... below n_steps, then step n_steps
+    n_samples = -(-n_steps // stride) + 1
 
     nc = engine.nc
     record = SimulationRecord.allocate(
@@ -953,7 +976,7 @@ def run_scenario(config):
         t = step_i * h
         if noise_on:
             engine.delta = inject_disturbance(rng, config.noise.variance, nc)
-        take_sample = sample_pos < n_samples and sample_steps[sample_pos] == step_i
+        take_sample = step_i % stride == 0 or step_i == n_steps
         if take_sample or step_i < n_steps:
             k1, diag = engine.evaluate(t, y)
         if take_sample:

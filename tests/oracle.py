@@ -10,7 +10,10 @@ the engine to these forms; nothing in the package calls them.
 
 The fault signal of one carriage and the directional derivative on dual
 numbers are the tests' references for the engine's windowed fault terms
-and for the closed-form partials of the control laws.
+and for the closed-form partials of the control laws.  The follower law is
+written as the paper's backstepping chain alpha1 -> alpha2 -> z errors ->
+alpha3, the reference for the package's constant alpha3 weights, and the
+pair clamp in its recording form, which reports every clamp it makes.
 
 The configuration helpers at the end (train slices, tails, snapped faults,
 observer gains) give the tests the chain layout and the per-carriage gains
@@ -26,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from platoonsim.autodiff import Dual
-from platoonsim.controller import beta_partials
-from platoonsim.errors import ConfigurationError
+from platoonsim.autodiff import Dual, gradient
+from platoonsim.controller import _SATURATION_MARGIN, beta_partials
+from platoonsim.errors import BarrierDomainError, ConfigurationError
 from platoonsim.faults import exosystem_matrix, snap_windows
 from platoonsim.observer import (ObserverGains, build_augmented_pair, closed_loop_matrix,
                                  synthesize_gains)
@@ -438,6 +441,94 @@ def linear_error_oracle(e_x0, e_v0, e_w0, e_f0, mu2_0, gains, a, c, horizon, ste
 
 
 # ---------------------------------------------------------------------------
+# follower backstepping chain
+# ---------------------------------------------------------------------------
+
+def alpha1(xhat, xhat_prev, vhat_prev, gains, d_p):
+    """Virtual velocity command for a follower (affine in its arguments)."""
+    z1 = xhat - xhat_prev + d_p
+    return vhat_prev - (gains.l1 + 1.0) * z1
+
+
+def alpha2(xhat, xhat_prev, vhat, vhat_prev, what_prev, gains, d_p):
+    """Virtual acceleration command; evaluates on floats, arrays or duals.
+
+    Combines damping on the velocity-command error with the feedforward of
+    the command's own partial derivatives and the quadratic compensation
+    terms that the stability argument pairs with each of them.
+    """
+    p_x = -(gains.l1 + 1.0)   # d(alpha1)/d(xhat)
+    p_xp = gains.l1 + 1.0     # d(alpha1)/d(xhat_prev)
+    p_vp = 1.0                # d(alpha1)/d(vhat_prev)
+    z1 = xhat - xhat_prev + d_p
+    z2 = vhat - (vhat_prev - (gains.l1 + 1.0) * z1)
+    return (-gains.l2 * z2 - z1 - 0.5 * z2
+            + p_x * vhat - 0.5 * p_x * p_x * z2
+            + p_xp * vhat_prev - 0.5 * p_xp * p_xp * z2
+            + p_vp * what_prev - 0.5 * p_vp * p_vp * z2)
+
+
+@functools.lru_cache(maxsize=None)
+def alpha2_partials(gains, d_p):
+    """Gradient of alpha2 w.r.t. its five state arguments.
+
+    alpha2 is affine, so the gradient is constant; it is still produced by a
+    forward-mode sweep (at the origin) and cached per gain set.
+    """
+    _, grad = gradient(
+        lambda a, b, c, d, e: alpha2(a, b, c, d, e, gains, d_p),
+        (0.0, 0.0, 0.0, 0.0, 0.0))
+    return grad
+
+
+def z_errors(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, gains, d_p):
+    """Backstepping errors (z1, z2, z3) of a follower."""
+    z1 = xhat - xhat_prev + d_p
+    a1 = alpha1(xhat, xhat_prev, vhat_prev, gains, d_p)
+    z2 = vhat - a1
+    a2 = alpha2(xhat, xhat_prev, vhat, vhat_prev, what_prev, gains, d_p)
+    z3 = what - a2
+    return z1, z2, z3
+
+
+def alpha3(xhat, vhat, what, xhat_prev, vhat_prev, what_prev,
+           xhdot, vhdot, xhdot_prev, vhdot_prev, whdot_prev, gains, d_p):
+    """Virtual jerk command for a follower.
+
+    The five ``*dot`` arguments are the observer-state derivatives of this
+    carriage and the one ahead (so the command is implementable from
+    communicated data; the predecessor's derivative already contains its
+    control input).  Evaluates on floats or arrays.  ``whdot_prev`` enters
+    with d(alpha2)/d(what_prev) = 1, so a follower chain of these commands
+    is a cumulative sum.
+    """
+    z1, z2, z3 = z_errors(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, gains, d_p)
+    p = alpha2_partials(gains, d_p)
+    return (-gains.l3 * z3 - z2
+            + p[0] * xhdot + p[1] * xhdot_prev
+            + p[2] * vhdot + p[3] * vhdot_prev
+            + p[4] * whdot_prev)
+
+
+def follower_control(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, what_next,
+                     xhdot, vhdot, xhdot_prev, vhdot_prev, whdot_prev,
+                     b1, b2, b3, cf_hat, mu3, gains, d_p):
+    """Control input of a non-head carriage, through the backstepping chain.
+
+    Cancels the estimated acceleration coupling (own, preceding and, unless
+    this is the tail, following carriage), the estimated fault jerk and the
+    observer correction, then applies :func:`alpha3`.  ``what_next`` may be
+    ``None`` at the tail where ``b3`` is structurally zero.
+    """
+    a3 = alpha3(xhat, vhat, what, xhat_prev, vhat_prev, what_prev,
+                xhdot, vhdot, xhdot_prev, vhdot_prev, whdot_prev, gains, d_p)
+    coupling = b1 * what + b2 * what_prev + cf_hat + mu3
+    if what_next is not None:
+        coupling += b3 * what_next
+    return -coupling + a3
+
+
+# ---------------------------------------------------------------------------
 # head law
 # ---------------------------------------------------------------------------
 
@@ -445,6 +536,47 @@ def beta1(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
     """Barrier-weighted stabilizing function; evaluates on floats, arrays or duals."""
     q_tilde = v_tilde + gains.ell1 * x_tilde
     return beta_partials(x_tilde, q_tilde, gains, rho1, rho2, varrho1, varrho2)[0]
+
+
+def clamp_to_domain(value, upper, lower, saturate, record=None):
+    """``value`` pulled a margin inside (-lower, upper), reporting the clamp.
+
+    A clamp is reported as ``record(value, low, high)``; without
+    ``saturate`` a value outside raises :class:`BarrierDomainError`.
+    """
+    if -lower < value < upper:
+        return value
+    if not saturate:
+        raise BarrierDomainError(value, -lower, upper)
+    if record is not None:
+        record(value, -lower, upper)
+    if value >= upper:
+        return upper - _SATURATION_MARGIN
+    return -lower + _SATURATION_MARGIN
+
+
+def clamp_pair_errors(x_tilde, v_tilde, ell1, rho1, rho2, varrho1, varrho2,
+                      saturate=False, record=None):
+    """The clamped ``(x_tilde, q_tilde)`` of one train pair, reporting each clamp.
+
+    The gap error is clamped first; the combined error q = v + ell1*x formed
+    with it is then clamped to its own interval.  Each clamp is reported as
+    ``record(quantity, value, low, high)``.
+    """
+    rec_x = (lambda v, lo, hi: record("xtilde", v, lo, hi)) if record else None
+    rec_q = (lambda v, lo, hi: record("qtilde", v, lo, hi)) if record else None
+    xt = clamp_to_domain(x_tilde, rho1, rho2, saturate, rec_x)
+    qt = clamp_to_domain(v_tilde + ell1 * xt, varrho1, varrho2, saturate, rec_q)
+    return xt, qt
+
+
+def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
+                   varrho1, varrho2, saturate=False, record=None):
+    """beta1, beta2 and the partials of beta1, clamping through :func:`clamp_pair_errors`."""
+    xt, qt = clamp_pair_errors(x_tilde, v_tilde, gains.ell1, rho1, rho2,
+                               varrho1, varrho2, saturate, record)
+    val, d_x, d_v = beta_partials(xt, qt, gains, rho1, rho2, varrho1, varrho2)
+    return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
 
 
 # ---------------------------------------------------------------------------

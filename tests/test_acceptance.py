@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import short_scenario, true_fault_states
-from oracle import (auxiliary_mu2, beta1, dual_eval, fault_accel_row,
+from oracle import (alpha1, alpha2, auxiliary_mu2, beta1, dual_eval, fault_accel_row,
                     linear_error_oracle, observer_gains)
 from platoonsim import observer as obs
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
-                                   alpha1, alpha2, barrier_phi, barrier_psi,
-                                   beta_functions, validate_initial,
-                                   validate_parameters)
+                                   barrier_phi, barrier_psi, beta_functions,
+                                   validate_initial, validate_parameters)
 from platoonsim.faults import exosystem_matrix
 from platoonsim.simulator import (_ClosedLoop, fault_interval_errors,
                                   initial_pair_errors, rk4_step, run_scenario)

@@ -323,6 +323,37 @@ class TestRunCommand:
         assert {r["name"] for r in index["runs"]} == {"tiny", "paper-s5"}
 
 
+class TestObserverSettings:
+    """Observer settings that gain placement rejects are configuration errors, exit 2."""
+
+    @pytest.mark.parametrize("key, value, violation", [
+        ("eigenvalues", [1.0, -3.0, -3.0, -3.0, -3.0], "observer eigenvalue real part < 0"),
+        ("eigenvalues", [-3.0, -3.0, -3.0], "5 observer eigenvalues"),
+        ("gain_override", [4.0, 5.0, -6.0], "observer gain override has 5 entries"),
+        ("k1", 0.0, "observer k1 > 0"),
+    ], ids=["unstable-eigenvalue", "eigenvalue-count", "override-length", "k1"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_named_violation(self, tmp_path, capsys, command, key, value, violation):
+        doc = preset_doc_with(("observer", key), value)
+        doc["integration"]["duration_s"] = 1.0
+        path = tmp_path / "observer.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert main([command, "--config", str(path), *out]) == 2
+        assert violation in capsys.readouterr().err
+        assert not (tmp_path / "observer_timeseries.csv").exists()
+
+    def test_placement_failure_is_a_configuration_error(self, tmp_path, capsys):
+        # no fault force reaches the first carriage: its observer pair is unobservable
+        doc = preset_doc_with(("carriages", 0, "fault", "upsilon_Nps_per_unit"), 0.0)
+        doc["carriages"][0]["fault"]["nu_s_per_rad"] = 0.0
+        doc["integration"]["duration_s"] = 1.0
+        path = tmp_path / "unobservable.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "unobservable" in capsys.readouterr().err
+
+
 class TestRecordMemory:
     """A record's samples are held once: written without a copy, read into one table."""
 

@@ -8,16 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import beta1, dual_eval
+import oracle
+from oracle import alpha1, alpha2, alpha2_partials, alpha3, beta1, dual_eval, z_errors
 from platoonsim import controller as ctrl
 from platoonsim.autodiff import gradient
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
-                                   TrainPairErrors, alpha1, alpha2,
-                                   alpha2_partials, alpha3, barrier_phi,
-                                   barrier_psi, beta_functions,
-                                   beta_partials, follower_control,
-                                   head_control, validate_initial,
-                                   validate_parameters, z_errors)
+                                   TrainPairErrors, barrier_phi, barrier_psi,
+                                   beta_functions, beta_partials,
+                                   follower_control, head_control,
+                                   validate_initial, validate_parameters)
 from platoonsim.errors import BarrierDomainError, ConfigurationError
 
 GAINS = FollowerGains(l1=0.1, l2=0.1, l3=0.1)
@@ -159,6 +158,19 @@ class TestAlpha3AndFollowerControl:
         expected = -(-50.0 * 0.2 + 0.0075 * 0.1 + 0.0075 * 0.05 + 2.5 + 0.01) + a3
         assert u == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_weights_match_the_backstepping_chain(self, tail):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            states = rng.uniform(-1e3, 1e3, 6)
+            what_next = None if tail else rng.uniform(-1.0, 1.0)
+            derivs = rng.uniform(-50.0, 50.0, 5)
+            coupling = (-50.0, 0.0075, 0.0 if tail else 0.0075, *rng.uniform(-3.0, 3.0, 2))
+            args = (*states, what_next, *derivs, *coupling, GAINS, D_P)
+            expected = oracle.follower_control(*args)
+            scale = max(np.abs(states).max(), np.abs(derivs).max(), 1.0)
+            assert follower_control(*args) == pytest.approx(expected, abs=1e-12 * scale)
+
 
 class TestBarriers:
     def test_phi_zero_at_origin(self):
@@ -214,8 +226,9 @@ class TestBarrierPrecision:
     def test_clamp_points_match_exact_arithmetic(self, upper, lower, side):
         outside = upper + 5.0 if side == "upper" else -lower - 5.0
         events = []
-        x = ctrl._clamp_to_domain(outside, upper, lower, True,
-                                  lambda *event: events.append(event))
+        x = ctrl._clamp_to_domain(outside, upper, lower, True)
+        assert x == oracle.clamp_to_domain(outside, upper, lower, True,
+                                           lambda *event: events.append(event))
         assert events and -lower < x < upper
         hi, lo, xf = Fraction(upper), Fraction(lower), Fraction(x)
         exact_value = math.log(hi * (lo + xf) / (lo * (hi - xf)))
@@ -267,6 +280,8 @@ class TestClampedPairErrors:
         for v_tilde, q_edge in ((1e16, VR1), (-1e16, -VR2)):
             events = []
             xt, qt = ctrl.clamp_pair_errors(
+                -2000.0, v_tilde, HEAD.ell1, RHO1, RHO2, VR1, VR2, saturate=True)
+            assert (xt, qt) == oracle.clamp_pair_errors(
                 -2000.0, v_tilde, HEAD.ell1, RHO1, RHO2, VR1, VR2, saturate=True,
                 record=lambda *event: events.append(event))
             assert xt == -2000.0
@@ -338,9 +353,10 @@ class TestBetaFunctions:
 
     def test_saturation_records_violation(self):
         events = []
-        beta_functions(RHO1 + 10.0, 0.0, 0.0, HEAD, RHO1, RHO2, VR1, VR2,
-                       saturate=True,
-                       record=lambda kind, v, lo, hi: events.append((kind, v)))
+        args = (RHO1 + 10.0, 0.0, 0.0, HEAD, RHO1, RHO2, VR1, VR2)
+        beta = beta_functions(*args, saturate=True)
+        assert beta == oracle.beta_functions(
+            *args, saturate=True, record=lambda kind, v, lo, hi: events.append((kind, v)))
         assert events and events[0][0] == "xtilde"
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import short_scenario
 from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
                     auxiliary_mu2, b1_coefficient, coefficient_b, composite_rhs,
@@ -20,6 +21,7 @@ from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
                     fault_value, observer_gains, observer_rhs, plant_rhs,
                     preliminary_control, snapped_faults, tail_indices, train_slices)
 import platoonsim
+from platoonsim import autodiff
 from platoonsim import controller as ctrl
 from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
 from platoonsim.faults import snap_windows
@@ -134,8 +136,20 @@ class TestConfigValidation:
         (lambda c: dict(initial=c.initial[:-1] + (c.initial[-1][:2],)), None),
         (lambda c: dict(observer_initial=tuple((*s[:2], 0.0, 0.0, 0.0, 0.0)[:5 if g == 4 else 6]
                                                for g, s in enumerate(c.initial))), None),
+        (lambda c: dict(initial=c.initial[:3] + ((*c.initial[3][:2], math.nan),)
+                        + c.initial[4:]), "initial entries are finite"),
+        (lambda c: dict(initial=((c.initial[0][0], math.inf, 0.0),) + c.initial[1:]),
+         "initial entries are finite"),
+        (lambda c: dict(observer_initial=tuple((*s[:2], math.nan, 0.0, 0.0, 0.0)
+                                               for s in c.initial)),
+         "observer_initial entries are finite"),
+        (lambda c: dict(noise=dataclasses.replace(c.noise, seed=1.5)),
+         "noise seed is an integer >= 0"),
+        (lambda c: dict(noise=dataclasses.replace(c.noise, seed=-1)),
+         "noise seed is an integer >= 0"),
     ], ids=["step-nan", "step-inf", "duration-nan", "variance-nan", "stride-float",
-            "initial-entry", "observer-initial-entry"])
+            "initial-entry", "observer-initial-entry", "initial-nan", "initial-inf",
+            "observer-initial-nan", "seed-float", "seed-negative"])
     def test_malformed_scenario_named_error(self, s5_config, change, violation):
         with pytest.raises(ConfigurationError) as info:
             run_scenario(dataclasses.replace(s5_config, **change(s5_config)))
@@ -274,7 +288,7 @@ def check_scalar_assembly(config):
         else:
             p = g - 1
             wh_next = wh[g + 1] if j < m_i else None
-            u[g] = ctrl.follower_control(
+            u[g] = oracle.follower_control(
                 xh[g], vh[g], wh[g], xh[p], vh[p], wh[p], wh_next,
                 vh[g] + aux[g].mu1, wh[g] + aux[g].mu2,
                 vh[p] + aux[p].mu1, wh[p] + aux[p].mu2, whdot[p],
@@ -403,7 +417,7 @@ def per_carriage_controls(engine, t, y):
         for g in range(s + 1, e):
             p = g - 1
             wh_next = wh[g + 1] if g + 1 < e else None
-            u[g] = ctrl.follower_control(
+            u[g] = oracle.follower_control(
                 xh[g], vh[g], wh[g], xh[p], vh[p], wh[p], wh_next,
                 xhdot[g], vhdot[g], xhdot[p], vhdot[p], whdot[p],
                 b1v[g], engine.b2[g], engine.b3[g], cf_hat[g], mu3[g],
@@ -534,7 +548,7 @@ def check_head_law_per_pair(configs, outside, t, gap, combined, push, seed):
         def record(kind, value, lo, hi, pair=pair):
             events.append({"t": t, "pair": pair, "quantity": kind,
                            "value": value, "low": lo, "high": hi})
-        beta = ctrl.beta_functions(xt, vt, wt, h, *bounds, saturate=True, record=record)
+        beta = oracle.beta_functions(xt, vt, wt, h, *bounds, saturate=True, record=record)
         expected.append(ctrl.head_feedback(vt + h.ell1 * xt, vt, wt, beta, h))
     assert [float(v).hex() for v in got] == [v.hex() for v in expected]
 
@@ -677,7 +691,7 @@ def scalar_derivatives(engine, t, y):
                 saturate=True)
         elif designed:
             p = g - 1
-            u[g] = ctrl.follower_control(
+            u[g] = oracle.follower_control(
                 xh[g], vh[g], wh[g], xh[p], vh[p], wh[p], wh_next,
                 vh[g] + aux[g].mu1, wh[g] + aux[g].mu2, vh[p] + aux[p].mu1, wh[p] + aux[p].mu2,
                 d_obs[p].w_hat, b1, b_over_m, 0.0 if wh_next is None else b_over_m,
@@ -1235,6 +1249,16 @@ class TestDeterminismAndStructure:
                 assert abs(whdot[g] - base[g]) > 0.1, g
                 assert behind.max() <= 1e-12 * scale, g
 
+    @pytest.mark.parametrize("duration, stride, steps", [
+        (0.1, 3, [0, 3, 6, 9, 10]), (0.1, 5, [0, 5, 10]), (0.1, 100, [0, 10]),
+        (0.001, 4, [0])], ids=["remainder", "multiple", "beyond", "no-steps"])
+    def test_sampled_steps(self, s5_config, duration, stride, steps):
+        # every stride-th step, then the last step whether or not the stride hits it
+        every, _ = run_scenario(short_scenario(s5_config, duration))
+        record, _ = run_scenario(short_scenario(s5_config, duration, record_stride=stride))
+        assert np.array_equal(record.t, every.t[steps])
+        assert np.array_equal(record.table, every.table[steps])
+
     def test_step_halving_leaves_terminal_errors_unchanged(self, s5_config):
         base = short_scenario(s5_config, 150.0, step=0.01)
         half = short_scenario(s5_config, 150.0, step=0.005)
@@ -1389,6 +1413,38 @@ class TestConstraintHandling:
         y = self.violating_state(engine)
         with pytest.raises(BarrierDomainError):
             engine.evaluate(0.0, y)
+
+
+class TestNoDualNumbersAtRunTime:
+    """The engine and the package's control laws build no dual number."""
+
+    def test_no_dual_is_built(self, s5_config, monkeypatch):
+        built = []
+        original = autodiff.Dual.__init__
+
+        def counted(dual, value, grad):
+            built.append(value)
+            original(dual, value, grad)
+
+        monkeypatch.setattr(autodiff.Dual, "__init__", counted)
+        run_scenario(short_scenario(s5_config, 0.5, noise=True))
+
+        # the gap error of pair 1 and the combined error of pair 2 pushed outside
+        engine = _ClosedLoop(short_scenario(s5_config, 20.0))
+        y = random_feasible_state(engine, 3.0, [1.5, 0.2, -0.4], [0.1, -2.0, 0.3],
+                                  np.random.default_rng(3))
+        engine._head_feedback(3.0, y, *engine.config.profile.evaluate(3.0)[:3])
+        assert [(e["pair"], e["quantity"]) for e in engine.violations] == [
+            (1, "xtilde"), (2, "qtilde")]
+
+        ctrl.follower_control(1.0, 21.0, 0.2, 27.5, 20.5, 0.1, 0.05,
+                              21.1, 0.21, 20.6, 0.12, -0.4,
+                              -50.0, 0.0075, 0.0075, 2.5, 0.01, engine.fgains, engine.d_p)
+        ctrl.head_control(0.4, -50.01, 0.0075, 0.3, 0.1, 1.2, 0.05, 800.0, 0.5, -0.2,
+                          engine.hgains, engine.rho1, engine.rho2, engine.vr1, engine.vr2)
+        assert built == []
+        autodiff.Dual(1.0, (1.0,))      # the hook sees a dual number that is built
+        assert built == [1.0]
 
 
 def synthetic_record(xtilde_column):
