@@ -14,12 +14,13 @@ follower command alpha3 is five constant weights (:func:`alpha3_coefficients`)
 on a follower's differences to its predecessor plus the predecessor's
 estimated jerk; the simulator applies the weights once per derivative
 evaluation.  The head law runs once per train pair on floats: the pure clamp
-:func:`clamp_pair_errors` for a pair outside the barrier domain, then
-:func:`beta_partials` (the closed-form partials of the barrier composite
-beta1) and :func:`head_feedback`.  The tests keep the scalar follower chain
-alpha1 -> alpha2 -> alpha3 and a recording clamp in ``tests/oracle.py`` as
-references, and check the closed forms with forward-mode dual numbers
-(:mod:`platoonsim.autodiff`).
+:func:`clamp_pair_errors` for a pair outside the barrier domain, then one
+:func:`head_pair` call, which gives the barrier composite beta1, its
+closed-form partials and the closed-loop term, with its constants built once
+by :func:`head_constants`.  The tests keep the scalar follower chain
+alpha1 -> alpha2 -> alpha3, a recording clamp and the array/dual forms of
+the head law in ``tests/oracle.py`` as references, and check the closed
+forms with forward-mode dual numbers (:mod:`platoonsim.autodiff`).
 """
 
 from __future__ import annotations
@@ -229,21 +230,55 @@ def clamp_pair_errors(x_tilde, v_tilde, ell1, rho1, rho2, varrho1, varrho2,
     return xt, _clamp_to_domain(v_tilde + ell1 * xt, varrho1, varrho2, saturate)
 
 
-def beta_partials(x_tilde, q_tilde, gains, rho1, rho2, varrho1, varrho2):
-    """beta1 and its partials w.r.t. the gap and velocity errors, in closed form.
+def head_constants(gains, rho1, rho2, varrho1, varrho2):
+    """The constants :func:`head_pair` reads, built once from the gains and bounds.
 
-    Takes the gap error and the combined error q = v + ell1*x; evaluates on
-    floats, arrays or duals inside the barrier domain.  With barrier slopes
-    Phi(x), Psi(q) and curvatures Phi', Psi':
-    d(beta1)/dv = -ell2 - ell3*(Psi^2 + psi*Psi') and
-    d(beta1)/dx = -(Phi^2 + phi*Phi') + ell1*d(beta1)/dv.
+    ``(ell1, ell2, ell3, ell1**2 - ell4, rho1, rho2, varrho1, varrho2)``.
     """
-    phi, big_phi, d_big_phi = _barrier(x_tilde, rho1, rho2)
-    psi, big_psi, d_big_psi = _barrier(q_tilde, varrho1, varrho2)
-    value = -phi * big_phi - gains.ell2 * q_tilde - gains.ell3 * psi * big_psi
-    d_v = -gains.ell2 - gains.ell3 * (big_psi * big_psi + psi * d_big_psi)
-    d_x = -(big_phi * big_phi + phi * d_big_phi) + gains.ell1 * d_v
-    return value, d_x, d_v
+    return (gains.ell1, gains.ell2, gains.ell3, gains.ell1 ** 2 - gains.ell4,
+            rho1, rho2, varrho1, varrho2)
+
+
+def head_pair(x_tilde, q_tilde, v_tilde, what_tilde, q_formed, constants):
+    """beta1, its partials and the closed-loop term of one train pair's head law, on floats.
+
+    ``x_tilde`` and ``q_tilde`` are the gap and combined errors inside the
+    barrier domain (clamped by :func:`clamp_pair_errors` when they were
+    outside), ``q_formed`` the combined error v_tilde + ell1*x_tilde as
+    formed, and ``constants`` is :func:`head_constants`.  With the barrier
+    transform phi (psi), slope Phi (Psi) and curvature Phi' (Psi') of each
+    error on its interval (see :func:`barrier_phi`):
+    beta1 = -phi*Phi - ell2*q - ell3*psi*Psi,
+    d(beta1)/dv = -ell2 - ell3*(Psi^2 + psi*Psi'),
+    d(beta1)/dx = -(Phi^2 + phi*Phi') + ell1*d(beta1)/dv, and with
+    beta2 = what_tilde + ell1*v_tilde - beta1 the head input is
+    u = g_front - own + feedback, where feedback =
+    ell1*w + ell1^2*beta2 - pbx*v - pbv*w + pbv^2*beta2 + q - ell4*beta2,
+    with the what_tilde and beta2 terms collected.  Returns
+    ``(beta1, d(beta1)/dx, d(beta1)/dv, feedback)``.
+    """
+    ell1, ell2, ell3, ell1_sq_less_ell4, rho1, rho2, varrho1, varrho2 = constants
+    near_lo = rho2 + x_tilde
+    near_hi = rho1 - x_tilde
+    phi = math.log(rho1 * near_lo) - math.log(rho2 * near_hi)
+    inv_lo = 1.0 / near_lo
+    inv_hi = 1.0 / near_hi
+    big_phi = inv_lo + inv_hi
+    d_big_phi = (inv_hi - inv_lo) * big_phi
+    near_lo = varrho2 + q_tilde
+    near_hi = varrho1 - q_tilde
+    psi = math.log(varrho1 * near_lo) - math.log(varrho2 * near_hi)
+    inv_lo = 1.0 / near_lo
+    inv_hi = 1.0 / near_hi
+    big_psi = inv_lo + inv_hi
+    d_big_psi = (inv_hi - inv_lo) * big_psi
+    value = -phi * big_phi - ell2 * q_tilde - ell3 * psi * big_psi
+    d_v = -ell2 - ell3 * (big_psi * big_psi + psi * d_big_psi)
+    d_x = -(big_phi * big_phi + phi * d_big_phi) + ell1 * d_v
+    beta2 = what_tilde + ell1 * v_tilde - value
+    return value, d_x, d_v, ((ell1 - d_v) * what_tilde
+                             + (d_v * d_v + ell1_sq_less_ell4) * beta2
+                             - d_x * v_tilde + q_formed)
 
 
 def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
@@ -256,24 +291,9 @@ def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
     """
     xt, qt = clamp_pair_errors(x_tilde, v_tilde, gains.ell1, rho1, rho2,
                                varrho1, varrho2, saturate)
-    val, d_x, d_v = beta_partials(xt, qt, gains, rho1, rho2, varrho1, varrho2)
+    val, d_x, d_v, _ = head_pair(xt, qt, v_tilde, what_tilde, qt,
+                                 head_constants(gains, rho1, rho2, varrho1, varrho2))
     return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
-
-
-def head_feedback(q_tilde, v_tilde, what_tilde, beta, gains):
-    """Closed-loop term of the head law: u = g_front - own + head_feedback(...).
-
-    ``q_tilde`` is the combined error v_tilde + ell1*x_tilde and ``beta``
-    is ``(beta1, beta2, d(beta1)/dx, d(beta1)/dv)`` as
-    :func:`beta_functions` returns it.  Evaluates on floats or on arrays
-    with one entry per train pair.
-    """
-    _, bt2, pbx, pbv = beta
-    # ell1*w + ell1^2*beta2 - pbx*v - pbv*w + pbv^2*beta2 + q - ell4*beta2,
-    # with the what_tilde and beta2 terms collected
-    return ((gains.ell1 - pbv) * what_tilde
-            + (pbv * pbv + (gains.ell1 ** 2 - gains.ell4)) * bt2
-            - pbx * v_tilde + q_tilde)
 
 
 def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
@@ -285,15 +305,16 @@ def head_control(g_front, b1, b3, what, what_next, cf_hat, mu3,
     (the virtual lead's jerk for the first train); ``what_tilde`` the
     estimated acceleration difference across the gap.  The remaining terms
     cancel this carriage's own estimated coupling/fault/correction and close
-    the loop on the barrier-transformed errors.
+    the loop on the barrier-transformed errors (:func:`head_pair`).
     """
-    beta = beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
-                          varrho1, varrho2, saturate=saturate)
+    xt, qt = clamp_pair_errors(x_tilde, v_tilde, gains.ell1, rho1, rho2,
+                               varrho1, varrho2, saturate)
+    feedback = head_pair(xt, qt, v_tilde, what_tilde, v_tilde + gains.ell1 * x_tilde,
+                         head_constants(gains, rho1, rho2, varrho1, varrho2))[3]
     own = b1 * what + cf_hat + mu3
     if what_next is not None:
         own += b3 * what_next
-    q_tilde = v_tilde + gains.ell1 * x_tilde
-    return g_front - own + head_feedback(q_tilde, v_tilde, what_tilde, beta, gains)
+    return g_front - own + feedback
 
 
 # ---------------------------------------------------------------------------

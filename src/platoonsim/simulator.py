@@ -187,15 +187,65 @@ def validate_config(config):
                              "observer"))
     if override is None:
         eigenvalues = [complex(lam) for lam in config.observer_eigenvalues]
-        if len(eigenvalues) != 5:
-            out.append(Violation("5 observer eigenvalues", len(eigenvalues), 5, "observer"))
-        out.extend(Violation("observer eigenvalue real part < 0", lam.real, 0.0, "observer")
-                   for lam in eigenvalues if not lam.real < 0)
+        placement = ([] if len(eigenvalues) == 5 else
+                     [Violation("5 observer eigenvalues", len(eigenvalues), 5, "observer")])
+        placement += [Violation("observer eigenvalue real part < 0", lam.real, 0.0, "observer")
+                      for lam in eigenvalues if not lam.real < 0]
+        # the gains are synthesized per distinct observer pair: once the
+        # eigenvalues pass, check each pair as placement will see it
+        out.extend(placement or _observer_pair_violations(config, eigenvalues))
+    monitor = config.monitor
+    if not monitor.tail_window >= 0:
+        out.append(Violation("monitor tail_window >= 0", monitor.tail_window, 0.0, "monitor"))
+    for name in ("tol_xtilde_mean", "tol_vtilde_mean", "tol_gap_mean", "tol_vgap_mean"):
+        if not getattr(monitor, name) > 0:
+            out.append(Violation(f"monitor {name} > 0", getattr(monitor, name), 0.0, "monitor"))
     out.extend(ctrl.validate_parameters(config.follower_gains, config.head_gains,
                                         config.constraints))
     if not any(v.subject == "head gains" or v.subject == "constraints" for v in out):
         out.extend(ctrl.validate_initial(initial_pair_errors(config),
                                          config.constraints, config.head_gains.ell1))
+    return out
+
+
+def _observer_pairs(carriages):
+    """Each distinct ``(C, omega)`` of the carriages' observers, with the carriages sharing it.
+
+    ``C = (upsilon, 0, nu*omega) / mass`` is the fault row of a carriage's
+    augmented observer pair and ``omega`` its generator frequency; carriages
+    with the same pair get the same observer gains.
+    """
+    pairs = {}
+    for g, carriage in enumerate(carriages):
+        f, mass = carriage.fault, carriage.mass
+        key = ((f.upsilon / mass, 0.0 / mass, f.nu * f.omega / mass), f.omega)
+        pairs.setdefault(key, []).append(g)
+    return pairs
+
+
+def _observer_pair_violations(config, eigenvalues):
+    """The observer pairs on which gain placement would fail, as violations.
+
+    Each distinct pair is checked once: it must be observable, and the
+    eigenvalues must be closed under conjugation as placement on it tests.
+    """
+    out = []
+    labels = list(config.topology.carriage_ids())
+    for (c_row, omega), members in _observer_pairs(config.carriages).items():
+        subject = "observer of carriage {}_{}".format(*labels[members[0]])
+        a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
+        # a pair whose observability matrix cannot be decomposed (a non-finite
+        # or overflowing entry) cannot be placed either
+        with np.errstate(all="ignore"):
+            try:
+                observable = obs.check_observability(a, c)
+            except np.linalg.LinAlgError:
+                observable = False
+        if not observable:
+            out.append(Violation("observer pair is observable", False, True, subject))
+        elif not obs.closed_under_conjugation(a, eigenvalues):
+            out.append(Violation("observer eigenvalues are closed under conjugation",
+                                 False, True, subject))
     return out
 
 
@@ -217,12 +267,13 @@ def require_feasible(config, source="scenario"):
 # integrator
 # ---------------------------------------------------------------------------
 
-def rk4_step(rhs, state, t, h, k1=None):
+def rk4_step(rhs, state, t, h, k1=None, labels=None):
     """One classical fourth-order step from ``t`` to ``t + h``.
 
     ``k1`` may be supplied when the derivative at ``t`` has already been
     evaluated.  Raises :class:`IntegrationFault` when the update goes
-    non-finite.
+    non-finite, naming the first eight non-finite entries by ``labels``
+    (one name per state entry; ``state[i]`` without).
     """
     if k1 is None:
         k1 = rhs(t, state)
@@ -231,8 +282,9 @@ def rk4_step(rhs, state, t, h, k1=None):
     k4 = rhs(t + h, state + h * k3)
     out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(out).all():
-        bad = np.flatnonzero(~np.isfinite(out))
-        raise IntegrationFault(t, labels=[f"state[{i}]" for i in bad[:8]])
+        bad = np.flatnonzero(~np.isfinite(out))[:8]
+        raise IntegrationFault(t, labels=[f"state[{i}]" if labels is None else labels[i]
+                                          for i in bad])
     return out
 
 
@@ -269,6 +321,8 @@ class _ClosedLoop:
         self.vr1, self.vr2 = config.constraints.varrho(config.head_gains.ell1)
         self.fgains = config.follower_gains
         self.hgains = config.head_gains
+        self.head_constants = ctrl.head_constants(self.hgains, self.rho1, self.rho2,
+                                                  self.vr1, self.vr2)
         self.davis = davis
         self.c1, self.c2 = davis.c1, davis.c2
         self.a_stiff, self.b_damp = coupler.stiffness, coupler.damping
@@ -288,6 +342,7 @@ class _ClosedLoop:
 
         self.mass = np.array([c.mass for c in config.carriages])
         self.rate = np.array([c.actuator_rate for c in config.carriages])
+        self.mass_rate, self.neg_rate = self.mass * self.rate, -self.rate
         b_over_m = self.b_damp / self.mass
         interior = (j_of > 1) & (j_of < m_of)
         # B1(v) = bm1 - 2*c2*v ; D1(v) = bm1*v - c2*v^2
@@ -322,27 +377,20 @@ class _ClosedLoop:
                                       [f.window_periodic[0] for f in faults]])
         self.window_end = np.array([[f.window_const[1] for f in faults],
                                     [f.window_periodic[1] for f in faults]])
-        self.e_rows = np.column_stack(
-            [self.upsilon, np.zeros(nc), self.nu_omega])
-        self.c_rows = self.e_rows / self.mass[:, None]
         # generator rotation acting on (f3, f2) in the (f2, f3) derivative slots
         self.rotation = np.column_stack((self.omega, -self.omega))
 
-        gains = []
-        cache = {}
-        for g, carriage in enumerate(config.carriages):
-            key = (tuple(self.c_rows[g]), self.omega[g])
-            if key not in cache:
-                if config.observer_gain_override is not None:
-                    cache[key] = obs.ObserverGains(
-                        k1=config.observer_k1,
-                        k=tuple(config.observer_gain_override))
-                else:
-                    a, c = obs.build_augmented_pair(self.c_rows[g],
-                                                    exosystem_matrix(self.omega[g]))
-                    cache[key] = obs.synthesize_gains(
-                        a, c, config.observer_eigenvalues, k1=config.observer_k1)
-            gains.append(cache[key])
+        gains = [None] * nc
+        for (c_row, omega), members in _observer_pairs(config.carriages).items():
+            if config.observer_gain_override is not None:
+                pair_gains = obs.ObserverGains(k1=config.observer_k1,
+                                               k=tuple(config.observer_gain_override))
+            else:
+                a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
+                pair_gains = obs.synthesize_gains(a, c, config.observer_eigenvalues,
+                                                  k1=config.observer_k1)
+            for g in members:
+                gains[g] = pair_gains
         self.k1g = np.array([g.k1 for g in gains])
         self.k2g = np.array([g.k2 for g in gains])
         self.k3g = np.array([g.k3 for g in gains])
@@ -374,6 +422,13 @@ class _ClosedLoop:
                 self.sl[name] = slice(offset, offset + nc)
                 offset += nc
         self.n_states = offset
+        # the name of every state entry, block and carriage (wh[2_1]; the
+        # fault estimate's three per carriage are fh1 to fh3), for error messages
+        carriages = [f"{i}_{j}" for i, j in topo.carriage_ids()]
+        self.state_labels = []
+        for name in self.sl:
+            parts = ("fh1", "fh2", "fh3") if name == "fh" else (name,)
+            self.state_labels += [f"{part}[{c}]" for c in carriages for part in parts]
 
         # every state block is a multiple of nc long, so the state reshapes to
         # (rows, nc); the *_rows slices select rows of it
@@ -437,13 +492,32 @@ class _ClosedLoop:
             self._diffs[:3], self._diffs[0], self._diffs[3:])
         self._inc = np.empty(nc)
         self._inc_follow = self._inc[1:]
+        # One record-table row, written in place at every sample, and a
+        # (field, owner) view of each of its column blocks, in the record's own
+        # layout.  The carriage and pair fields are worked out in contiguous
+        # (field, owner) arrays and copied into their block at once: numpy
+        # writes a strided two-dimensional block slowly, one at a time.
+        plant_columns = has_plant and not self.measure_from_plant
+        sample = np.empty((1, len(column_names(topo.carriage_ids(), self.n_trains,
+                                               plant_columns))))
+        self.sample = sample[0]
+        self._sample_blocks = [view[0].T for _, view in _block_views(
+            sample, tuple(topo.carriage_ids()), self.n_trains, plant_columns)]
+        self._sample_cols = np.empty((len(_CARRIAGE_FIELDS), nc))
+        self._sample_pairs = np.empty((len(_PAIR_FIELDS), self.n_trains))
+        # per train pair, flat state indices of the measured (x, v) at the
+        # front and at the head, as rows
+        self._pair_xv = self.pair_idx[:, [0, 1, 3, 4]].T
+        self._xvw_rows = (slice(row["x"], row["w"] + 1, row["v"] - row["x"])
+                          if has_composite else None)
+        self._tau_row = row.get("tau")
+        self._plant_rows = slice(row["xp"], row["tau"] + 1) if plant_columns else None
 
         self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
         self.violations = []           # first EVENTS_KEPT saturations per (pair, quantity)
         self.saturations = {}          # pair -> quantity -> count, first and last time
-        self._block_first = None       # first step of the stored time-term block,
-        self._block_rows = {}          # its stage time -> row map
-        self._block = None             # and its rows, as _time_terms returns them
+        self._block_first = None       # first step of the stored time-term block
+        self._block_rows = {}          # and its stage time -> time_terms tuple map
 
     # -- helpers ------------------------------------------------------------
 
@@ -457,25 +531,24 @@ class _ClosedLoop:
         gets the same formula on a one-row block.  The two fault arrays are
         read-only, as every caller shares them.
         """
-        row = self._block_rows.get(t)
-        if row is None:
+        terms = self._block_rows.get(t)
+        if terms is None:
             h = self.config.step
             first = math.floor(t / h + 0.25) // _BLOCK_STEPS * _BLOCK_STEPS
             if first != self._block_first:
                 horizon = self.config.profile.horizon
-                self._block_rows = {}
-                for k in range(first, first + _BLOCK_STEPS):
-                    for stage_t in (k * h, k * h + 0.5 * h, k * h + h):
-                        if 0.0 <= stage_t <= horizon:
-                            self._block_rows.setdefault(stage_t, len(self._block_rows))
-                self._block = self._time_terms(list(self._block_rows))
+                times = list(dict.fromkeys(
+                    stage_t for k in range(first, first + _BLOCK_STEPS)
+                    for stage_t in (k * h, k * h + 0.5 * h, k * h + h)
+                    if 0.0 <= stage_t <= horizon))
+                self._block_rows = {stage_t: (*reference, ef, cf) for stage_t, reference, ef, cf
+                                    in zip(times, *self._time_terms(times))}
                 self._block_first = first
-                row = self._block_rows.get(t)
-            if row is None:
+                terms = self._block_rows.get(t)
+            if terms is None:
                 reference, ef_true, cf_true = self._time_terms([t])
                 return (*reference[0], ef_true[0], cf_true[0])
-        reference, ef_true, cf_true = self._block
-        return (*reference[row], ef_true[row], cf_true[row])
+        return terms
 
     def _time_terms(self, times):
         """Per time: reference tuple, and rows of true fault force rates and jerks."""
@@ -575,9 +648,10 @@ class _ClosedLoop:
             np.add(self._diffs_gap, self.d_p, out=self._diffs_gap)
             np.subtract(self._d_pair_behind, self._d_pair_ahead, out=self._diffs_d)
             np.dot(self.alpha3_coef, diffs, out=self._inc_follow)
-            inc[self.heads] = self._head_feedback(t, self._y, x0r, v0r, w0r)
-            inc[0] += u0r
-            whdot = inc.cumsum(out=self._d_wh)
+            heads = self._head_feedback(t, self._y, x0r, v0r, w0r)
+            heads[0] += u0r
+            inc[self.heads] = heads
+            whdot = np.add.accumulate(inc, out=self._d_wh)
             u = whdot - own
 
         if self.has_composite:
@@ -589,26 +663,27 @@ class _ClosedLoop:
             resist = self.davis.resistance(vp)
             b4 = self.stiffness_drift(dv)
             varpi = (self.mass * u + self.rate * coupling
-                     + self.mass * self.rate * resist - self.mass * b4
+                     + self.mass_rate * resist - self.mass * b4
                      + self.mass * self.delta)
             self._d_xp[:] = vp
             np.divide(tau - coupling - self.mass * resist, self.mass, out=self._d_vp)
-            np.add(-self.rate * tau + varpi, ef_true, out=self._d_tau)
+            np.add(self.neg_rate * tau + varpi, ef_true, out=self._d_tau)
         return self._dy.copy(), (u, ef_true, ef_hat)
 
     def rhs(self, t, y):
         return self.evaluate(t, y)[0]
 
     def _head_feedback(self, t, y, x0r, v0r, w0r):
-        """Closed-loop terms of the head laws (see ``controller.head_feedback``).
+        """Closed-loop terms of the head laws, a list with one float per train pair.
 
-        One train pair at a time, on floats.  A pair outside the open barrier
-        domain is clamped by ``controller.clamp_pair_errors`` and each clamp
-        recorded, in pair order, the gap error before the combined error; in
-        abort mode the clamp raises :class:`BarrierDomainError` instead.
+        One ``controller.head_pair`` call per pair, on floats.  A pair outside
+        the open barrier domain is clamped by ``controller.clamp_pair_errors``
+        and each clamp recorded, in pair order, the gap error before the
+        combined error; in abort mode the clamp raises
+        :class:`BarrierDomainError` instead.
         """
-        gains = self.hgains
-        ell1, d_s = gains.ell1, self.d_s
+        head_pair, constants = ctrl.head_pair, self.head_constants
+        ell1, d_s = self.hgains.ell1, self.d_s
         rho1, rho2, vr1, vr2 = self.rho1, self.rho2, self.vr1, self.vr2
         pairs = y[self.pair_idx].tolist()
         pairs[0][:3] = x0r, v0r, w0r
@@ -628,9 +703,7 @@ class _ClosedLoop:
                     if not lo < value < hi:
                         self._saturated({"t": t, "pair": pair, "quantity": kind,
                                          "value": value, "low": lo, "high": hi})
-            b1, d_x, d_v = ctrl.beta_partials(xc, qc, gains, rho1, rho2, vr1, vr2)
-            out.append(ctrl.head_feedback(qt, vt, wt, (b1, wt + ell1 * vt - b1, d_x, d_v),
-                                          gains))
+            out.append(head_pair(xc, qc, vt, wt, qt, constants)[3])
         return out
 
     def _saturated(self, event):
@@ -647,41 +720,38 @@ class _ClosedLoop:
     # -- sample-time diagnostics ---------------------------------------------
 
     def sample_row(self, t, y, stage_diag):
-        """All recorded quantities at a sample instant."""
-        sl = self.sl
-        u, ef_true, ef_hat = stage_diag
-        xh = y[sl["xh"]]
-        vh = y[sl["vh"]]
-        wh = y[sl["wh"]]
+        """Every recorded quantity at a sample instant, as one record-table row.
+
+        The row is the engine's own buffer, laid out as a row of
+        :class:`SimulationRecord`'s table, and the next call overwrites it.
+        """
+        rows, cols, pairs = y.reshape(-1, self.nc), self._sample_cols, self._sample_pairs
+        xvw, w, tau = cols[:3], cols[2], cols[3]     # _CARRIAGE_FIELDS order
+        meas = rows[self.meas_rows]
+        coupling = self.coupling_vector(*(meas[:, :-1] - meas[:, 1:]))
+        resist = self.davis.resistance(meas[1])
         if self.measure_from_plant:
-            xm, vm = y[sl["xp"]], y[sl["vp"]]
-            tau = y[sl["tau"]]
-            coupling = self.coupling_vector(xm[:-1] - xm[1:], vm[:-1] - vm[1:])
-            resist = self.davis.resistance(vm)
-            wm = (tau - coupling - self.mass * resist) / self.mass
+            xvw[:2] = meas
+            tau[:] = rows[self._tau_row]
+            np.divide(tau - coupling - self.mass * resist, self.mass, out=w)
         else:
-            xm, vm, wm = y[sl["x"]], y[sl["v"]], y[sl["w"]]
-            coupling = self.coupling_vector(xm[:-1] - xm[1:], vm[:-1] - vm[1:])
-            resist = self.davis.resistance(vm)
-            tau = self.mass * wm + coupling + self.mass * resist
-        x0r, v0r = self.time_terms(t)[:2]
-        eps = xm[self.front_tails] - xm[self.heads]
-        vt = vm[self.front_tails] - vm[self.heads]
-        eps[0] = x0r - xm[0]
-        vt[0] = v0r - vm[0]
-        xt = eps - self.d_s
-        qt = vt + self.hgains.ell1 * xt
-        row = {
-            "x": xm, "v": vm, "w": wm, "tau": tau, "u": u,
-            "f_eff": ef_true, "f_eff_hat": ef_hat,
-            "e_x": xh - xm, "e_v": vh - vm, "e_w": wh - wm,
-            "eps": eps, "xtilde": xt, "vtilde": vt, "qtilde": qt,
-        }
-        if self.has_plant and not self.measure_from_plant:
-            row["plant_x"] = y[sl["xp"]]
-            row["plant_v"] = y[sl["vp"]]
-            row["plant_tau"] = y[sl["tau"]]
-        return row
+            xvw[:] = rows[self._xvw_rows]
+            np.add(self.mass * w + coupling, self.mass * resist, out=tau)
+        cols[4][:], cols[5][:], cols[6][:] = stage_diag      # u, f_eff, f_eff_hat
+        np.subtract(rows[self.est_rows], xvw, out=cols[7:])
+        # gap and velocity errors (pairs rows: eps, xtilde, vtilde, qtilde);
+        # the first pair's front is the virtual lead
+        front_head = y[self._pair_xv]
+        front_head[0, 0], front_head[1, 0] = self.time_terms(t)[:2]
+        np.subtract(front_head[:2], front_head[2:], out=pairs[::2])
+        np.subtract(pairs[0], self.d_s, out=pairs[1])
+        np.add(pairs[2], self.hgains.ell1 * pairs[1], out=pairs[3])
+        blocks = self._sample_blocks
+        self.sample[0] = t
+        blocks[0][:], blocks[1][:] = cols, pairs
+        if self._plant_rows is not None:
+            blocks[2][:] = rows[self._plant_rows]
+        return self.sample
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +789,16 @@ def _blocks(carriage_labels, n_trains, plant):
     return blocks
 
 
+def _block_views(table, carriage_labels, n_trains, plant):
+    """Per block of columns after ``t_s``: its fields, and a (row, owner, field) view of it."""
+    out, start = [], 1
+    for fields, _, owners in _blocks(carriage_labels, n_trains, plant):
+        stop = start + len(fields) * len(owners)
+        out.append((fields, table[:, start:stop].reshape(len(table), len(owners), len(fields))))
+        start = stop
+    return out
+
+
 @dataclass
 class SimulationRecord:
     """Sampled time series of one run (fixed stride, monotone time column).
@@ -739,17 +819,14 @@ class SimulationRecord:
     data: dict = field(init=False, repr=False)  # field -> view into table
 
     def __post_init__(self):
+        self.carriage_labels = tuple(self.carriage_labels)   # read more than once below
         width = len(self.column_names())
         if self.table.ndim != 2 or self.table.shape[1] != width:
             raise ValueError(f"record table of shape {self.table.shape} needs {width} columns")
         self.t = self.table[:, 0]
-        self.data = {}
-        start = 1
-        for fields, _, owners in _blocks(self.carriage_labels, self.n_trains, self.plant):
-            stop = start + len(fields) * len(owners)
-            for k, f in enumerate(fields):
-                self.data[f] = self.table[:, start + k:stop:len(fields)]
-            start = stop
+        self.data = {f: view[:, :, k] for fields, view in _block_views(
+            self.table, self.carriage_labels, self.n_trains, self.plant)
+            for k, f in enumerate(fields)}
 
     @classmethod
     def allocate(cls, n_samples, carriage_labels, n_trains, step, stride, plant=False):
@@ -965,7 +1042,6 @@ def run_scenario(config):
     record = SimulationRecord.allocate(
         n_samples, config.topology.carriage_ids(), engine.n_trains, h, stride,
         plant=engine.has_plant and not engine.measure_from_plant)
-    t_out, data = record.t, record.data
 
     noise_on = config.noise.enabled and config.noise.variance > 0.0
     if noise_on:
@@ -980,15 +1056,12 @@ def run_scenario(config):
         if take_sample or step_i < n_steps:
             k1, diag = engine.evaluate(t, y)
         if take_sample:
-            row = engine.sample_row(t, y, diag)
-            t_out[sample_pos] = t
-            for field_name, values in row.items():
-                data[field_name][sample_pos] = values
+            record.table[sample_pos] = engine.sample_row(t, y, diag)
             sample_pos += 1
         if step_i == n_steps:
             break
         try:
-            y = rk4_step(engine.rhs, y, t, h, k1=k1)
+            y = rk4_step(engine.rhs, y, t, h, k1=k1, labels=engine.state_labels)
         except IntegrationFault as fault:
             raise IntegrationFault(fault.time, labels=fault.labels,
                                    message=f"integration fault at t={t:.6g}s") from fault

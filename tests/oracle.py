@@ -5,7 +5,10 @@ The package integrates the whole network in operator form
 equations the way the paper does, one carriage at a time, with one function
 per formula: the plant and composite dynamics, the coefficient functions,
 the observer's correction inputs and dynamics, the closed linear
-estimation-error system and the barrier composite beta1.  The tests hold
+estimation-error system and the barrier composite beta1, whose closed-form
+partials and closed-loop term are written in the generic form that runs on
+floats, arrays and dual numbers alike (the package's per-pair head law runs
+on floats only).  The tests hold
 the engine to these forms; nothing in the package calls them.
 
 The fault signal of one carriage and the directional derivative on dual
@@ -30,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from platoonsim.autodiff import Dual, gradient
-from platoonsim.controller import _SATURATION_MARGIN, beta_partials
+from platoonsim.controller import _SATURATION_MARGIN, _barrier
 from platoonsim.errors import BarrierDomainError, ConfigurationError
 from platoonsim.faults import exosystem_matrix, snap_windows
 from platoonsim.observer import (ObserverGains, build_augmented_pair, closed_loop_matrix,
@@ -531,6 +534,39 @@ def follower_control(xhat, vhat, what, xhat_prev, vhat_prev, what_prev, what_nex
 # ---------------------------------------------------------------------------
 # head law
 # ---------------------------------------------------------------------------
+
+def beta_partials(x_tilde, q_tilde, gains, rho1, rho2, varrho1, varrho2):
+    """beta1 and its partials w.r.t. the gap and velocity errors, in closed form.
+
+    Takes the gap error and the combined error q = v + ell1*x; evaluates on
+    floats, arrays or duals inside the barrier domain.  With barrier slopes
+    Phi(x), Psi(q) and curvatures Phi', Psi':
+    d(beta1)/dv = -ell2 - ell3*(Psi^2 + psi*Psi') and
+    d(beta1)/dx = -(Phi^2 + phi*Phi') + ell1*d(beta1)/dv.
+    """
+    phi, big_phi, d_big_phi = _barrier(x_tilde, rho1, rho2)
+    psi, big_psi, d_big_psi = _barrier(q_tilde, varrho1, varrho2)
+    value = -phi * big_phi - gains.ell2 * q_tilde - gains.ell3 * psi * big_psi
+    d_v = -gains.ell2 - gains.ell3 * (big_psi * big_psi + psi * d_big_psi)
+    d_x = -(big_phi * big_phi + phi * d_big_phi) + gains.ell1 * d_v
+    return value, d_x, d_v
+
+
+def head_feedback(q_tilde, v_tilde, what_tilde, beta, gains):
+    """Closed-loop term of the head law: u = g_front - own + head_feedback(...).
+
+    ``q_tilde`` is the combined error v_tilde + ell1*x_tilde and ``beta``
+    is ``(beta1, beta2, d(beta1)/dx, d(beta1)/dv)`` as
+    :func:`beta_functions` returns it.  Evaluates on floats or on arrays
+    with one entry per train pair.
+    """
+    _, bt2, pbx, pbv = beta
+    # ell1*w + ell1^2*beta2 - pbx*v - pbv*w + pbv^2*beta2 + q - ell4*beta2,
+    # with the what_tilde and beta2 terms collected
+    return ((gains.ell1 - pbv) * what_tilde
+            + (pbv * pbv + (gains.ell1 ** 2 - gains.ell4)) * bt2
+            - pbx * v_tilde + q_tilde)
+
 
 def beta1(x_tilde, v_tilde, gains, rho1, rho2, varrho1, varrho2):
     """Barrier-weighted stabilizing function; evaluates on floats, arrays or duals."""

@@ -1,9 +1,12 @@
-"""The package names that the benchmark patches must keep resolving.
+"""The package names that the benchmark patches, and the outputs it checks.
 
 ``perfbench/workloads.py`` times and counts the layers by patching
 ``(owner, attribute)`` pairs of the package.  A name it patches that the
-package no longer has breaks the traced benchmark run; this test fails
-first.  The module is loaded from its file as it stands.
+package no longer has breaks the traced benchmark run; the first test fails
+first.  The benchmark also checks every workload's verdicts and final record
+row against ``perfbench/expected.json``; the second test runs that check on
+each workload's default-seed inputs, so a change that moves them fails here
+too.  The module is loaded from its file as it stands.
 """
 
 import importlib.util
@@ -33,3 +36,14 @@ def test_every_patched_name_resolves(workloads):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in owners
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+WORKLOAD_NAMES = ("s5-closed-loop", "s5-observer-only", "s5-record-io")
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_output_matches_expected(workloads, name):
+    assert sorted(workloads.WORKLOADS) == sorted(WORKLOAD_NAMES)
+    record, report = workloads.simulator.run_scenario(workloads.build_config(name, 1))
+    snapshot = workloads.snapshot(record, report.verdicts)
+    assert workloads.compare_snapshot(snapshot, workloads.load_expected()[name]) == []

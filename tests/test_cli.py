@@ -343,15 +343,40 @@ class TestObserverSettings:
         assert violation in capsys.readouterr().err
         assert not (tmp_path / "observer_timeseries.csv").exists()
 
-    def test_placement_failure_is_a_configuration_error(self, tmp_path, capsys):
-        # no fault force reaches the first carriage: its observer pair is unobservable
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_placement_failure_is_a_configuration_error(self, tmp_path, capsys, command):
+        # no fault force reaches the first carriage: its observer pair is
+        # unobservable, which the feasibility check names before any synthesis
         doc = preset_doc_with(("carriages", 0, "fault", "upsilon_Nps_per_unit"), 0.0)
         doc["carriages"][0]["fault"]["nu_s_per_rad"] = 0.0
         doc["integration"]["duration_s"] = 1.0
         path = tmp_path / "unobservable.json"
         path.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "unobservable" in capsys.readouterr().err
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert main([command, "--config", str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert "violated: observer pair is observable [observer of carriage 1_1]" in err
+        assert not (tmp_path / "unobservable_timeseries.csv").exists()
+
+
+class TestMonitorSettings:
+    """Monitor settings that no verdict can be judged with are configuration errors, exit 2."""
+
+    @pytest.mark.parametrize("key, value, violation", [
+        ("tail_window_s", -5.0, "monitor tail_window >= 0"),
+        ("tol_xtilde_mean_m", -1.0, "monitor tol_xtilde_mean > 0"),
+        ("tol_vgap_mean_mps", 0.0, "monitor tol_vgap_mean > 0"),
+    ], ids=["tail-window", "tol-xtilde", "tol-vgap"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_named_violation(self, tmp_path, capsys, command, key, value, violation):
+        doc = preset_doc_with(("monitor", key), value)
+        doc["integration"]["duration_s"] = 0.05
+        path = tmp_path / "monitor.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert main([command, "--config", str(path), *out]) == 2
+        assert violation in capsys.readouterr().err
+        assert not (tmp_path / "monitor_timeseries.csv").exists()
 
 
 class TestRecordMemory:
@@ -500,6 +525,16 @@ class TestTimeseriesFile:
         loaded = read_timeseries(path)
         for name in PLANT_FIELDS:
             assert np.array_equal(loaded.data[name], record.data[name]), name
+
+    def test_labels_from_an_iterator_name_the_same_columns(self):
+        topology = paper_s5().topology
+        width = len(simulator.column_names(tuple(topology.carriage_ids()), 3))
+        table = np.arange(float(width))[None, :]
+        from_iterator = SimulationRecord(table, topology.carriage_ids(), 3, 0.01, 1)
+        from_tuple = SimulationRecord(table, tuple(topology.carriage_ids()), 3, 0.01, 1)
+        assert from_iterator.carriage_labels == from_tuple.carriage_labels
+        for name, values in from_tuple.data.items():
+            assert np.array_equal(from_iterator.data[name], values), name
 
     def test_column_order_is_fixed(self):
         config = short_scenario(paper_s5(), 1.0, record_stride=50)

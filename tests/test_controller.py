@@ -9,14 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import alpha1, alpha2, alpha2_partials, alpha3, beta1, dual_eval, z_errors
+from oracle import (alpha1, alpha2, alpha2_partials, alpha3, beta1, beta_partials, dual_eval,
+                    z_errors)
 from platoonsim import controller as ctrl
 from platoonsim.autodiff import gradient
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
                                    TrainPairErrors, barrier_phi, barrier_psi,
-                                   beta_functions, beta_partials,
-                                   follower_control, head_control,
-                                   validate_initial, validate_parameters)
+                                   beta_functions, follower_control, head_constants,
+                                   head_control, head_pair, validate_initial,
+                                   validate_parameters)
 from platoonsim.errors import BarrierDomainError, ConfigurationError
 
 GAINS = FollowerGains(l1=0.1, l2=0.1, l3=0.1)
@@ -262,6 +263,68 @@ class TestBetaPartials:
         dual_value, (dual_x, dual_v) = gradient(
             lambda a, b: beta1(a, b, HEAD, RHO1, RHO2, VR1, VR2), (x_tilde, v_tilde))
         assert value == pytest.approx(dual_value, rel=1e-12, abs=1e-15)
+        assert d_x == pytest.approx(dual_x, rel=1e-12)
+        assert d_v == pytest.approx(dual_v, rel=1e-12)
+
+
+@st.composite
+def head_law_settings(draw):
+    """Valid head gains with their bounds ``(rho1, rho2, varrho1, varrho2)``."""
+    rho1, rho2 = draw(st.floats(1.0, 1e4)), draw(st.floats(1.0, 1e4))
+    sigma1, sigma2 = draw(st.floats(0.1, 100.0)), draw(st.floats(0.1, 100.0))
+    cap = min(sigma2 / rho1, sigma1 / rho2)
+    ell1 = cap * draw(st.floats(1e-3, 0.999))
+    ell2 = draw(st.floats(2.0, 10.0, exclude_min=True))
+    ell3 = 2.0 + ell2 ** 2 / 2.0 + draw(st.floats(1e-3, 50.0))
+    ell4 = draw(st.floats(0.5, 10.0, exclude_min=True))
+    gains = HeadGains(ell1=ell1, ell2=ell2, ell3=ell3, ell4=ell4)
+    bounds = (rho1, rho2, -ell1 * rho2 + sigma1, -ell1 * rho1 + sigma2)
+    assume(bounds[2] > 0.0 and bounds[3] > 0.0)
+    assert validate_parameters(FollowerGains(0.1, 0.1, 0.1), gains,
+                               ConstraintSpec(gamma1=7053.0 + rho1, gamma2=7053.0 - rho2,
+                                              d_s=7053.0, sigma1=sigma1,
+                                              sigma2=sigma2)) == []
+    return gains, bounds
+
+
+@st.composite
+def in_domain(draw, upper, lower):
+    """A point of (-lower, upper): anywhere, or the clamp margin 1e-9 inside an end."""
+    return draw(st.one_of(
+        st.floats(-lower, upper, exclude_min=True, exclude_max=True),
+        st.sampled_from([upper - 1e-9, -lower + 1e-9])))
+
+
+class TestHeadPair:
+    """The per-pair head law on floats against the oracle's generic forms."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(setting=head_law_settings(), data=st.data(),
+           v_tilde=st.floats(-1e3, 1e3), what_tilde=st.floats(-1e3, 1e3),
+           q_formed=st.floats(-1e3, 1e3))
+    def test_bitwise_the_oracle(self, setting, data, v_tilde, what_tilde, q_formed):
+        gains, (rho1, rho2, vr1, vr2) = setting
+        x_tilde = data.draw(in_domain(rho1, rho2))
+        q_tilde = data.draw(in_domain(vr1, vr2))
+        got = head_pair(x_tilde, q_tilde, v_tilde, what_tilde, q_formed,
+                        head_constants(gains, rho1, rho2, vr1, vr2))
+        value, d_x, d_v = oracle.beta_partials(x_tilde, q_tilde, gains, rho1, rho2, vr1, vr2)
+        beta = (value, what_tilde + gains.ell1 * v_tilde - value, d_x, d_v)
+        feedback = oracle.head_feedback(q_formed, v_tilde, what_tilde, beta, gains)
+        assert [v.hex() for v in got] == [v.hex() for v in (value, d_x, d_v, feedback)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(setting=head_law_settings(), data=st.data())
+    def test_partials_match_dual_numbers(self, setting, data):
+        gains, (rho1, rho2, vr1, vr2) = setting
+        x_tilde = data.draw(in_domain(rho1, rho2))
+        v_tilde = data.draw(in_domain(vr1, vr2)) - gains.ell1 * x_tilde
+        q_tilde = v_tilde + gains.ell1 * x_tilde
+        assume(-vr2 < q_tilde < vr1)
+        _, d_x, d_v, _ = head_pair(x_tilde, q_tilde, v_tilde, 0.0, q_tilde,
+                                   head_constants(gains, rho1, rho2, vr1, vr2))
+        _, (dual_x, dual_v) = gradient(
+            lambda a, b: beta1(a, b, gains, rho1, rho2, vr1, vr2), (x_tilde, v_tilde))
         assert d_x == pytest.approx(dual_x, rel=1e-12)
         assert d_v == pytest.approx(dual_v, rel=1e-12)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
                     fault_value, observer_gains, observer_rhs, plant_rhs,
                     preliminary_control, snapped_faults, tail_indices, train_slices)
 import platoonsim
-from platoonsim import autodiff
+from platoonsim import autodiff, simulator
 from platoonsim import controller as ctrl
 from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
 from platoonsim.faults import snap_windows
@@ -62,6 +63,48 @@ class TestRk4Step:
         with pytest.raises(IntegrationFault) as info:
             rk4_step(rhs, np.array([1.0]), 2.5, 0.1)
         assert info.value.time == 2.5
+
+
+def state_name(engine, index):
+    """``block[i_j]`` of a state entry, ``fh1``-``fh3`` for the fault estimate's three."""
+    for name, part in engine.sl.items():
+        if part.start <= index < part.stop:
+            carriage = index - part.start
+            if name == "fh":
+                carriage, k = divmod(carriage, 3)
+                name = f"fh{k + 1}"
+            i, j = list(engine.config.topology.carriage_ids())[carriage]
+            return f"{name}[{i}_{j}]"
+    raise IndexError(index)
+
+
+class TestIntegrationFaultNames:
+    """A non-finite state is reported by block and carriage, not by its index."""
+
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_label_table_follows_the_state_layout(self, s5_config, representation):
+        engine = _ClosedLoop(short_scenario(s5_config, 1.0, representation=representation))
+        assert engine.state_labels == [state_name(engine, i) for i in range(engine.n_states)]
+
+    def test_nonfinite_first_step_names_its_states(self, s5_config, monkeypatch):
+        # an infinite disturbance on carriage 2_1 in the first step
+        config = short_scenario(s5_config, 0.05, noise=True, representation="both")
+        delta = np.zeros(9)
+        delta[3] = np.inf
+        monkeypatch.setattr(simulator, "inject_disturbance", lambda *args: delta.copy())
+        with np.errstate(all="ignore"), pytest.raises(IntegrationFault) as raised:
+            run_scenario(config)
+        assert raised.value.time == 0.0
+        assert str(raised.value).startswith("integration fault at t=0s in ")
+        # the same step without names gives the indices of the first eight
+        engine = _ClosedLoop(config)
+        engine.delta = delta
+        with np.errstate(all="ignore"), pytest.raises(IntegrationFault) as unnamed:
+            rk4_step(engine.rhs, engine.initial_state(), 0.0, config.step)
+        indices = [int(re.fullmatch(r"state\[(\d+)\]", label)[1])
+                   for label in unnamed.value.labels]
+        assert len(indices) == 8
+        assert raised.value.labels == [state_name(engine, i) for i in indices]
 
 
 class TestDisturbance:
@@ -155,6 +198,67 @@ class TestConfigValidation:
             run_scenario(dataclasses.replace(s5_config, **change(s5_config)))
         if violation is not None:
             assert violation in [v.name for v in info.value.violations]
+
+    @pytest.mark.parametrize("name", ["tail_window", "tol_xtilde_mean", "tol_vtilde_mean",
+                                      "tol_gap_mean", "tol_vgap_mean"])
+    @pytest.mark.parametrize("value", [math.nan, -5.0])
+    def test_monitor_settings_named(self, s5_config, name, value):
+        monitor = dataclasses.replace(s5_config.monitor, **{name: value})
+        bad = short_scenario(s5_config, 0.05, monitor=monitor)
+        violations = validate_config(bad)
+        assert [(v.name, v.subject) for v in violations] == [
+            (f"monitor {name} {'>=' if name == 'tail_window' else '>'} 0", "monitor")]
+        with pytest.raises(ConfigurationError):
+            run_scenario(bad)
+
+    def test_monitor_bounds(self, s5_config):
+        # a zero tail window keeps the last sample; a tolerance must be positive
+        zero_window = dataclasses.replace(s5_config.monitor, tail_window=0.0)
+        assert validate_config(dataclasses.replace(s5_config, monitor=zero_window)) == []
+        zero_tol = dataclasses.replace(s5_config.monitor, tol_gap_mean=0.0)
+        assert [v.name for v in validate_config(
+            dataclasses.replace(s5_config, monitor=zero_tol))] == ["monitor tol_gap_mean > 0"]
+
+    @pytest.mark.parametrize("eigenvalues, violation", [
+        ((-3.0 + 1.0j, -3.0 + 1.0j, -3.0, -3.0, -3.0),
+         "observer eigenvalues are closed under conjugation"),
+        ((-3.0 + 1.0j, -3.0 - 1.0j, -3.0, -3.0, -3.0), None),
+    ], ids=["not-closed", "closed"])
+    def test_conjugate_closure_checked_before_synthesis(self, s5_config, eigenvalues,
+                                                        violation):
+        config = short_scenario(s5_config, 0.05, observer_eigenvalues=eigenvalues)
+        got = validate_config(config)
+        if violation is None:
+            assert got == []
+            run_scenario(config)
+            return
+        # paper-s5's nine carriages share one observer pair: one violation
+        assert [(v.name, v.subject) for v in got] == [(violation, "observer of carriage 1_1")]
+        with pytest.raises(ConfigurationError):
+            run_scenario(config)
+
+    def test_unobservable_pair_checked_per_distinct_pair(self, s5_config):
+        # no fault force reaches carriages 2_1 and 3_2: their pair is unobservable
+        carriages = list(s5_config.carriages)
+        for g in (3, 7):
+            carriages[g] = dataclasses.replace(carriages[g], fault=dataclasses.replace(
+                carriages[g].fault, upsilon=0.0, nu=0.0))
+        config = short_scenario(s5_config, 0.05, carriages=tuple(carriages))
+        assert [(v.name, v.subject) for v in validate_config(config)] == [
+            ("observer pair is observable", "observer of carriage 2_1")]
+        # a gain override bypasses synthesis, and the pair is not checked
+        override = dataclasses.replace(config, observer_gain_override=(4.0, 5.0, -6.0, 1.0, 2.0))
+        assert validate_config(override) == []
+
+    @pytest.mark.parametrize("omega", [math.nan, 1e300])
+    def test_pair_that_cannot_be_checked_is_unobservable(self, s5_config, omega):
+        carriages = (dataclasses.replace(s5_config.carriages[0], fault=dataclasses.replace(
+            s5_config.carriages[0].fault, omega=omega)),) + s5_config.carriages[1:]
+        config = short_scenario(s5_config, 0.05, carriages=carriages)
+        assert ("observer pair is observable", "observer of carriage 1_1") in [
+            (v.name, v.subject) for v in validate_config(config)]
+        with pytest.raises(ConfigurationError):
+            run_scenario(config)
 
 
 # The engine-level properties report a failing example as found: shrinking
@@ -549,7 +653,7 @@ def check_head_law_per_pair(configs, outside, t, gap, combined, push, seed):
             events.append({"t": t, "pair": pair, "quantity": kind,
                            "value": value, "low": lo, "high": hi})
         beta = oracle.beta_functions(xt, vt, wt, h, *bounds, saturate=True, record=record)
-        expected.append(ctrl.head_feedback(vt + h.ell1 * xt, vt, wt, beta, h))
+        expected.append(oracle.head_feedback(vt + h.ell1 * xt, vt, wt, beta, h))
     assert [float(v).hex() for v in got] == [v.hex() for v in expected]
 
     assert saturating.violations == events
@@ -941,7 +1045,8 @@ class TestTimeTermCache:
         for i in range(n_steps):
             y = rk4_step(engine.rhs, y, i * h, h)
             assert len(engine._block_rows) <= 3 * _BLOCK_STEPS
-            assert len(engine._block[0]) == len(engine._block_rows)
+            # every stored row is the whole time_terms tuple of its stage time
+            assert all(len(terms) == 6 for terms in engine._block_rows.values())
         # one block per _BLOCK_STEPS steps covers every stage time (no time
         # falls back to a one-row block), and no block repeats a time
         assert len(blocks) == -(-n_steps // _BLOCK_STEPS)
@@ -1194,8 +1299,13 @@ class TestPlantPathAgainstLoops:
         assert bitwise_equal(engine.stiffness_drift(dv), stiffness_drift_loop(engine, v))
         row = engine.sample_row(t, y, engine.evaluate(t, y)[1])
         eps, vt = pair_errors_loop(engine, t, x, v)
-        assert bitwise_equal(row["eps"], eps)
-        assert bitwise_equal(row["vtilde"], vt)
+        # the sample row read through a record's own layout
+        labels = tuple(engine.config.topology.carriage_ids())
+        record = SimulationRecord(row[None, :].copy(), labels, engine.n_trains,
+                                  engine.config.step, 1,
+                                  plant=engine.has_plant and not engine.measure_from_plant)
+        assert bitwise_equal(record.data["eps"][0], eps)
+        assert bitwise_equal(record.data["vtilde"][0], vt)
 
 
 class TestDeterminismAndStructure:
