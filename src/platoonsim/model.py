@@ -19,6 +19,7 @@ once; the per-carriage formulas they come from are kept in the test suite
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -38,8 +39,9 @@ class DavisCoefficients:
     c2: float  # N*s^2/(m^2*kg)
 
     def __post_init__(self):
-        if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
-            raise ConfigurationError("Davis coefficients must be nonnegative")
+        # written so that NaN fails
+        if not all(0 <= c < math.inf for c in (self.c0, self.c1, self.c2)):
+            raise ConfigurationError("Davis coefficients must be nonnegative and finite")
 
     def resistance(self, v):
         """R(v) at ``v`` (a float or an array of velocities), N/kg."""
@@ -55,8 +57,9 @@ class CouplerParams:
     spacing: float    # d_p, nominal inter-carriage spacing incl. carriage length, m
 
     def __post_init__(self):
-        if self.stiffness <= 0 or self.damping <= 0 or self.spacing <= 0:
-            raise ConfigurationError("coupler stiffness, damping and spacing must be positive")
+        if not all(0 < p < math.inf for p in (self.stiffness, self.damping, self.spacing)):
+            raise ConfigurationError(
+                "coupler stiffness, damping and spacing must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,10 @@ class CarriageParams:
     fault: FaultModel
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ConfigurationError("carriage mass must be positive")
-        if self.actuator_rate <= 0:
-            raise ConfigurationError("actuator rate must be positive")
+        if not 0 < self.mass < math.inf:
+            raise ConfigurationError("carriage mass must be positive and finite")
+        if not 0 < self.actuator_rate < math.inf:
+            raise ConfigurationError("actuator rate must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,20 @@ these derivatives are the lead's jerk plus a cumulative sum of the
 per-carriage increments; no law needs another's output within an
 evaluation.
 
+The state is a stack of blocks of one entry per carriage, in chain order:
+the composite ``x, xh, v, vh, w, wh`` (or the estimates ``xh, vh, wh``
+alone), the fault estimate's rows ``fh1, fh2, fh3``, then the plant's
+``xp, vp, tau``.  It therefore reshapes to rows of one carriage each.
+
 An engine evaluates in buffers of its own: it copies the state passed in
-into its state buffer, works on views of that buffer, of its derivative
-buffer and of a few scratch arrays, all built once with the engine, and
-returns a copy of the derivative buffer with new control and estimated
-fault arrays.  What it returns belongs to the caller, and the state passed
-in is only read.  One engine is therefore not re-entrant: it serves one
+into its state buffer (unless it is that buffer), and works on views of
+that buffer, of its derivative buffer and of a few scratch arrays, all
+built once with the engine.  ``rhs`` hands over the derivative buffer
+itself, which the next evaluation overwrites; :func:`rk4_step` consumes
+each stage's derivative as it arrives, before asking for the next, and
+forms the stage states in the engine's state buffer.  ``evaluate`` returns
+copies with the control and estimated fault arrays, for samples and
+callers that keep them.  One engine is not re-entrant: it serves one
 evaluation at a time.
 """
 
@@ -65,7 +73,7 @@ from .reference import ReferenceProfile
 
 REPRESENTATIONS = ("composite", "plant", "both")
 CONTROL_LAWS = ("designed", "zero")
-_BLOCK_STEPS = 16    # integration steps whose time-only terms an engine keeps
+_BLOCK_STEPS = 16    # steps whose time-only terms and disturbance are worked out at once
 EVENTS_KEPT = 100    # events kept per (pair, quantity); the rest are only counted
 
 
@@ -179,8 +187,8 @@ def validate_config(config):
                 out.append(Violation(f"{name} entries are finite", bad[0], math.inf,
                                      f"carriage {label}"))
     # observer settings that gain placement rejects; its augmented pair has 5 states
-    if not config.observer_k1 > 0:
-        out.append(Violation("observer k1 > 0", config.observer_k1, 0.0, "observer"))
+    if not 0 < config.observer_k1 < math.inf:
+        out.append(Violation("0 < observer k1 < inf", config.observer_k1, 0.0, "observer"))
     override = config.observer_gain_override
     if override is not None and len(override) != 5:
         out.append(Violation("observer gain override has 5 entries", len(override), 5,
@@ -249,6 +257,28 @@ def _observer_pair_violations(config, eigenvalues):
     return out
 
 
+_PLACEMENTS = {}       # exact placement inputs -> ObserverGains, for this process
+_PLACEMENTS_KEPT = 256
+
+
+def _placed_gains(c_row, omega, eigenvalues, k1):
+    """The observer gains placed on the pair ``(c_row, omega)``, once per process.
+
+    Keyed by the exact inputs (their ``repr``, which tells 0.0 from -0.0);
+    the gains are frozen, so every engine may share them.  A failed
+    placement is not kept and raises again.
+    """
+    key = repr((c_row, omega, eigenvalues, k1))
+    gains = _PLACEMENTS.get(key)
+    if gains is None:
+        a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
+        gains = obs.synthesize_gains(a, c, eigenvalues, k1=k1)
+        if len(_PLACEMENTS) >= _PLACEMENTS_KEPT:
+            _PLACEMENTS.clear()
+        _PLACEMENTS[key] = gains
+    return gains
+
+
 def require_feasible(config, source="scenario"):
     """``config`` itself when it is runnable.
 
@@ -267,20 +297,35 @@ def require_feasible(config, source="scenario"):
 # integrator
 # ---------------------------------------------------------------------------
 
-def rk4_step(rhs, state, t, h, k1=None, labels=None):
-    """One classical fourth-order step from ``t`` to ``t + h``.
+def rk4_step(rhs, state, t, h, k1=None, labels=None, stage=None):
+    """One classical fourth-order step from ``t`` to ``t + h``, as a new array.
 
     ``k1`` may be supplied when the derivative at ``t`` has already been
-    evaluated.  Raises :class:`IntegrationFault` when the update goes
-    non-finite, naming the first eight non-finite entries by ``labels``
-    (one name per state entry; ``state[i]`` without).
+    evaluated.  Each derivative is consumed as it arrives: ``k1``,
+    ``2*k2``, ``2*k3`` and ``k4`` are summed into one buffer, and each stage
+    state is formed in ``stage`` (a new buffer when not given; never
+    ``state`` itself), so ``rhs`` may return the same buffer on every call.
+    The update is ``state + (h/6)*(k1 + 2*k2 + 2*k3 + k4)``, evaluated in
+    that order; ``state`` and ``k1`` are only read.  Raises
+    :class:`IntegrationFault` when the update goes non-finite, naming the
+    first eight non-finite entries by ``labels`` (one name per state entry;
+    ``state[i]`` without).
     """
     if k1 is None:
         k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * h, state + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, state + (0.5 * h) * k2)
-    k4 = rhs(t + h, state + h * k3)
-    out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = k1.copy()
+    half = 0.5 * h
+    stage = np.multiply(k1, half, out=stage)
+    np.add(state, stage, out=stage)
+    for weight, scale in ((2.0, half), (2.0, h)):
+        k = rhs(t + half, stage)
+        np.multiply(k, weight, out=stage)
+        np.add(acc, stage, out=acc)
+        np.multiply(k, scale, out=stage)
+        np.add(state, stage, out=stage)
+    np.add(acc, rhs(t + h, stage), out=acc)
+    np.multiply(acc, h / 6.0, out=acc)
+    out = np.add(state, acc, out=acc)
     if not np.isfinite(out).all():
         bad = np.flatnonzero(~np.isfinite(out))[:8]
         raise IntegrationFault(t, labels=[f"state[{i}]" if labels is None else labels[i]
@@ -288,9 +333,13 @@ def rk4_step(rhs, state, t, h, k1=None, labels=None):
     return out
 
 
-def inject_disturbance(rng, variance, n_carriages):
-    """One step's worth of Gaussian jerk disturbance (held across the step's stages)."""
-    return rng.normal(0.0, math.sqrt(variance), size=n_carriages)
+def inject_disturbance(rng, variance, shape):
+    """Gaussian jerk disturbance of ``shape`` (steps, carriages): a row per step.
+
+    Each step's row is held across that step's stages.  A block of rows is
+    the same stream as one draw per step.
+    """
+    return rng.normal(0.0, math.sqrt(variance), size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +349,16 @@ def inject_disturbance(rng, variance, n_carriages):
 class _ClosedLoop:
     """Precompiled right-hand side of the full network for one configuration.
 
-    :meth:`evaluate` copies the state into the engine's state buffer and
-    works in its derivative and scratch buffers through views built in
-    ``__init__``.  The arrays it returns are never buffers that a later
-    call overwrites, and the state passed in is never written.  An engine
-    is not re-entrant: evaluations on one engine must not overlap.
+    The state stacks blocks of one entry per carriage (``sl`` maps each
+    name to its slice); the fault estimate is the three rows ``fh1``,
+    ``fh2`` and ``fh3``, and ``k4g`` holds its gains as matching rows.
+    :meth:`rhs` copies the state into the engine's state buffer (unless it
+    is that buffer), works in its derivative and scratch buffers through
+    views built in ``__init__``, and hands over the derivative buffer,
+    which the next evaluation overwrites: :func:`rk4_step` consumes each
+    stage as it arrives.  :meth:`evaluate` returns copies that belong to
+    the caller.  The state passed in is never written.  An engine is not
+    re-entrant: evaluations on one engine must not overlap.
     """
 
     def __init__(self, config):
@@ -358,7 +412,8 @@ class _ClosedLoop:
         self.tri = np.zeros((nc, nc))
         self.tri[ix, ix], self.tri[ix[1:], ix[:-1]], self.tri[ix[:-1], ix[1:]] = (
             self.bm1, self.b2[1:], self.b3[:-1])
-        self.two_c2 = 2.0 * self.c2
+        # a 0-d array: a Python float operand costs a ufunc about 0.2 us more
+        self.two_c2 = np.array(2.0 * self.c2)
         # link k joins carriages k and k + 1; its term adds to carriage k and
         # subtracts from k + 1, and a link across a train boundary carries none
         self.telescope = np.zeros((nc - 1, nc))
@@ -377,8 +432,8 @@ class _ClosedLoop:
                                       [f.window_periodic[0] for f in faults]])
         self.window_end = np.array([[f.window_const[1] for f in faults],
                                     [f.window_periodic[1] for f in faults]])
-        # generator rotation acting on (f3, f2) in the (f2, f3) derivative slots
-        self.rotation = np.column_stack((self.omega, -self.omega))
+        # generator rotation acting on the (fh3, fh2) rows in the (fh2, fh3) derivative rows
+        self.rotation = np.array([self.omega, -self.omega])
 
         gains = [None] * nc
         for (c_row, omega), members in _observer_pairs(config.carriages).items():
@@ -386,16 +441,17 @@ class _ClosedLoop:
                 pair_gains = obs.ObserverGains(k1=config.observer_k1,
                                                k=tuple(config.observer_gain_override))
             else:
-                a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
-                pair_gains = obs.synthesize_gains(a, c, config.observer_eigenvalues,
-                                                  k1=config.observer_k1)
+                pair_gains = _placed_gains(c_row, omega, tuple(config.observer_eigenvalues),
+                                           config.observer_k1)
             for g in members:
                 gains[g] = pair_gains
         self.k1g = np.array([g.k1 for g in gains])
         self.k2g = np.array([g.k2 for g in gains])
         self.k3g = np.array([g.k3 for g in gains])
-        self.k4g = np.vstack([g.k4 for g in gains])
+        self.k4g = np.array([g.k[2:] for g in gains]).T.copy()     # (3, nc), a row per fh
         self.neg_k1g = -self.k1g
+        # -k1 e_x and c2 e_v as one product on the stacked errors (e_x, e_v)
+        self.err_coef = np.array([self.neg_k1g, [self.c2] * nc])
         self.alpha3_coef = ctrl.alpha3_coefficients(self.fgains)
         self.mu2_op = np.zeros((nc, nc))
         self.mu2_op[ix, ix] = self.k2g
@@ -409,30 +465,18 @@ class _ClosedLoop:
         # the composite and estimated channels interleave, so that the
         # velocities (v, vh) lie side by side, and so do their derivatives
         # (w, vhdot), on which B acts with one product
-        offset = 0
         names = ["x", "xh", "v", "vh", "w", "wh"] if has_composite else ["xh", "vh", "wh"]
-        self.sl = {}
-        for name in names:
-            self.sl[name] = slice(offset, offset + nc)
-            offset += nc
-        self.sl["fh"] = slice(offset, offset + 3 * nc)
-        offset += 3 * nc
-        if has_plant:
-            for name in ("xp", "vp", "tau"):
-                self.sl[name] = slice(offset, offset + nc)
-                offset += nc
-        self.n_states = offset
-        # the name of every state entry, block and carriage (wh[2_1]; the
-        # fault estimate's three per carriage are fh1 to fh3), for error messages
-        carriages = [f"{i}_{j}" for i, j in topo.carriage_ids()]
-        self.state_labels = []
-        for name in self.sl:
-            parts = ("fh1", "fh2", "fh3") if name == "fh" else (name,)
-            self.state_labels += [f"{part}[{c}]" for c in carriages for part in parts]
+        names += ["fh1", "fh2", "fh3"] + (["xp", "vp", "tau"] if has_plant else [])
+        self.sl = {name: slice(k * nc, (k + 1) * nc) for k, name in enumerate(names)}
+        self.n_states = len(names) * nc
+        # the name of every state entry, block and carriage (wh[2_1], fh3[3_2]),
+        # for error messages
+        self.state_labels = [f"{name}[{i}_{j}]" for name in names
+                             for i, j in topo.carriage_ids()]
 
-        # every state block is a multiple of nc long, so the state reshapes to
-        # (rows, nc); the *_rows slices select rows of it
-        row = {name: part.start // nc for name, part in self.sl.items()}
+        # every state block is nc long, so the state reshapes to (rows, nc);
+        # the *_rows slices select rows of it
+        row = {name: k for k, name in enumerate(names)}
         x_meas, v_meas = ("xp", "vp") if self.measure_from_plant else ("x", "v")
         self.est_rows = slice(row["xh"], row["wh"] + 1, row["vh"] - row["xh"])
         self.meas_rows = slice(row[x_meas], row[v_meas] + 1, row[v_meas] - row[x_meas])
@@ -447,9 +491,21 @@ class _ClosedLoop:
         names = np.array([row[x_meas], row[v_meas], row["wh"]])[:, None] * nc
         self.pair_idx = np.vstack((names + self.front_tails, names + self.heads)).T
 
-        # The state and derivative buffers, the scratch arrays and every view
-        # of them that an evaluation reads or writes, built once: a view costs
-        # about as much as a small array operation.
+        self._build_buffers(row)
+        self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
+        self.violations = []           # first EVENTS_KEPT saturations per (pair, quantity)
+        self.saturations = {}          # pair -> quantity -> count, first and last time
+        self._block_first = None       # first step of the stored time-term block
+        self._block_rows = {}          # and its stage time -> time_terms tuple map
+
+    def _build_buffers(self, row):
+        """The state and derivative buffers, the scratch arrays and every view of them.
+
+        Built once, as a view costs about as much as a small array operation.
+        ``row`` maps each state block to its row of the ``(rows, nc)`` state.
+        """
+        nc, topo = self.nc, self.config.topology
+        has_composite, has_plant = self.has_composite, self.has_plant
         self._y = np.empty(self.n_states)
         self._dy = np.empty(self.n_states)
         rows, d_rows = self._y.reshape(-1, nc), self._dy.reshape(-1, nc)
@@ -459,13 +515,13 @@ class _ClosedLoop:
         self._vh, self._wh = est[1], est[2]
         self._meas = rows[self.meas_rows]
         self._meas_v = self._meas[1]
-        fh = self._y[self.sl["fh"]].reshape(nc, 3)
-        self._fh_const, self._fh_cos, self._fh_rotated = fh[:, 0], fh[:, 2], fh[:, :0:-1]
+        fh = rows[row["fh1"]:row["fh3"] + 1]
+        self._fh1, self._fh3, self._fh_rotated = fh[0], fh[2], fh[:0:-1]   # (fh3, fh2)
         self._y_jerk = self._y[self.jerk]
         self._d_xh, self._d_vh, self._d_wh = d_est
         self._d_pair_ahead, self._d_pair_behind = d_est[:2, :-1], d_est[:2, 1:]
-        self._d_fh = self._dy[self.sl["fh"]].reshape(nc, 3)
-        self._d_f23 = self._d_fh[:, 1:]
+        self._d_fh = d_rows[row["fh1"]:row["fh3"] + 1]
+        self._d_f23 = self._d_fh[1:]
         self._accel = self._dy[self.jerk]
         if has_composite:
             # x' = v and v' = w: composite rows 0 and 2 take rows 2 and 4
@@ -481,10 +537,16 @@ class _ClosedLoop:
             self._links = np.empty((2, nc - 1))
             self._dx_links, self._dv_links = self._links
         self._err = np.empty((2, nc))          # estimate minus measurement, (x, v)
-        self._e_x, self._e_v = self._err
-        self._e_v_col = self._e_v[:, None]
+        self._e_v = self._err[1]
+        self._err_terms = np.empty((2, nc))    # (-k1 e_x, c2 e_v)
+        self._neg_k1_e_x, self._c2_e_v = self._err_terms
         self._coupled = np.empty(self.jerk.stop - self.jerk.start)
         self._coupled_w, self._coupled_own = self._coupled[:nc], self._coupled[-nc:]
+        # the estimated jerk without input: the zero law's whdot, a new array otherwise
+        self._own = self._d_wh if self.zero_control else None
+        # u and ef_hat of the latest evaluation; the zero law's u is this one
+        self._u = np.zeros(nc)
+        self._ef_hat = None
         # follower differences to the carriage ahead: (x + d_p, v, wh) of the
         # estimates, then (xhdot, vhdot)
         self._diffs = np.empty((5, nc - 1))
@@ -513,11 +575,6 @@ class _ClosedLoop:
         self._tau_row = row.get("tau")
         self._plant_rows = slice(row["xp"], row["tau"] + 1) if plant_columns else None
 
-        self.delta = np.zeros(nc)      # per-step disturbance, set by the driver
-        self.violations = []           # first EVENTS_KEPT saturations per (pair, quantity)
-        self.saturations = {}          # pair -> quantity -> count, first and last time
-        self._block_first = None       # first step of the stored time-term block
-        self._block_rows = {}          # and its stage time -> time_terms tuple map
 
     # -- helpers ------------------------------------------------------------
 
@@ -581,19 +638,18 @@ class _ClosedLoop:
         v0 = np.array([s[1] for s in cfg.initial])
         w0 = np.array([s[2] for s in cfg.initial])
         if cfg.observer_initial is not None:
-            oi = np.asarray(cfg.observer_initial, dtype=float)
-            xh, vh, wh = oi[:, 0], oi[:, 1], oi[:, 2]
-            fh = oi[:, 3:6]
+            # a (xh, vh, wh, f1, f2, f3) entry per carriage, a row per block here
+            xh, vh, wh, *fh = np.asarray(cfg.observer_initial, dtype=float).T
         else:
             # position/velocity are measured, so only the unmeasured channels
             # start with estimation error
             xh, vh, wh = x0.copy(), v0.copy(), np.zeros(nc)
-            fh = np.zeros((nc, 3))
+            fh = np.zeros((3, nc))
         y = np.zeros(self.n_states)
         if self.has_composite:
             y[self.sl["x"]], y[self.sl["v"]], y[self.sl["w"]] = x0, v0, w0
         y[self.sl["xh"]], y[self.sl["vh"]], y[self.sl["wh"]] = xh, vh, wh
-        y[self.sl["fh"]] = fh.ravel()
+        y[self.sl["fh1"]], y[self.sl["fh2"]], y[self.sl["fh3"]] = fh
         if self.has_plant:
             y[self.sl["xp"]], y[self.sl["vp"]] = x0, v0
             coupling = self.coupling_vector(x0[:-1] - x0[1:], v0[:-1] - v0[1:])
@@ -606,41 +662,50 @@ class _ClosedLoop:
     def evaluate(self, t, y):
         """Derivative vector plus the per-stage diagnostics ``(u, ef_true, ef_hat)``.
 
-        ``y`` is copied into the engine's state buffer and never written.
-        The derivative, ``u`` and ``ef_hat`` are new arrays that belong to
-        the caller; ``ef_true`` is the shared, read-only time-term row.
+        ``y`` is only read.  The derivative, ``u`` and ``ef_hat`` are new
+        arrays that belong to the caller; ``ef_true`` is the shared,
+        read-only time-term row.
         """
-        nc = self.nc
+        dy = self.rhs(t, y)
+        return dy.copy(), (self._u.copy(), self.time_terms(t)[4], self._ef_hat)
+
+    def rhs(self, t, y):
+        """The derivative at ``(t, y)``, in the engine's own derivative buffer.
+
+        The buffer is handed over, not copied: the next evaluation
+        overwrites it.  ``y`` is copied into the state buffer unless it is
+        that buffer, and is only read.
+        """
         if y is not self._y:
             self._y[:] = y
-        vh, wh, meas, err, e_v = self._vh, self._wh, self._meas, self._err, self._e_v
+        e_v = self._e_v
         x0r, v0r, w0r, u0r, ef_true, cf_true = self.time_terms(t)
-        ef_hat = self._fh_const * self.upsilon + self._fh_cos * self.nu_omega
+        self._ef_hat = ef_hat = self._fh1 * self.upsilon + self._fh3 * self.nu_omega
         cf_hat = ef_hat / self.mass
 
         if self.has_composite:
             self._d_xv[:] = self._vw        # x' = v, v' = w
 
         # observer corrections, mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh);
-        # xhdot and vhdot = wh + mu2 go straight into the derivative buffer
-        np.subtract(self._est_pair, meas, out=err)
-        mu2 = self.mu2_op.dot(e_v) + self.c2 * e_v * (self._meas_v + vh)
-        np.add(vh, self.neg_k1g * self._e_x - e_v, out=self._d_xh)
-        np.add(wh, mu2, out=self._d_vh)
-        np.multiply(self.k4g, self._e_v_col, out=self._d_fh)
+        # xhdot = vh - k1 e_x - e_v and vhdot = wh + mu2 go straight into
+        # the derivative buffer, and so do the fault rows
+        np.subtract(self._est_pair, self._meas, out=self._err)
+        np.multiply(self.err_coef, self._err, out=self._err_terms)
+        mu2 = self.mu2_op.dot(e_v) + self._c2_e_v * (self._meas_v + self._vh)
+        np.add(self._vh, self._neg_k1_e_x - e_v, out=self._d_xh)
+        np.add(self._wh, mu2, out=self._d_vh)
+        np.multiply(self.k4g, e_v, out=self._d_fh)
         np.add(self._d_f23, self.rotation * self._fh_rotated, out=self._d_f23)
 
         # B(v) a = T a - 2 c2 v a, at once for the composite channel (v, w)
         # and the estimated one (vh, vhdot).  The estimated jerk without
         # control input, which every control law cancels, is
         # B(vh) vhdot + k3 e_v + cf_hat.
-        accel, coupled = self._accel, self._coupled
-        np.subtract(self.jerk_op.dot(accel), self.two_c2 * self._y_jerk * accel, out=coupled)
-        own = self._coupled_own + self.k3g * e_v + cf_hat
-        if self.zero_control:
-            u = np.zeros(nc)
-            self._d_wh[:] = own
-        else:
+        accel = self._accel
+        np.subtract(self.jerk_op.dot(accel), self.two_c2 * self._y_jerk * accel,
+                    out=self._coupled)
+        own = np.add(self._coupled_own + self.k3g * e_v, cf_hat, out=self._own)
+        if not self.zero_control:
             # follower differences to the carriage ahead (a head's entry is
             # replaced by its barrier law)
             diffs, inc = self._diffs, self._inc
@@ -651,8 +716,8 @@ class _ClosedLoop:
             heads = self._head_feedback(t, self._y, x0r, v0r, w0r)
             heads[0] += u0r
             inc[self.heads] = heads
-            whdot = np.add.accumulate(inc, out=self._d_wh)
-            u = whdot - own
+            self._u = np.add.accumulate(inc, out=self._d_wh) - own
+        u = self._u
 
         if self.has_composite:
             np.add(self._coupled_w + cf_true + u, self.delta, out=self._d_w)
@@ -668,10 +733,7 @@ class _ClosedLoop:
             self._d_xp[:] = vp
             np.divide(tau - coupling - self.mass * resist, self.mass, out=self._d_vp)
             np.add(self.neg_rate * tau + varpi, ef_true, out=self._d_tau)
-        return self._dy.copy(), (u, ef_true, ef_hat)
-
-    def rhs(self, t, y):
-        return self.evaluate(t, y)[0]
+        return self._dy
 
     def _head_feedback(self, t, y, x0r, v0r, w0r):
         """Closed-loop terms of the head laws, a list with one float per train pair.
@@ -1022,6 +1084,16 @@ def fault_interval_errors(record, config, min_length=100.0, last=10.0):
 # scenario driver
 # ---------------------------------------------------------------------------
 
+def _first_clamp(saturations):
+    """The earliest barrier clamp of ``saturations`` as a message suffix ("" without one)."""
+    clamps = [(seen["first_t"], pair, quantity) for pair, kinds in saturations.items()
+              for quantity, seen in kinds.items()]
+    if not clamps:
+        return ""
+    t, pair, quantity = min(clamps, key=lambda clamp: clamp[0])
+    return f" (first barrier clamp: pair {pair} {quantity} at t={t:.6g}s)"
+
+
 def run_scenario(config):
     """Integrate one scenario and evaluate the requirements.
 
@@ -1051,20 +1123,25 @@ def run_scenario(config):
     for step_i in range(n_steps + 1):
         t = step_i * h
         if noise_on:
-            engine.delta = inject_disturbance(rng, config.noise.variance, nc)
-        take_sample = step_i % stride == 0 or step_i == n_steps
-        if take_sample or step_i < n_steps:
+            block_i = step_i % _BLOCK_STEPS
+            if block_i == 0:
+                draws = inject_disturbance(rng, config.noise.variance, (_BLOCK_STEPS, nc))
+            engine.delta = draws[block_i]
+        if step_i % stride == 0 or step_i == n_steps:
             k1, diag = engine.evaluate(t, y)
-        if take_sample:
             record.table[sample_pos] = engine.sample_row(t, y, diag)
             sample_pos += 1
-        if step_i == n_steps:
-            break
+            if step_i == n_steps:
+                break
+        else:
+            k1 = engine.rhs(t, y)
         try:
-            y = rk4_step(engine.rhs, y, t, h, k1=k1, labels=engine.state_labels)
+            y = rk4_step(engine.rhs, y, t, h, k1=k1, labels=engine.state_labels,
+                         stage=engine._y)
         except IntegrationFault as fault:
             raise IntegrationFault(fault.time, labels=fault.labels,
-                                   message=f"integration fault at t={t:.6g}s") from fault
+                                   message=f"integration fault at t={t:.6g}s"
+                                   + _first_clamp(engine.saturations)) from fault
 
     report = monitor_requirements(
         record, config.constraints, config.head_gains.ell1, config.coupler.spacing,

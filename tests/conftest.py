@@ -51,6 +51,18 @@ def short_scenario(config, duration, *, noise=False, step=None, **changes):
         step=config.step if step is None else step, **changes)
 
 
+def by_carriage(engine, array):
+    """The engine's three per-carriage fault rows as a writable (nc, 3) view, a row per carriage.
+
+    ``array`` is a state or derivative vector, whose ``fh1``-``fh3`` blocks
+    are taken, or a (3, nc) array of rows such as ``engine.k4g``.  The
+    view is carriage-major, as the per-carriage oracles lay the three out.
+    """
+    if array.ndim == 1:
+        array = array[engine.sl["fh1"].start:engine.sl["fh3"].stop].reshape(3, engine.nc)
+    return array.T
+
+
 def true_fault_states(engine, t):
     """True fault states (nc, 3) of an engine's carriages at ``t``, carriage by carriage."""
     return np.array([fault_value(t, fault) for fault in snapped_faults(engine.config)])

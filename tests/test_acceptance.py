@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import short_scenario, true_fault_states
+from conftest import by_carriage, short_scenario, true_fault_states
 from oracle import (alpha1, alpha2, auxiliary_mu2, beta1, dual_eval, fault_accel_row,
                     linear_error_oracle, observer_gains)
 from platoonsim import observer as obs
@@ -162,7 +162,7 @@ def error_trajectories(config):
         f_true = true_fault_states(engine, t)
         e_x[i] = y[engine.sl["xh"]] - y[engine.sl["x"]]
         e_v[i] = y[engine.sl["vh"]] - y[engine.sl["v"]]
-        e_f[i] = y[engine.sl["fh"]].reshape(nc, 3) - f_true
+        e_f[i] = by_carriage(engine, y) - f_true
         if i == n:
             break
         y = rk4_step(engine.rhs, y, t, h)

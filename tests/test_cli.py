@@ -330,7 +330,7 @@ class TestObserverSettings:
         ("eigenvalues", [1.0, -3.0, -3.0, -3.0, -3.0], "observer eigenvalue real part < 0"),
         ("eigenvalues", [-3.0, -3.0, -3.0], "5 observer eigenvalues"),
         ("gain_override", [4.0, 5.0, -6.0], "observer gain override has 5 entries"),
-        ("k1", 0.0, "observer k1 > 0"),
+        ("k1", 0.0, "0 < observer k1 < inf"),
     ], ids=["unstable-eigenvalue", "eigenvalue-count", "override-length", "k1"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_named_violation(self, tmp_path, capsys, command, key, value, violation):

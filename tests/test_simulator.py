@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import short_scenario
+from conftest import by_carriage, short_scenario
 from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
                     auxiliary_mu2, b1_coefficient, coefficient_b, composite_rhs,
                     coupling_force, effective_fault, fault_accel_row, fault_input_row,
@@ -65,15 +65,73 @@ class TestRk4Step:
         assert info.value.time == 2.5
 
 
+def textbook_rk4(rhs, state, t, h):
+    """``state + (h/6)*(k1 + 2k2 + 2k3 + k4)``, each derivative copied as it comes back."""
+    k1 = rhs(t, state).copy()
+    k2 = rhs(t + 0.5 * h, state + (0.5 * h) * k1).copy()
+    k3 = rhs(t + 0.5 * h, state + (0.5 * h) * k2).copy()
+    k4 = rhs(t + h, state + h * k3).copy()
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestRk4AccumulationContract:
+    """Stages are consumed as they arrive, so ``rhs`` may return one buffer every call."""
+
+    @staticmethod
+    def reused_buffer_rhs(coef):
+        buffer = np.empty(len(coef))
+
+        def rhs(t, y):
+            np.multiply(coef, np.sin(y + t) + y, out=buffer)
+            return buffer
+        return rhs
+
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), t=finite,
+           h=st.floats(1e-6, 1.0), given_stage=st.booleans(), given_k1=st.booleans())
+    def test_bitwise_the_textbook_update(self, data, n, t, h, given_stage, given_k1):
+        state = np.array(data.draw(st.lists(self.finite, min_size=n, max_size=n)))
+        coef = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+        rhs = self.reused_buffer_rhs(coef)
+        want = textbook_rk4(rhs, state, t, h)
+        kept = state.copy()
+        k1 = rhs(t, state).copy() if given_k1 else None
+        k1_kept = None if k1 is None else k1.copy()
+        stage = np.empty(n) if given_stage else None
+        got = rk4_step(rhs, state, t, h, k1=k1, stage=stage)
+        assert got.tobytes() == want.tobytes()
+        assert state.tobytes() == kept.tobytes()
+        assert k1 is None or k1.tobytes() == k1_kept.tobytes()
+        assert got is not state and got is not stage
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), given_stage=st.booleans())
+    def test_nonfinite_update_names_its_labels(self, data, n, given_stage):
+        state = np.array(data.draw(st.lists(self.finite, min_size=n, max_size=n)))
+        coef = np.array(data.draw(st.lists(st.sampled_from([1.0, -2.0, math.inf, math.nan]),
+                                           min_size=n, max_size=n)))
+        rhs = self.reused_buffer_rhs(coef)
+        labels = [f"s[{i}]" for i in range(n)]
+        with np.errstate(all="ignore"):
+            want = textbook_rk4(rhs, state, 2.5, 0.1)
+            bad = [labels[i] for i in np.flatnonzero(~np.isfinite(want))[:8]]
+            if not bad:
+                assert rk4_step(rhs, state, 2.5, 0.1, labels=labels).tobytes() == want.tobytes()
+                return
+            with pytest.raises(IntegrationFault) as raised:
+                rk4_step(rhs, state, 2.5, 0.1, labels=labels,
+                         stage=np.empty(n) if given_stage else None)
+        assert raised.value.time == 2.5
+        assert raised.value.labels == bad
+
+
 def state_name(engine, index):
-    """``block[i_j]`` of a state entry, ``fh1``-``fh3`` for the fault estimate's three."""
+    """``block[i_j]`` of a state entry (the fault estimate's three blocks are ``fh1``-``fh3``)."""
     for name, part in engine.sl.items():
         if part.start <= index < part.stop:
-            carriage = index - part.start
-            if name == "fh":
-                carriage, k = divmod(carriage, 3)
-                name = f"fh{k + 1}"
-            i, j = list(engine.config.topology.carriage_ids())[carriage]
+            i, j = list(engine.config.topology.carriage_ids())[index - part.start]
             return f"{name}[{i}_{j}]"
     raise IndexError(index)
 
@@ -91,11 +149,15 @@ class TestIntegrationFaultNames:
         config = short_scenario(s5_config, 0.05, noise=True, representation="both")
         delta = np.zeros(9)
         delta[3] = np.inf
-        monkeypatch.setattr(simulator, "inject_disturbance", lambda *args: delta.copy())
+        # the driver draws a block of steps at once; every step of it gets delta
+        monkeypatch.setattr(simulator, "inject_disturbance",
+                            lambda rng, variance, shape: np.tile(delta, (shape[0], 1)))
         with np.errstate(all="ignore"), pytest.raises(IntegrationFault) as raised:
             run_scenario(config)
         assert raised.value.time == 0.0
-        assert str(raised.value).startswith("integration fault at t=0s in ")
+        # the step's trial stages already carry the infinity into pair 2's head law
+        assert str(raised.value).startswith("integration fault at t=0s (first barrier clamp: "
+                                            "pair 2 ")
         # the same step without names gives the indices of the first eight
         engine = _ClosedLoop(config)
         engine.delta = delta
@@ -105,6 +167,28 @@ class TestIntegrationFaultNames:
                    for label in unnamed.value.labels]
         assert len(indices) == 8
         assert raised.value.labels == [state_name(engine, i) for i in indices]
+
+
+    def test_fault_names_the_first_clamp(self, s5_config):
+        # every fault amplitude x1000, with carriage 1_1's windows opening at
+        # 0.1 s instead of 400 s and 500 s: pair 1, which that carriage heads,
+        # leaves its barrier domain and the clamped loop diverges
+        carriages = tuple(dataclasses.replace(c, fault=dataclasses.replace(
+            c.fault, constant_amp=1000 * c.fault.constant_amp,
+            periodic_amp=1000 * c.fault.periodic_amp)) for c in s5_config.carriages)
+        first = carriages[0].fault
+        carriages = (dataclasses.replace(carriages[0], fault=dataclasses.replace(
+            first, window_const=(0.1, first.window_const[1]),
+            window_periodic=(0.1, first.window_periodic[1]))),) + carriages[1:]
+        config = short_scenario(s5_config, 1.0, carriages=carriages, record_stride=100)
+        with np.errstate(all="ignore"), pytest.raises(IntegrationFault) as raised:
+            run_scenario(config)
+        message = str(raised.value)
+        found = re.fullmatch(r"integration fault at t=(\S+)s \(first barrier clamp: pair 1 "
+                             r"(xtilde|qtilde) at t=(\S+)s\) in .*", message)
+        assert found, message
+        assert float(found[1]) == pytest.approx(raised.value.time)
+        assert 0.1 <= float(found[3]) <= raised.value.time + config.step
 
 
 class TestDisturbance:
@@ -138,17 +222,20 @@ class TestDisturbance:
         assert done.stdout.split() == [str(noise)]
 
     def test_noisy_run_draws_one_disturbance_per_step(self, s5_config):
-        config = short_scenario(s5_config, 0.2, noise=True, record_stride=1)
-        record, _ = run_scenario(config)
-        engine = _ClosedLoop(config)
-        rng = np.random.default_rng(config.noise.seed)
-        y = engine.initial_state()
-        h = config.step
-        for k in range(len(record.t) - 1):
-            engine.delta = inject_disturbance(rng, config.noise.variance, engine.nc)
-            y = rk4_step(engine.rhs, y, k * h, h)
-        for name in ("x", "v", "w"):
-            assert np.array_equal(y[engine.sl[name]], record.data[name][-1]), name
+        # the run draws a block of steps at once; 0.37 s is no whole number of blocks
+        for duration in (0.2, 0.37):
+            config = short_scenario(s5_config, duration, noise=True, record_stride=1)
+            record, _ = run_scenario(config)
+            engine = _ClosedLoop(config)
+            rng = np.random.default_rng(config.noise.seed)
+            y = engine.initial_state()
+            h = config.step
+            for k in range(len(record.t) - 1):
+                engine.delta = inject_disturbance(rng, config.noise.variance, engine.nc)
+                y = rk4_step(engine.rhs, y, k * h, h)
+            for name in ("x", "v", "w"):
+                assert np.array_equal(y[engine.sl[name]], record.data[name][-1]), (duration,
+                                                                                  name)
 
 
 class TestConfigValidation:
@@ -198,6 +285,30 @@ class TestConfigValidation:
             run_scenario(dataclasses.replace(s5_config, **change(s5_config)))
         if violation is not None:
             assert violation in [v.name for v in info.value.violations]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda c: dict(observer_k1=math.inf), "0 < observer k1 < inf"),
+        (lambda c: dict(davis=dataclasses.replace(c.davis, c2=math.inf)),
+         "Davis coefficients must be nonnegative and finite"),
+        (lambda c: dict(davis=dataclasses.replace(c.davis, c1=math.nan)),
+         "Davis coefficients must be nonnegative and finite"),
+        (lambda c: dict(coupler=dataclasses.replace(c.coupler, damping=math.inf)),
+         "coupler stiffness, damping and spacing must be positive and finite"),
+        (lambda c: dict(coupler=dataclasses.replace(c.coupler, stiffness=math.nan)),
+         "coupler stiffness, damping and spacing must be positive and finite"),
+        (lambda c: dict(carriages=(dataclasses.replace(c.carriages[0], mass=math.nan),)
+                        + c.carriages[1:]), "carriage mass must be positive and finite"),
+        (lambda c: dict(carriages=c.carriages[:4] + (dataclasses.replace(
+            c.carriages[4], actuator_rate=math.nan),) + c.carriages[5:]),
+         "actuator rate must be positive and finite"),
+    ], ids=["observer-k1-inf", "davis-c2-inf", "davis-c1-nan", "coupler-damping-inf",
+            "coupler-stiffness-nan", "mass-nan", "actuator-rate-nan"])
+    def test_nonfinite_physical_parameter_named_error(self, s5_config, change, message):
+        # before it was named, each of these ended in a bare RuntimeWarning, an
+        # IntegrationFault at t=0 or a record holding NaN
+        with pytest.raises(ConfigurationError) as info:
+            run_scenario(short_scenario(s5_config, 0.05, **change(s5_config)))
+        assert message in str(info.value)
 
     @pytest.mark.parametrize("name", ["tail_window", "tol_xtilde_mean", "tol_vtilde_mean",
                                       "tol_gap_mean", "tol_vgap_mean"])
@@ -309,7 +420,7 @@ def check_scalar_assembly(config):
     y[engine.sl["xh"]] += rng.uniform(-0.5, 0.5, engine.nc)
     y[engine.sl["vh"]] += rng.uniform(-0.5, 0.5, engine.nc)
     y[engine.sl["wh"]] += rng.uniform(-0.5, 0.5, engine.nc)
-    y[engine.sl["fh"]] += rng.uniform(-0.5, 0.5, 3 * engine.nc)
+    by_carriage(engine, y)[:] += rng.uniform(-0.5, 0.5, (engine.nc, 3))
     engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
     dy, (u_engine, ef_true, ef_hat) = engine.evaluate(t, y)
     assert not engine.violations
@@ -324,7 +435,7 @@ def check_scalar_assembly(config):
     xh = y[engine.sl["xh"]]
     vh = y[engine.sl["vh"]]
     wh = y[engine.sl["wh"]]
-    fh = y[engine.sl["fh"]].reshape(nc, 3)
+    fh = by_carriage(engine, y)
 
     x0r, v0r, w0r, u0r = config.profile.evaluate(t)
     labels = list(topo.carriage_ids())
@@ -431,7 +542,7 @@ def check_scalar_assembly(config):
         assert dy[engine.sl["vh"]][g] == pytest.approx(d_obs.v_hat, rel=1e-12)
         assert dy[engine.sl["wh"]][g] == pytest.approx(d_obs.w_hat, rel=1e-12,
                                                        abs=1e-12 * scale)
-        assert dy[engine.sl["fh"]].reshape(nc, 3)[g] == pytest.approx(
+        assert by_carriage(engine, dy)[g] == pytest.approx(
             d_obs.f_hat, rel=1e-12, abs=1e-15)
 
 
@@ -466,9 +577,10 @@ class TestObserverGainsOracle:
         engine = _ClosedLoop(config)
         gains = observer_gains(config)
         assert len(gains) == engine.nc
-        for name in ("k1", "k2", "k3", "k4"):
+        for name in ("k1", "k2", "k3"):
             oracle = np.array([getattr(g, name) for g in gains])
             assert np.array_equal(oracle, getattr(engine, name + "g")), name
+        assert np.array_equal(np.array([g.k4 for g in gains]), by_carriage(engine, engine.k4g))
 
 
 def neighbour_indices(nc):
@@ -488,7 +600,7 @@ def per_carriage_controls(engine, t, y):
     sl = engine.sl
     nc = engine.nc
     xh, vh, wh = y[sl["xh"]], y[sl["vh"]], y[sl["wh"]]
-    fh = y[sl["fh"]].reshape(nc, 3)
+    fh = by_carriage(engine, y)
     xm, vm = y[sl["x"]], y[sl["v"]]
     prev, nxt = neighbour_indices(nc)
     x0r, v0r, w0r, u0r = cfg.profile.evaluate(t)
@@ -560,7 +672,7 @@ def random_feasible_state(engine, t, gap, combined, rng):
     y[sl["xh"]] = x + rng.uniform(-1, 1, nc)
     y[sl["vh"]] = v + rng.uniform(-1, 1, nc)
     y[sl["wh"]] = w + rng.uniform(-1, 1, nc)
-    y[sl["fh"]] = rng.uniform(-1, 1, 3 * nc)
+    by_carriage(engine, y)[:] = rng.uniform(-1, 1, (nc, 3))
     return y
 
 
@@ -750,7 +862,7 @@ def scalar_derivatives(engine, t, y):
     meas = ("xp", "vp") if engine.measure_from_plant else ("x", "v")
     xm, vm = y[sl[meas[0]]], y[sl[meas[1]]]
     xh, vh, wh = y[sl["xh"]], y[sl["vh"]], y[sl["wh"]]
-    fh = y[sl["fh"]].reshape(nc, 3)
+    fh = by_carriage(engine, y)
     x0r, v0r, w0r, u0r = cfg.profile.evaluate(t)
     faults = [snap_windows(c.fault, cfg.step) for c in cfg.carriages]
     chain = []   # (g, j, m_i, first carriage of the train)
@@ -809,7 +921,7 @@ def scalar_derivatives(engine, t, y):
     dy[sl["xh"]] = [d.x_hat for d in d_obs]
     dy[sl["vh"]] = [d.v_hat for d in d_obs]
     dy[sl["wh"]] = [d.w_hat for d in d_obs]
-    dy[sl["fh"]] = np.concatenate([d.f_hat for d in d_obs])
+    by_carriage(engine, dy)[:] = [d.f_hat for d in d_obs]
     for g, j, m_i, s in chain:
         carriage = cfg.carriages[g]
         f_true = fault_value(t, faults[g])
@@ -855,7 +967,7 @@ def check_scalar_contract(engine, t, gap, combined, seed):
     for name, part in engine.sl.items():
         assert close(dy[part], dy_ref[part]), name
     carriages = engine.config.carriages
-    fh = y[engine.sl["fh"]].reshape(engine.nc, 3)
+    fh = by_carriage(engine, y)
     assert close(ef_true, [effective_fault(t, snap_windows(c.fault, engine.config.step),
                                            c.mass)[0] for c in carriages])
     assert close(ef_hat, [np.dot(fault_input_row(c), f) for c, f in zip(carriages, fh)])
@@ -913,7 +1025,7 @@ def coupled_jerk_terms(engine, y):
     meas = ("xp", "vp") if engine.measure_from_plant else ("x", "v")
     vm = y[sl[meas[1]]]
     vh, wh = y[sl["vh"]], y[sl["wh"]]
-    fh = y[sl["fh"]].reshape(nc, 3)
+    fh = by_carriage(engine, y)
     prev, nxt = neighbour_indices(nc)
     cf_hat = (fh[:, 0] * engine.upsilon + fh[:, 2] * engine.nu_omega) / engine.mass
     e_v = vh - vm
@@ -1326,7 +1438,7 @@ class TestDeterminismAndStructure:
         base, _ = engine.evaluate(3.0, y)
         engine.delta = rng.uniform(-1.0, 1.0, engine.nc)
         bumped, _ = engine.evaluate(3.0, y)
-        for name in ("xh", "vh", "wh", "fh"):
+        for name in ("xh", "vh", "wh", "fh1", "fh2", "fh3"):
             assert np.array_equal(base[engine.sl[name]], bumped[engine.sl[name]])
         assert np.allclose(bumped[engine.sl["w"]] - base[engine.sl["w"]],
                            engine.delta)
