@@ -257,28 +257,6 @@ def _observer_pair_violations(config, eigenvalues):
     return out
 
 
-_PLACEMENTS = {}       # exact placement inputs -> ObserverGains, for this process
-_PLACEMENTS_KEPT = 256
-
-
-def _placed_gains(c_row, omega, eigenvalues, k1):
-    """The observer gains placed on the pair ``(c_row, omega)``, once per process.
-
-    Keyed by the exact inputs (their ``repr``, which tells 0.0 from -0.0);
-    the gains are frozen, so every engine may share them.  A failed
-    placement is not kept and raises again.
-    """
-    key = repr((c_row, omega, eigenvalues, k1))
-    gains = _PLACEMENTS.get(key)
-    if gains is None:
-        a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
-        gains = obs.synthesize_gains(a, c, eigenvalues, k1=k1)
-        if len(_PLACEMENTS) >= _PLACEMENTS_KEPT:
-            _PLACEMENTS.clear()
-        _PLACEMENTS[key] = gains
-    return gains
-
-
 def require_feasible(config, source="scenario"):
     """``config`` itself when it is runnable.
 
@@ -441,8 +419,9 @@ class _ClosedLoop:
                 pair_gains = obs.ObserverGains(k1=config.observer_k1,
                                                k=tuple(config.observer_gain_override))
             else:
-                pair_gains = _placed_gains(c_row, omega, tuple(config.observer_eigenvalues),
-                                           config.observer_k1)
+                a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
+                pair_gains = obs.synthesize_gains(a, c, config.observer_eigenvalues,
+                                                  k1=config.observer_k1)
             for g in members:
                 gains[g] = pair_gains
         self.k1g = np.array([g.k1 for g in gains])
@@ -501,8 +480,11 @@ class _ClosedLoop:
     def _build_buffers(self, row):
         """The state and derivative buffers, the scratch arrays and every view of them.
 
-        Built once, as a view costs about as much as a small array operation.
-        ``row`` maps each state block to its row of the ``(rows, nc)`` state.
+        ``__init__`` works out the configuration's parameters, gains and
+        state layout; this builds, from that layout, the working memory that
+        an evaluation reads and writes.  Built once, as a view costs about
+        as much as a small array operation.  ``row`` maps each state block
+        to its row of the ``(rows, nc)`` state.
         """
         nc, topo = self.nc, self.config.topology
         has_composite, has_plant = self.has_composite, self.has_plant
