@@ -47,10 +47,13 @@ that buffer, of its derivative buffer and of a few scratch arrays, all
 built once with the engine.  ``rhs`` hands over the derivative buffer
 itself, which the next evaluation overwrites; :func:`rk4_step` consumes
 each stage's derivative as it arrives, before asking for the next, and
-forms the stage states in the engine's state buffer.  ``evaluate`` returns
-copies with the control and estimated fault arrays, for samples and
-callers that keep them.  One engine is not re-entrant: it serves one
-evaluation at a time.
+forms the stage states in the engine's state buffer.  One engine is not
+re-entrant: it serves one evaluation at a time.
+
+A sample is not derived when it is taken: the engine keeps the raw sample
+(time, state, the evaluation's control and fault arrays, the lead's
+position and velocity), and one vectorised pass turns each block of
+``_SAMPLE_BLOCK`` samples, and the last partial one, into record rows.
 """
 
 from __future__ import annotations
@@ -74,7 +77,9 @@ from .reference import ReferenceProfile
 REPRESENTATIONS = ("composite", "plant", "both")
 CONTROL_LAWS = ("designed", "zero")
 _BLOCK_STEPS = 16    # steps whose time-only terms and disturbance are worked out at once
+_SAMPLE_BLOCK = 8    # samples kept raw and derived into record rows at once
 EVENTS_KEPT = 100    # events kept per (pair, quantity); the rest are only counted
+_TWO = np.array(2.0)  # the RK4 stage weight, as a 0-d array operand
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +298,17 @@ def rk4_step(rhs, state, t, h, k1=None, labels=None, stage=None):
         k1 = rhs(t, state)
     acc = k1.copy()
     half = 0.5 * h
-    stage = np.multiply(k1, half, out=stage)
+    half_0d, h_0d = np.array(half), np.array(h)   # a float operand costs 0.2 us more
+    stage = np.multiply(k1, half_0d, out=stage)
     np.add(state, stage, out=stage)
-    for weight, scale in ((2.0, half), (2.0, h)):
+    for scale in (half_0d, h_0d):
         k = rhs(t + half, stage)
-        np.multiply(k, weight, out=stage)
+        np.multiply(k, _TWO, out=stage)
         np.add(acc, stage, out=acc)
         np.multiply(k, scale, out=stage)
         np.add(state, stage, out=stage)
     np.add(acc, rhs(t + h, stage), out=acc)
-    np.multiply(acc, h / 6.0, out=acc)
+    np.multiply(acc, np.array(h / 6.0), out=acc)
     out = np.add(state, acc, out=acc)
     if not np.isfinite(out).all():
         bad = np.flatnonzero(~np.isfinite(out))[:8]
@@ -334,29 +340,26 @@ class _ClosedLoop:
     is that buffer), works in its derivative and scratch buffers through
     views built in ``__init__``, and hands over the derivative buffer,
     which the next evaluation overwrites: :func:`rk4_step` consumes each
-    stage as it arrives.  :meth:`evaluate` returns copies that belong to
-    the caller.  The state passed in is never written.  An engine is not
-    re-entrant: evaluations on one engine must not overlap.
+    stage as it arrives.  The state passed in is never written.
+    :meth:`keep_sample` keeps the latest evaluation as a raw sample, and
+    :meth:`derive_samples` turns the kept block into record-table rows.  An
+    engine is not re-entrant: evaluations on one engine must not overlap.
     """
 
     def __init__(self, config):
         self.config = config
         topo = config.topology
-        nc = topo.total_carriages
-        self.nc = nc
+        self.nc = nc = topo.total_carriages
         self.n_trains = topo.train_count
         davis, coupler = config.davis, config.coupler
         self.d_p = coupler.spacing
         self.d_s = config.constraints.d_s
-        self.rho1 = config.constraints.rho1
-        self.rho2 = config.constraints.rho2
+        self.rho1, self.rho2 = config.constraints.rho1, config.constraints.rho2
         self.vr1, self.vr2 = config.constraints.varrho(config.head_gains.ell1)
-        self.fgains = config.follower_gains
-        self.hgains = config.head_gains
+        self.fgains, self.hgains = config.follower_gains, config.head_gains
         self.head_constants = ctrl.head_constants(self.hgains, self.rho1, self.rho2,
                                                   self.vr1, self.vr2)
-        self.davis = davis
-        self.c1, self.c2 = davis.c1, davis.c2
+        self.davis, self.c1, self.c2 = davis, davis.c1, davis.c2
         self.a_stiff, self.b_damp = coupler.stiffness, coupler.damping
         self.zero_control = config.control_law == "zero"
         self.saturate = not config.abort_on_violation
@@ -366,11 +369,9 @@ class _ClosedLoop:
         # tail of the train ahead of each head; the first head's entry is a
         # placeholder for the virtual lead
         self.front_tails = np.array([0] + [h - 1 for h in heads[1:]])
-        j_of = np.empty(nc, dtype=int)
-        m_of = np.empty(nc, dtype=int)
-        for g, (i, j) in enumerate(topo.carriage_ids()):
-            j_of[g] = j
-            m_of[g] = topo.carriages_per_train[i - 1]
+        ids = list(topo.carriage_ids())
+        j_of = np.array([j for _, j in ids])
+        m_of = np.array([topo.carriages_per_train[i - 1] for i, _ in ids])
 
         self.mass = np.array([c.mass for c in config.carriages])
         self.rate = np.array([c.actuator_rate for c in config.carriages])
@@ -428,18 +429,15 @@ class _ClosedLoop:
         self.k2g = np.array([g.k2 for g in gains])
         self.k3g = np.array([g.k3 for g in gains])
         self.k4g = np.array([g.k[2:] for g in gains]).T.copy()     # (3, nc), a row per fh
-        self.neg_k1g = -self.k1g
         # -k1 e_x and c2 e_v as one product on the stacked errors (e_x, e_v)
-        self.err_coef = np.array([self.neg_k1g, [self.c2] * nc])
+        self.err_coef = np.array([-self.k1g, [self.c2] * nc])
         self.alpha3_coef = ctrl.alpha3_coefficients(self.fgains)
         self.mu2_op = np.zeros((nc, nc))
         self.mu2_op[ix, ix] = self.k2g
         self.mu2_op -= self.tri
 
-        has_composite = config.representation in ("composite", "both")
-        has_plant = config.representation in ("plant", "both")
-        self.has_composite = has_composite
-        self.has_plant = has_plant
+        self.has_composite = has_composite = config.representation in ("composite", "both")
+        self.has_plant = has_plant = config.representation in ("plant", "both")
         self.measure_from_plant = config.representation == "plant"
         # the composite and estimated channels interleave, so that the
         # velocities (v, vh) lie side by side, and so do their derivatives
@@ -481,10 +479,10 @@ class _ClosedLoop:
         """The state and derivative buffers, the scratch arrays and every view of them.
 
         ``__init__`` works out the configuration's parameters, gains and
-        state layout; this builds, from that layout, the working memory that
-        an evaluation reads and writes.  Built once, as a view costs about
-        as much as a small array operation.  ``row`` maps each state block
-        to its row of the ``(rows, nc)`` state.
+        state layout; this builds, from that layout, the working memory of
+        an evaluation and of the sample blocks.  Built once, as a view costs
+        about as much as a small array operation.  ``row`` maps each state
+        block to its row of the ``(rows, nc)`` state.
         """
         nc, topo = self.nc, self.config.topology
         has_composite, has_plant = self.has_composite, self.has_plant
@@ -536,27 +534,36 @@ class _ClosedLoop:
             self._diffs[:3], self._diffs[0], self._diffs[3:])
         self._inc = np.empty(nc)
         self._inc_follow = self._inc[1:]
-        # One record-table row, written in place at every sample, and a
-        # (field, owner) view of each of its column blocks, in the record's own
-        # layout.  The carriage and pair fields are worked out in contiguous
-        # (field, owner) arrays and copied into their block at once: numpy
-        # writes a strided two-dimensional block slowly, one at a time.
+        # Samples, _SAMPLE_BLOCK at a time: record-table rows, with a (sample,
+        # field, owner) view of each column block, into which t, u, f_eff and
+        # f_eff_hat are kept as they are, and the raw lead (x0, v0) and state
+        # from which derive_samples works out the other columns
+        n, k, nt = self.n_states, _SAMPLE_BLOCK, self.n_trains
         plant_columns = has_plant and not self.measure_from_plant
-        sample = np.empty((1, len(column_names(topo.carriage_ids(), self.n_trains,
-                                               plant_columns))))
-        self.sample = sample[0]
-        self._sample_blocks = [view[0].T for _, view in _block_views(
-            sample, tuple(topo.carriage_ids()), self.n_trains, plant_columns)]
-        self._sample_cols = np.empty((len(_CARRIAGE_FIELDS), nc))
-        self._sample_pairs = np.empty((len(_PAIR_FIELDS), self.n_trains))
-        # per train pair, flat state indices of the measured (x, v) at the
-        # front and at the head, as rows
+        labels = tuple(topo.carriage_ids())
+        self._rows = np.empty((k, len(column_names(labels, nt, plant_columns))))
+        cols, pairs, *plant = [view.transpose(0, 2, 1) for _, view in _block_views(
+            self._rows, labels, nt, plant_columns)]
+        self._n_kept, self._kept_t = 0, self._rows[:, 0]
+        self._kept_u, self._kept_ef, self._kept_ef_hat = cols[:, 4], cols[:, 5], cols[:, 6]
+        self._cols_xv, self._cols_xvw, self._cols_err = cols[:, :2], cols[:, :3], cols[:, 7:]
+        self._cols_w, self._cols_tau, self._pairs_eps_vt = cols[:, 2], cols[:, 3], pairs[:, ::2]
+        self._pairs_eps, self._pairs_xt, self._pairs_vt, self._pairs_qt = pairs.transpose(1, 0, 2)
+        kept = np.zeros((k, 2 + n))
+        self._kept_lead, self._kept_y = kept[:, :2], kept[:, 2:]
+        kept_rows = self._kept_y.reshape(k, -1, nc)
+        self._kept_meas = meas = kept_rows[:, self.meas_rows]
+        self._kept_est, self._kept_meas_v = kept_rows[:, self.est_rows], meas[:, 1]
+        self._kept_ahead, self._kept_behind = meas[:, :, :-1], meas[:, :, 1:]
+        self._kept_links = np.empty((k, 2, nc - 1))
+        self._kept_dx, self._kept_dv = self._kept_links.transpose(1, 0, 2)
+        # per train pair, measured (x, v) flat indices at the front and the head, as rows
         self._pair_xv = self.pair_idx[:, [0, 1, 3, 4]].T
-        self._xvw_rows = (slice(row["x"], row["w"] + 1, row["v"] - row["x"])
-                          if has_composite else None)
-        self._tau_row = row.get("tau")
-        self._plant_rows = slice(row["xp"], row["tau"] + 1) if plant_columns else None
-
+        # the state rows that the record takes as they are
+        self._kept_tau = kept_rows[:, row["tau"]] if self.measure_from_plant else None
+        self._kept_xvw = kept_rows[:, 0:5:2] if has_composite else None      # x, v, w
+        self._plant_cols, self._kept_plant = (
+            (plant[0], kept_rows[:, row["xp"]:row["tau"] + 1]) if plant_columns else (None, None))
 
     # -- helpers ------------------------------------------------------------
 
@@ -614,11 +621,8 @@ class _ClosedLoop:
         return -(self.a_stiff * dv).dot(self.telescope) / self.mass
 
     def initial_state(self):
-        cfg = self.config
-        nc = self.nc
-        x0 = np.array([s[0] for s in cfg.initial])
-        v0 = np.array([s[1] for s in cfg.initial])
-        w0 = np.array([s[2] for s in cfg.initial])
+        cfg, nc = self.config, self.nc
+        x0, v0, w0 = np.array(cfg.initial, dtype=float).T
         if cfg.observer_initial is not None:
             # a (xh, vh, wh, f1, f2, f3) entry per carriage, a row per block here
             xh, vh, wh, *fh = np.asarray(cfg.observer_initial, dtype=float).T
@@ -640,16 +644,6 @@ class _ClosedLoop:
         return y
 
     # -- derivative evaluation ----------------------------------------------
-
-    def evaluate(self, t, y):
-        """Derivative vector plus the per-stage diagnostics ``(u, ef_true, ef_hat)``.
-
-        ``y`` is only read.  The derivative, ``u`` and ``ef_hat`` are new
-        arrays that belong to the caller; ``ef_true`` is the shared,
-        read-only time-term row.
-        """
-        dy = self.rhs(t, y)
-        return dy.copy(), (self._u.copy(), self.time_terms(t)[4], self._ef_hat)
 
     def rhs(self, t, y):
         """The derivative at ``(t, y)``, in the engine's own derivative buffer.
@@ -761,41 +755,46 @@ class _ClosedLoop:
         if seen["count"] <= EVENTS_KEPT:
             self.violations.append(event)
 
-    # -- sample-time diagnostics ---------------------------------------------
+    # -- samples --------------------------------------------------------------
 
-    def sample_row(self, t, y, stage_diag):
-        """Every recorded quantity at a sample instant, as one record-table row.
+    def keep_sample(self, t):
+        """Keep the latest evaluation, at ``t``, as a raw sample; True once the block is full."""
+        i, (x0, v0, _, _, ef_true, _) = self._n_kept, self.time_terms(t)
+        self._kept_t[i], self._kept_lead[i], self._kept_y[i] = t, (x0, v0), self._y
+        self._kept_u[i], self._kept_ef[i], self._kept_ef_hat[i] = self._u, ef_true, self._ef_hat
+        self._n_kept = i + 1
+        return self._n_kept == _SAMPLE_BLOCK
 
-        The row is the engine's own buffer, laid out as a row of
-        :class:`SimulationRecord`'s table, and the next call overwrites it.
+    def derive_samples(self):
+        """The kept samples as record-table rows (the engine's buffer); empties the block.
+
+        One pass over the whole block, of row-invariant operations only:
+        elementwise ones, and the product with ``telescope``, whose columns
+        hold at most two entries of +-1, which is exact in any summation
+        order.  A row is therefore the same whichever block derives it.
         """
-        rows, cols, pairs = y.reshape(-1, self.nc), self._sample_cols, self._sample_pairs
-        xvw, w, tau = cols[:3], cols[2], cols[3]     # _CARRIAGE_FIELDS order
-        meas = rows[self.meas_rows]
-        coupling = self.coupling_vector(*(meas[:, :-1] - meas[:, 1:]))
-        resist = self.davis.resistance(meas[1])
+        n, self._n_kept = self._n_kept, 0
+        w, tau = self._cols_w, self._cols_tau
+        np.subtract(self._kept_ahead, self._kept_behind, out=self._kept_links)
+        coupling = self.coupling_vector(self._kept_dx, self._kept_dv)
+        resist = self.davis.resistance(self._kept_meas_v)
         if self.measure_from_plant:
-            xvw[:2] = meas
-            tau[:] = rows[self._tau_row]
+            self._cols_xv[:], tau[:] = self._kept_meas, self._kept_tau
             np.divide(tau - coupling - self.mass * resist, self.mass, out=w)
         else:
-            xvw[:] = rows[self._xvw_rows]
+            self._cols_xvw[:] = self._kept_xvw
             np.add(self.mass * w + coupling, self.mass * resist, out=tau)
-        cols[4][:], cols[5][:], cols[6][:] = stage_diag      # u, f_eff, f_eff_hat
-        np.subtract(rows[self.est_rows], xvw, out=cols[7:])
-        # gap and velocity errors (pairs rows: eps, xtilde, vtilde, qtilde);
+        np.subtract(self._kept_est, self._cols_xvw, out=self._cols_err)
+        # gap and velocity errors (pair rows eps, xtilde, vtilde, qtilde);
         # the first pair's front is the virtual lead
-        front_head = y[self._pair_xv]
-        front_head[0, 0], front_head[1, 0] = self.time_terms(t)[:2]
-        np.subtract(front_head[:2], front_head[2:], out=pairs[::2])
-        np.subtract(pairs[0], self.d_s, out=pairs[1])
-        np.add(pairs[2], self.hgains.ell1 * pairs[1], out=pairs[3])
-        blocks = self._sample_blocks
-        self.sample[0] = t
-        blocks[0][:], blocks[1][:] = cols, pairs
-        if self._plant_rows is not None:
-            blocks[2][:] = rows[self._plant_rows]
-        return self.sample
+        front_head = self._kept_y[:, self._pair_xv]
+        front_head[:, :2, 0] = self._kept_lead
+        np.subtract(front_head[:, :2], front_head[:, 2:], out=self._pairs_eps_vt)
+        np.subtract(self._pairs_eps, self.d_s, out=self._pairs_xt)
+        np.add(self._pairs_vt, self.hgains.ell1 * self._pairs_xt, out=self._pairs_qt)
+        if self._kept_plant is not None:
+            self._plant_cols[:] = self._kept_plant
+        return self._rows[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -1109,14 +1108,13 @@ def run_scenario(config):
             if block_i == 0:
                 draws = inject_disturbance(rng, config.noise.variance, (_BLOCK_STEPS, nc))
             engine.delta = draws[block_i]
+        k1 = engine.rhs(t, y)
         if step_i % stride == 0 or step_i == n_steps:
-            k1, diag = engine.evaluate(t, y)
-            record.table[sample_pos] = engine.sample_row(t, y, diag)
-            sample_pos += 1
+            if engine.keep_sample(t):
+                record.table[sample_pos:sample_pos + _SAMPLE_BLOCK] = engine.derive_samples()
+                sample_pos += _SAMPLE_BLOCK
             if step_i == n_steps:
                 break
-        else:
-            k1 = engine.rhs(t, y)
         try:
             y = rk4_step(engine.rhs, y, t, h, k1=k1, labels=engine.state_labels,
                          stage=engine._y)
@@ -1124,6 +1122,7 @@ def run_scenario(config):
             raise IntegrationFault(fault.time, labels=fault.labels,
                                    message=f"integration fault at t={t:.6g}s"
                                    + _first_clamp(engine.saturations)) from fault
+    record.table[sample_pos:] = engine.derive_samples()
 
     report = monitor_requirements(
         record, config.constraints, config.head_gains.ell1, config.coupler.spacing,

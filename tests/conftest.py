@@ -51,6 +51,17 @@ def short_scenario(config, duration, *, noise=False, step=None, **changes):
         step=config.step if step is None else step, **changes)
 
 
+def evaluate(engine, t, y):
+    """An engine's derivative at ``(t, y)`` plus that evaluation's ``(u, ef_true, ef_hat)``.
+
+    ``y`` is only read.  The derivative, ``u`` and ``ef_hat`` are new arrays
+    that belong to the caller; ``ef_true`` is the engine's shared,
+    read-only time-term row.
+    """
+    dy = engine.rhs(t, y)
+    return dy.copy(), (engine._u.copy(), engine.time_terms(t)[4], engine._ef_hat)
+
+
 def by_carriage(engine, array):
     """The engine's three per-carriage fault rows as a writable (nc, 3) view, a row per carriage.
 

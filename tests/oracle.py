@@ -18,9 +18,11 @@ written as the paper's backstepping chain alpha1 -> alpha2 -> z errors ->
 alpha3, the reference for the package's constant alpha3 weights, and the
 pair clamp in its recording form, which reports every clamp it makes.
 
-The configuration helpers at the end (train slices, tails, snapped faults,
-observer gains) give the tests the chain layout and the per-carriage gains
-that the engine keeps only while it builds its operators.
+The per-sample record row is the reference for the engine's block-wise
+derivation of record rows.  The configuration helpers at the end (train
+slices, tails, snapped faults, observer gains) give the tests the chain
+layout and the per-carriage gains that the engine keeps only while it
+builds its operators.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from platoonsim.errors import BarrierDomainError, ConfigurationError
 from platoonsim.faults import exosystem_matrix, snap_windows
 from platoonsim.observer import (ObserverGains, build_augmented_pair, closed_loop_matrix,
                                  synthesize_gains)
+from platoonsim.simulator import _CARRIAGE_FIELDS, _PAIR_FIELDS, _block_views, column_names
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +616,54 @@ def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
                                varrho1, varrho2, saturate, record)
     val, d_x, d_v = beta_partials(xt, qt, gains, rho1, rho2, varrho1, varrho2)
     return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
+
+
+# ---------------------------------------------------------------------------
+# a record row, one sample at a time
+# ---------------------------------------------------------------------------
+
+def sample_row(engine, t, y, stage_diag):
+    """Every recorded quantity at a sample instant, as one record-table row.
+
+    The per-sample reference for the engine's block derivation: the formula
+    the engine ran at every sample before samples were derived a block at a
+    time, on a row of its own.  ``stage_diag`` is the evaluation's
+    ``(u, ef_true, ef_hat)`` at ``(t, y)``.
+    """
+    nc, n_trains = engine.nc, engine.n_trains
+    row = {name: part.start // nc for name, part in engine.sl.items()}
+    plant_columns = engine.has_plant and not engine.measure_from_plant
+    labels = tuple(engine.config.topology.carriage_ids())
+    sample = np.empty((1, len(column_names(labels, n_trains, plant_columns))))
+    sample_blocks = [view[0].T for _, view in _block_views(sample, labels, n_trains,
+                                                           plant_columns)]
+    rows = y.reshape(-1, nc)
+    cols, pairs = np.empty((len(_CARRIAGE_FIELDS), nc)), np.empty((len(_PAIR_FIELDS), n_trains))
+    xvw, w, tau = cols[:3], cols[2], cols[3]     # _CARRIAGE_FIELDS order
+    meas = rows[engine.meas_rows]
+    coupling = engine.coupling_vector(*(meas[:, :-1] - meas[:, 1:]))
+    resist = engine.davis.resistance(meas[1])
+    if engine.measure_from_plant:
+        xvw[:2] = meas
+        tau[:] = rows[row["tau"]]
+        np.divide(tau - coupling - engine.mass * resist, engine.mass, out=w)
+    else:
+        xvw[:] = rows[row["x"]:row["w"] + 1:row["v"] - row["x"]]
+        np.add(engine.mass * w + coupling, engine.mass * resist, out=tau)
+    cols[4][:], cols[5][:], cols[6][:] = stage_diag      # u, f_eff, f_eff_hat
+    np.subtract(rows[engine.est_rows], xvw, out=cols[7:])
+    # gap and velocity errors (pairs rows: eps, xtilde, vtilde, qtilde);
+    # the first pair's front is the virtual lead
+    front_head = y[engine.pair_idx[:, [0, 1, 3, 4]].T]
+    front_head[0, 0], front_head[1, 0] = engine.time_terms(t)[:2]
+    np.subtract(front_head[:2], front_head[2:], out=pairs[::2])
+    np.subtract(pairs[0], engine.d_s, out=pairs[1])
+    np.add(pairs[2], engine.hgains.ell1 * pairs[1], out=pairs[3])
+    sample[0, 0] = t
+    sample_blocks[0][:], sample_blocks[1][:] = cols, pairs
+    if plant_columns:
+        sample_blocks[2][:] = rows[row["xp"]:row["tau"] + 1]
+    return sample[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import by_carriage, short_scenario
+from conftest import by_carriage, evaluate, short_scenario
 from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
                     auxiliary_mu2, b1_coefficient, coefficient_b, composite_rhs,
                     coupling_force, effective_fault, fault_accel_row, fault_input_row,
@@ -28,7 +28,7 @@ from platoonsim.errors import BarrierDomainError, ConfigurationError, Integratio
 from platoonsim.faults import snap_windows
 from platoonsim.model import ConsistTopology
 from platoonsim.presets import paper_s5
-from platoonsim.simulator import (_BLOCK_STEPS, EVENTS_KEPT, REPRESENTATIONS,
+from platoonsim.simulator import (_BLOCK_STEPS, _SAMPLE_BLOCK, EVENTS_KEPT, REPRESENTATIONS,
                                   MonitorSpec, SimulationRecord, _ClosedLoop,
                                   inject_disturbance,
                                   monitor_requirements, rk4_step, run_scenario,
@@ -422,7 +422,7 @@ def check_scalar_assembly(config):
     y[engine.sl["wh"]] += rng.uniform(-0.5, 0.5, engine.nc)
     by_carriage(engine, y)[:] += rng.uniform(-0.5, 0.5, (engine.nc, 3))
     engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
-    dy, (u_engine, ef_true, ef_hat) = engine.evaluate(t, y)
+    dy, (u_engine, ef_true, ef_hat) = evaluate(engine, t, y)
     assert not engine.violations
 
     topo = config.topology
@@ -681,7 +681,7 @@ def check_per_carriage_controls(engine, t, gap, combined, seed):
     # train pairs at random points of their barrier domains, carriages
     # and estimates scattered around them
     y = random_feasible_state(engine, t, gap, combined, np.random.default_rng(seed))
-    dy, (u, _, _) = engine.evaluate(t, y)
+    dy, (u, _, _) = evaluate(engine, t, y)
     assert not engine.violations
     u_ref, whdot_ref = per_carriage_controls(engine, t, y)
     # both forms cancel the same large terms in a different order, so a
@@ -837,7 +837,7 @@ class TestHeadLawPerPairMixed:
     def test_increments_events_and_abort(self, configs, outside, t, gap, combined, push,
                                          seed):
         engine, y = check_head_law_per_pair(configs, outside, t, gap, combined, push, seed)
-        dy, (u, _, _) = engine.evaluate(t, y)
+        dy, (u, _, _) = evaluate(engine, t, y)
         assert np.isfinite(dy).all()
         u_ref, whdot_ref = per_carriage_controls(engine, t, y)
         ahead = engine.heads[min(outside)] if outside else engine.nc
@@ -956,7 +956,7 @@ def check_scalar_contract(engine, t, gap, combined, seed):
     rng = np.random.default_rng(seed)
     y = random_feasible_state(engine, t, gap, combined, rng)
     engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
-    dy, (u, ef_true, ef_hat) = engine.evaluate(t, y)
+    dy, (u, ef_true, ef_hat) = evaluate(engine, t, y)
     assert not engine.violations
     dy_ref, u_ref = scalar_derivatives(engine, t, y)
 
@@ -1069,7 +1069,7 @@ class TestEstimatedJerkIdentity:
         rng = np.random.default_rng(seed)
         y = random_feasible_state(engine, t, gap, combined, rng)
         engine.delta = rng.uniform(-0.1, 0.1, engine.nc)
-        dy, (u, _, _) = engine.evaluate(t, y)
+        dy, (u, _, _) = evaluate(engine, t, y)
         composite, own = coupled_jerk_terms(engine, y)
 
         def close(got, ref):
@@ -1123,8 +1123,8 @@ class TestTimeTermCache:
         edge = fault_edges(engine.config)[0]
         for t0 in (400.0, edge - h, edge - h / 2, edge):
             for t in (t0, t0 + 0.5 * h, t0 + 0.5 * h, t0 + h):
-                dy, diag = engine.evaluate(t, y)
-                fresh_dy, fresh_diag = _ClosedLoop(engine.config).evaluate(t, y)
+                dy, diag = evaluate(engine, t, y)
+                fresh_dy, fresh_diag = evaluate(_ClosedLoop(engine.config), t, y)
                 assert np.array_equal(dy.view(np.int64), fresh_dy.view(np.int64)), t
                 for got, want in zip(diag, fresh_diag):
                     assert np.array_equal(got.view(np.int64), want.view(np.int64)), t
@@ -1132,7 +1132,7 @@ class TestTimeTermCache:
     def test_returned_arrays_do_not_alias_the_cache(self, engine):
         t = 1.0
         y = engine.initial_state()
-        dy, diag = engine.evaluate(t, y)
+        dy, diag = evaluate(engine, t, y)
         dy_kept, diag_kept, y_kept = dy.copy(), [a.copy() for a in diag], y.copy()
         # the cached fault terms are shared, so they refuse writes; every
         # other returned array, and the state passed in, is the caller's
@@ -1141,7 +1141,7 @@ class TestTimeTermCache:
             ef_true[0] = 7.0
         for array in (dy, diag[0], diag[2], y):
             array[:] = 7.0
-        dy_again, diag_again = engine.evaluate(t, y_kept)
+        dy_again, diag_again = evaluate(engine, t, y_kept)
         assert np.array_equal(dy_again, dy_kept)
         for got, want in zip(diag_again, diag_kept):
             assert np.array_equal(got, want)
@@ -1191,9 +1191,9 @@ class TestEngineBuffers:
         y_a, y_b = self.states(engine, 1), self.states(engine, 2)
         kept_a, kept_b = y_a.copy(), y_b.copy()
         engine.delta = np.random.default_rng(3).uniform(-0.1, 0.1, engine.nc)
-        dy_a, (u_a, _, ef_hat_a) = engine.evaluate(0.5, y_a)
+        dy_a, (u_a, _, ef_hat_a) = evaluate(engine, 0.5, y_a)
         returned = [a.copy() for a in (dy_a, u_a, ef_hat_a)]
-        engine.evaluate(0.75, y_b)
+        evaluate(engine, 0.75, y_b)
         for got, want in zip((dy_a, u_a, ef_hat_a), returned):
             assert bitwise_equal(got, want)
         # the states passed in were only read
@@ -1409,15 +1409,97 @@ class TestPlantPathAgainstLoops:
         dx, dv = x[:-1] - x[1:], v[:-1] - v[1:]
         assert bitwise_equal(engine.coupling_vector(dx, dv), coupling_vector_loop(engine, x, v))
         assert bitwise_equal(engine.stiffness_drift(dv), stiffness_drift_loop(engine, v))
-        row = engine.sample_row(t, y, engine.evaluate(t, y)[1])
+        engine.rhs(t, y)
+        engine.keep_sample(t)
+        rows = engine.derive_samples()
         eps, vt = pair_errors_loop(engine, t, x, v)
-        # the sample row read through a record's own layout
+        # a one-sample block read through a record's own layout
         labels = tuple(engine.config.topology.carriage_ids())
-        record = SimulationRecord(row[None, :].copy(), labels, engine.n_trains,
+        record = SimulationRecord(rows.copy(), labels, engine.n_trains,
                                   engine.config.step, 1,
                                   plant=engine.has_plant and not engine.measure_from_plant)
         assert bitwise_equal(record.data["eps"][0], eps)
         assert bitwise_equal(record.data["vtilde"][0], vt)
+
+
+def per_sample_table(config):
+    """The record table of a noise-free run, each row from the per-sample oracle.
+
+    Steps as :func:`run_scenario` does: every ``record_stride``-th step and
+    the last one are sampled, each by its own evaluation.
+    """
+    engine = _ClosedLoop(config)
+    h, stride = config.step, config.record_stride
+    n_steps = int(round(config.duration / h))
+    y, rows = engine.initial_state(), []
+    for step_i in range(n_steps + 1):
+        t = step_i * h
+        if step_i % stride == 0 or step_i == n_steps:
+            k1, diag = evaluate(engine, t, y)
+            rows.append(oracle.sample_row(engine, t, y, diag))
+        else:
+            k1 = engine.rhs(t, y)
+        if step_i < n_steps:
+            y = rk4_step(engine.rhs, y, t, h, k1=k1)
+    return np.array(rows)
+
+
+class TestBlockSamples:
+    """Record rows derived a block at a time are bitwise the per-sample oracle's rows."""
+
+    @pytest.fixture(scope="class", params=REPRESENTATIONS)
+    def s5_engine(self, request, s5_config):
+        return _ClosedLoop(short_scenario(s5_config, 20.0, representation=request.param))
+
+    @pytest.fixture(scope="class", params=REPRESENTATIONS)
+    def mixed_engine(self, request, topology_engine):
+        return _ClosedLoop(dataclasses.replace(topology_engine.config,
+                                               representation=request.param))
+
+    @staticmethod
+    def check_every_block_length(engine, seed):
+        rng = np.random.default_rng(seed)
+        edges = fault_edges(engine.config)
+        for n in range(1, _SAMPLE_BLOCK + 1):
+            want = []
+            for _ in range(n):
+                t = float(rng.choice(edges) if rng.random() < 0.25 else rng.uniform(0.0, 2400.0))
+                y = random_feasible_state(engine, t, rng.uniform(-0.95, 0.95, engine.n_trains),
+                                          rng.uniform(-0.95, 0.95, engine.n_trains), rng)
+                _, diag = evaluate(engine, t, y)
+                engine.keep_sample(t)
+                want.append(oracle.sample_row(engine, t, y, diag))
+            got = engine.derive_samples()
+            assert got.shape == (n, len(want[0])), n
+            assert bitwise_equal(got, np.array(want)), n
+
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_paper_s5_blocks_match_the_oracle(self, s5_engine, seed):
+        self.check_every_block_length(s5_engine, seed)
+
+    @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_mixed_consist_blocks_match_the_oracle(self, mixed_engine, seed):
+        self.check_every_block_length(mixed_engine, seed)
+
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    @pytest.mark.parametrize("duration, stride, n_samples", [
+        ((_SAMPLE_BLOCK - 2) * 0.01, 1, _SAMPLE_BLOCK - 1),
+        ((_SAMPLE_BLOCK - 1) * 0.01, 1, _SAMPLE_BLOCK),
+        (_SAMPLE_BLOCK * 0.01, 1, _SAMPLE_BLOCK + 1),
+        (0.001, 1, 1),
+        (0.5, 3, 18),        # the last sample is off the stride, in a partial block
+        # the last sample, off the stride, fills a block
+        ((3 * (2 * _SAMPLE_BLOCK - 2) + 1) * 0.01, 3, 2 * _SAMPLE_BLOCK)],
+        ids=["block-1", "block", "block+1", "one", "off-stride", "off-stride-full"])
+    def test_records_across_block_boundaries(self, s5_config, representation, duration,
+                                             stride, n_samples):
+        config = short_scenario(s5_config, duration, record_stride=stride,
+                                representation=representation)
+        record, _ = run_scenario(config)
+        assert record.table.shape[0] == n_samples
+        assert bitwise_equal(record.table, per_sample_table(config))
 
 
 class TestDeterminismAndStructure:
@@ -1435,9 +1517,9 @@ class TestDeterminismAndStructure:
         rng = np.random.default_rng(5)
         y[engine.sl["wh"]] += rng.uniform(-0.3, 0.3, engine.nc)
         engine.delta = np.zeros(engine.nc)
-        base, _ = engine.evaluate(3.0, y)
+        base, _ = evaluate(engine, 3.0, y)
         engine.delta = rng.uniform(-1.0, 1.0, engine.nc)
-        bumped, _ = engine.evaluate(3.0, y)
+        bumped, _ = evaluate(engine, 3.0, y)
         for name in ("xh", "vh", "wh", "fh1", "fh2", "fh3"):
             assert np.array_equal(base[engine.sl[name]], bumped[engine.sl[name]])
         assert np.allclose(bumped[engine.sl["w"]] - base[engine.sl["w"]],
@@ -1456,13 +1538,13 @@ class TestDeterminismAndStructure:
         # behind, across train boundaries.
         engine = _ClosedLoop(short_scenario(s5_config, 20.0))
         y = engine.initial_state()
-        base = engine.evaluate(1.0, y)[0][engine.sl["wh"]]
+        base = evaluate(engine, 1.0, y)[0][engine.sl["wh"]]
         scale = max(np.abs(base).max(), 1.0)
         ends = set(engine.heads) | set(tail_indices(engine.config))
         for g in range(engine.nc - 1):
             moved = y.copy()
             moved[engine.sl["xh"]][g] += 0.1
-            whdot = engine.evaluate(1.0, moved)[0][engine.sl["wh"]]
+            whdot = evaluate(engine, 1.0, moved)[0][engine.sl["wh"]]
             assert np.array_equal(whdot[:g], base[:g]), g
             behind = np.abs(whdot[g + 1:] - base[g + 1:])
             if g in ends:
@@ -1592,7 +1674,7 @@ class TestConstraintHandling:
     def test_saturation_records_event_and_stays_finite(self, s5_config):
         engine = _ClosedLoop(short_scenario(s5_config, 10.0))
         y = self.violating_state(engine)
-        dy, _ = engine.evaluate(0.0, y)
+        dy, _ = evaluate(engine, 0.0, y)
         assert np.isfinite(dy).all()
         assert engine.violations
         event = engine.violations[0]
@@ -1607,7 +1689,7 @@ class TestConstraintHandling:
         times = [0.01 * k for k in range(EVENTS_KEPT + 50)]
         order = times[50:] + times[:50]   # earliest and latest time mid-sequence
         for t in order:
-            engine.evaluate(t, y)
+            evaluate(engine, t, y)
         counts = engine.saturations
         assert counts and 2 in counts
         kinds = [(pair, quantity) for pair in counts for quantity in counts[pair]]
@@ -1634,7 +1716,7 @@ class TestConstraintHandling:
         engine = _ClosedLoop(config)
         y = self.violating_state(engine)
         with pytest.raises(BarrierDomainError):
-            engine.evaluate(0.0, y)
+            evaluate(engine, 0.0, y)
 
 
 class TestNoDualNumbersAtRunTime:
