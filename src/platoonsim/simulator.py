@@ -15,9 +15,12 @@ the coupler links per carriage.
 
 1. the time-only terms (reference and true fault force rate), worked out
    for a block of steps at once at the exact stage times;
-2. the observer corrections on the stacked estimate rows, with
-   mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh) and vhdot = wh + mu2, written
-   into the derivative vector with the other estimate derivatives;
+2. the observer, which does not depend on the control input: one product
+   of a constant operator with its own inputs (vh, wh, the fault estimate
+   rows and the output errors e_x, e_v) gives xhdot, the fault-estimate
+   derivatives, k3 e_v + the estimated fault jerk, the estimated fault
+   force rate, and vhdot = wh + mu2 but for mu2's one nonlinear term,
+   added after: mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh);
 3. B on the composite (v, w) and estimated (vh, vhdot) channels at once:
    the estimated jerk without input, which every law cancels, is
    B(vh) vhdot + k3 e_v + the estimated fault jerk;
@@ -44,11 +47,13 @@ alone), the fault estimate's rows ``fh1, fh2, fh3``, then the plant's
 An engine evaluates in buffers of its own: it copies the state passed in
 into its state buffer (unless it is that buffer), and works on views of
 that buffer, of its derivative buffer and of a few scratch arrays, all
-built once with the engine.  ``rhs`` hands over the derivative buffer
-itself, which the next evaluation overwrites; :func:`rk4_step` consumes
-each stage's derivative as it arrives, before asking for the next, and
-forms the stage states in the engine's state buffer.  One engine is not
-re-entrant: it serves one evaluation at a time.
+built once with the engine; the observer's inputs are gathered into one
+scratch vector and its product lands in another.  ``rhs`` hands over the
+derivative buffer itself, which the next evaluation overwrites, as it does
+the observer's product and so the estimated fault force rate ``_ef_hat``;
+:func:`rk4_step` consumes each stage's derivative as it arrives, before
+asking for the next, and forms the stage states in the engine's state
+buffer.  One engine is not re-entrant: it serves one evaluation at a time.
 
 A sample is not derived when it is taken: the engine keeps the raw sample
 (time, state, the evaluation's control and fault arrays, the lead's
@@ -336,6 +341,8 @@ class _ClosedLoop:
     The state stacks blocks of one entry per carriage (``sl`` maps each
     name to its slice); the fault estimate is the three rows ``fh1``,
     ``fh2`` and ``fh3``, and ``k4g`` holds its gains as matching rows.
+    ``observer_op`` is the whole observer but one nonlinear term, gains
+    and generator included, as one constant matrix on its own inputs.
     :meth:`rhs` copies the state into the engine's state buffer (unless it
     is that buffer), works in its derivative and scratch buffers through
     views built in ``__init__``, and hands over the derivative buffer,
@@ -392,7 +399,7 @@ class _ClosedLoop:
         self.tri[ix, ix], self.tri[ix[1:], ix[:-1]], self.tri[ix[:-1], ix[1:]] = (
             self.bm1, self.b2[1:], self.b3[:-1])
         # a 0-d array: a Python float operand costs a ufunc about 0.2 us more
-        self.two_c2 = np.array(2.0 * self.c2)
+        self.c2_0d, self.two_c2 = np.array(self.c2), np.array(2.0 * self.c2)
         # link k joins carriages k and k + 1; its term adds to carriage k and
         # subtracts from k + 1, and a link across a train boundary carries none
         self.telescope = np.zeros((nc - 1, nc))
@@ -411,8 +418,6 @@ class _ClosedLoop:
                                       [f.window_periodic[0] for f in faults]])
         self.window_end = np.array([[f.window_const[1] for f in faults],
                                     [f.window_periodic[1] for f in faults]])
-        # generator rotation acting on the (fh3, fh2) rows in the (fh2, fh3) derivative rows
-        self.rotation = np.array([self.omega, -self.omega])
 
         gains = [None] * nc
         for (c_row, omega), members in _observer_pairs(config.carriages).items():
@@ -429,12 +434,25 @@ class _ClosedLoop:
         self.k2g = np.array([g.k2 for g in gains])
         self.k3g = np.array([g.k3 for g in gains])
         self.k4g = np.array([g.k[2:] for g in gains]).T.copy()     # (3, nc), a row per fh
-        # -k1 e_x and c2 e_v as one product on the stacked errors (e_x, e_v)
-        self.err_coef = np.array([-self.k1g, [self.c2] * nc])
         self.alpha3_coef = ctrl.alpha3_coefficients(self.fgains)
-        self.mu2_op = np.zeros((nc, nc))
-        self.mu2_op[ix, ix] = self.k2g
-        self.mu2_op -= self.tri
+        # The observer as one constant operator, a (7, nc) x (7, nc) block
+        # matrix on its own inputs z = (vh, wh, fh1, fh2, fh3, e_x, e_v): its
+        # outputs are xhdot, vhdot less the Davis term c2 e_v (v + vh),
+        # fh1dot-fh3dot, k3 e_v + cf_hat and ef_hat.  Neither x, v, w nor a
+        # plant entry is an input: a zero weight on a non-finite one would
+        # make every output NaN.
+        self.observer_op = np.zeros((7 * nc, 7 * nc))
+        blocks = self.observer_op.reshape(7, nc, 7, nc)
+        for out, z, weights in (
+                (0, 0, 1.0), (0, 5, -self.k1g), (0, 6, -1.0),        # vh - k1 e_x - e_v
+                (1, 1, 1.0), (1, 6, self.k2g),                       # wh + (diag(k2) - T) e_v
+                (2, 6, self.k4g[0]), (3, 6, self.k4g[1]), (4, 6, self.k4g[2]),
+                (3, 4, self.omega), (4, 3, -self.omega),             # the generator rotation
+                (5, 6, self.k3g), (5, 2, self.upsilon / self.mass),
+                (5, 4, self.nu_omega / self.mass),
+                (6, 2, self.upsilon), (6, 4, self.nu_omega)):
+            blocks[out, ix, z, ix] = weights
+        blocks[1, :, 6] -= self.tri
 
         self.has_composite = has_composite = config.representation in ("composite", "both")
         self.has_plant = has_plant = config.representation in ("plant", "both")
@@ -492,16 +510,13 @@ class _ClosedLoop:
         est, d_est = rows[self.est_rows], d_rows[self.est_rows]
         self._est_pair = est[:2]
         self._est_ahead, self._est_behind = est[:, :-1], est[:, 1:]
-        self._vh, self._wh = est[1], est[2]
+        self._vh = est[1]
         self._meas = rows[self.meas_rows]
         self._meas_v = self._meas[1]
-        fh = rows[row["fh1"]:row["fh3"] + 1]
-        self._fh1, self._fh3, self._fh_rotated = fh[0], fh[2], fh[:0:-1]   # (fh3, fh2)
         self._y_jerk = self._y[self.jerk]
         self._d_xh, self._d_vh, self._d_wh = d_est
         self._d_pair_ahead, self._d_pair_behind = d_est[:2, :-1], d_est[:2, 1:]
         self._d_fh = d_rows[row["fh1"]:row["fh3"] + 1]
-        self._d_f23 = self._d_fh[1:]
         self._accel = self._dy[self.jerk]
         if has_composite:
             # x' = v and v' = w: composite rows 0 and 2 take rows 2 and 4
@@ -516,17 +531,24 @@ class _ClosedLoop:
             # per link, position and velocity of the carriage ahead minus the one behind
             self._links = np.empty((2, nc - 1))
             self._dx_links, self._dv_links = self._links
-        self._err = np.empty((2, nc))          # estimate minus measurement, (x, v)
+        # the observer operator's inputs, the state rows (vh, wh, fh1, fh2, fh3)
+        # read through their flat indices and then estimate minus measurement
+        # (e_x, e_v); and its outputs, the latest evaluation's ef_hat among them
+        self._z = np.empty(7 * nc)
+        self._z_state, self._err = self._z[:5 * nc], self._z[5 * nc:].reshape(2, nc)
+        self._z_idx = (np.array([row[name] for name in ("vh", "wh", "fh1", "fh2", "fh3")])[:, None]
+                       * nc + np.arange(nc)).ravel()
         self._e_v = self._err[1]
-        self._err_terms = np.empty((2, nc))    # (-k1 e_x, c2 e_v)
-        self._neg_k1_e_x, self._c2_e_v = self._err_terms
+        self._obs = np.empty(7 * nc)
+        obs = self._obs.reshape(7, nc)
+        self._obs_xhdot, self._obs_vhdot, self._obs_fhdot, self._obs_own, self._ef_hat = (
+            obs[0], obs[1], obs[2:5], obs[5], obs[6])
         self._coupled = np.empty(self.jerk.stop - self.jerk.start)
         self._coupled_w, self._coupled_own = self._coupled[:nc], self._coupled[-nc:]
         # the estimated jerk without input: the zero law's whdot, a new array otherwise
         self._own = self._d_wh if self.zero_control else None
-        # u and ef_hat of the latest evaluation; the zero law's u is this one
+        # u of the latest evaluation; the zero law's u is this one
         self._u = np.zeros(nc)
-        self._ef_hat = None
         # follower differences to the carriage ahead: (x + d_p, v, wh) of the
         # estimates, then (xhdot, vhdot)
         self._diffs = np.empty((5, nc - 1))
@@ -654,24 +676,18 @@ class _ClosedLoop:
         """
         if y is not self._y:
             self._y[:] = y
-        e_v = self._e_v
         x0r, v0r, w0r, u0r, ef_true, cf_true = self.time_terms(t)
-        self._ef_hat = ef_hat = self._fh1 * self.upsilon + self._fh3 * self.nu_omega
-        cf_hat = ef_hat / self.mass
-
         if self.has_composite:
             self._d_xv[:] = self._vw        # x' = v, v' = w
 
-        # observer corrections, mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh);
-        # xhdot = vh - k1 e_x - e_v and vhdot = wh + mu2 go straight into
-        # the derivative buffer, and so do the fault rows
+        # the observer: one product of its constant operator with its inputs
+        # gives xhdot and the fault rows, which go straight into the
+        # derivative buffer, and vhdot but for its Davis term c2 e_v (v + vh)
+        self._z_state[:] = self._y[self._z_idx]
         np.subtract(self._est_pair, self._meas, out=self._err)
-        np.multiply(self.err_coef, self._err, out=self._err_terms)
-        mu2 = self.mu2_op.dot(e_v) + self._c2_e_v * (self._meas_v + self._vh)
-        np.add(self._vh, self._neg_k1_e_x - e_v, out=self._d_xh)
-        np.add(self._wh, mu2, out=self._d_vh)
-        np.multiply(self.k4g, e_v, out=self._d_fh)
-        np.add(self._d_f23, self.rotation * self._fh_rotated, out=self._d_f23)
+        np.dot(self.observer_op, self._z, out=self._obs)
+        self._d_xh[:], self._d_fh[:] = self._obs_xhdot, self._obs_fhdot
+        np.add(self._obs_vhdot, self.c2_0d * self._e_v * (self._meas_v + self._vh), out=self._d_vh)
 
         # B(v) a = T a - 2 c2 v a, at once for the composite channel (v, w)
         # and the estimated one (vh, vhdot).  The estimated jerk without
@@ -680,7 +696,7 @@ class _ClosedLoop:
         accel = self._accel
         np.subtract(self.jerk_op.dot(accel), self.two_c2 * self._y_jerk * accel,
                     out=self._coupled)
-        own = np.add(self._coupled_own + self.k3g * e_v, cf_hat, out=self._own)
+        own = np.add(self._coupled_own, self._obs_own, out=self._own)
         if not self.zero_control:
             # follower differences to the carriage ahead (a head's entry is
             # replaced by its barrier law)

@@ -59,7 +59,7 @@ def evaluate(engine, t, y):
     read-only time-term row.
     """
     dy = engine.rhs(t, y)
-    return dy.copy(), (engine._u.copy(), engine.time_terms(t)[4], engine._ef_hat)
+    return dy.copy(), (engine._u.copy(), engine.time_terms(t)[4], engine._ef_hat.copy())
 
 
 def by_carriage(engine, array):

@@ -18,11 +18,12 @@ written as the paper's backstepping chain alpha1 -> alpha2 -> z errors ->
 alpha3, the reference for the package's constant alpha3 weights, and the
 pair clamp in its recording form, which reports every clamp it makes.
 
-The per-sample record row is the reference for the engine's block-wise
-derivation of record rows.  The configuration helpers at the end (train
-slices, tails, snapped faults, observer gains) give the tests the chain
-layout and the per-carriage gains that the engine keeps only while it
-builds its operators.
+The observer's derivative rows, term by term, are the reference for the
+engine's observer operator, and the per-sample record row is the reference
+for the engine's block-wise derivation of record rows.  The configuration
+helpers at the end (train slices, tails, snapped faults, observer gains)
+give the tests the chain layout and the per-carriage gains that the engine
+keeps only while it builds its operators.
 """
 
 from __future__ import annotations
@@ -616,6 +617,41 @@ def beta_functions(x_tilde, v_tilde, what_tilde, gains, rho1, rho2,
                                varrho1, varrho2, saturate, record)
     val, d_x, d_v = beta_partials(xt, qt, gains, rho1, rho2, varrho1, varrho2)
     return val, what_tilde + gains.ell1 * v_tilde - val, d_x, d_v
+
+
+# ---------------------------------------------------------------------------
+# the observer block, elementwise
+# ---------------------------------------------------------------------------
+
+def observer_rows(engine, y):
+    """The observer's derivative rows at state ``y``, term by term.
+
+    The reference for the engine's observer operator: each correction and
+    generator term on its own array pass, with
+    mu2 = (diag(k2) - T) e_v + c2 e_v (v + vh).  Returns ``(xhdot, vhdot,
+    fhdot, own, ef_hat)``: ``fhdot`` holds the rows fh1dot-fh3dot and
+    ``own`` is k3 e_v + cf_hat, the observer's part of the estimated jerk.
+    """
+    nc = engine.nc
+    rows = y.reshape(-1, nc)
+    est, meas = rows[engine.est_rows], rows[engine.meas_rows]
+    vh, wh = est[1], est[2]
+    fh = rows[engine.sl["fh1"].start // nc:engine.sl["fh3"].stop // nc]
+    err_coef = np.array([-engine.k1g, [engine.c2] * nc])
+    mu2_op = np.diag(engine.k2g) - engine.tri
+    rotation = np.array([engine.omega, -engine.omega])
+
+    ef_hat = fh[0] * engine.upsilon + fh[2] * engine.nu_omega
+    cf_hat = ef_hat / engine.mass
+    err = est[:2] - meas
+    e_v = err[1]
+    neg_k1_e_x, c2_e_v = err_coef * err
+    mu2 = mu2_op.dot(e_v) + c2_e_v * (meas[1] + vh)
+    xhdot = vh + (neg_k1_e_x - e_v)
+    vhdot = wh + mu2
+    fhdot = engine.k4g * e_v
+    fhdot[1:] += rotation * fh[:0:-1]      # the generator on (fh3, fh2)
+    return xhdot, vhdot, fhdot, engine.k3g * e_v + cf_hat, ef_hat
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -28,8 +28,8 @@ from platoonsim.errors import BarrierDomainError, ConfigurationError, Integratio
 from platoonsim.faults import snap_windows
 from platoonsim.model import ConsistTopology
 from platoonsim.presets import paper_s5
-from platoonsim.simulator import (_BLOCK_STEPS, _SAMPLE_BLOCK, EVENTS_KEPT, REPRESENTATIONS,
-                                  MonitorSpec, SimulationRecord, _ClosedLoop,
+from platoonsim.simulator import (_BLOCK_STEPS, _SAMPLE_BLOCK, CONTROL_LAWS, EVENTS_KEPT,
+                                  REPRESENTATIONS, MonitorSpec, SimulationRecord, _ClosedLoop,
                                   inject_disturbance,
                                   monitor_requirements, rk4_step, run_scenario,
                                   validate_config)
@@ -167,6 +167,22 @@ class TestIntegrationFaultNames:
                    for label in unnamed.value.labels]
         assert len(indices) == 8
         assert raised.value.labels == [state_name(engine, i) for i in indices]
+
+    @pytest.mark.parametrize("representation", ["composite", "both"])
+    def test_infinite_w_stays_out_of_the_other_rows(self, s5_config, representation):
+        # w enters only v' = w and the products B applies to accelerations,
+        # which turn 0 * inf into NaN across a whole channel; an operator
+        # taking w as an input would spread it into every observer row
+        engine = _ClosedLoop(short_scenario(s5_config, 1.0, representation=representation))
+        y = engine.initial_state()
+        y[engine.state_labels.index("w[2_1]")] = np.inf
+        with np.errstate(all="ignore"):
+            dy = engine.rhs(0.0, y)
+        rows = ("x", "v", "xh", "vh", "fh1", "fh2", "fh3")
+        labels = [label for name in rows
+                  for label, d in zip(engine.state_labels[engine.sl[name]], dy[engine.sl[name]])
+                  if not np.isfinite(d)]
+        assert labels == ["v[2_1]"]
 
 
     def test_fault_names_the_first_clamp(self, s5_config):
@@ -1081,6 +1097,45 @@ class TestEstimatedJerkIdentity:
             assert close(dy[engine.sl["w"]], composite + cf_true + u + engine.delta)
 
 
+class TestObserverOperatorAgainstOracle:
+    """The observer operator's product against the elementwise observer rows.
+
+    Both control laws, all three representations, on paper-s5 and on the
+    mixed consist.  The product sums in another order than the oracle, so
+    each block is compared at its own scale.
+    """
+
+    @pytest.fixture(scope="class", params=[(consist, law, representation)
+                                           for consist in ("paper_s5", "mixed")
+                                           for law in CONTROL_LAWS
+                                           for representation in REPRESENTATIONS],
+                    ids=lambda p: "-".join(p))
+    def engine(self, request, s5_config):
+        consist, law, representation = request.param
+        changes = {"control_law": law, "representation": representation}
+        if consist == "mixed":
+            return _ClosedLoop(mixed_config(s5_config, **changes))
+        return _ClosedLoop(short_scenario(s5_config, 20.0, **changes))
+
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+    @given(t=st.floats(0.0, 2400.0), gap=unit_intervals(4), combined=unit_intervals(4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_states(self, engine, t, gap, combined, seed):
+        y = random_feasible_state(engine, t, gap, combined, np.random.default_rng(seed))
+        dy, (_, _, ef_hat) = evaluate(engine, t, y)
+        xhdot, vhdot, fhdot, own, ef_hat_ref = oracle.observer_rows(engine, y)
+
+        def close(got, ref):
+            return np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+        assert close(dy[engine.sl["xh"]], xhdot)
+        assert close(dy[engine.sl["vh"]], vhdot)
+        for name, ref in zip(("fh1", "fh2", "fh3"), fhdot):
+            assert close(dy[engine.sl[name]], ref), name
+        assert close(engine._obs_own, own)
+        assert close(ef_hat, ef_hat_ref)
+
+
 class TestTrueFaultTerms:
     """The engine's windowed fault force rate against ``oracle.effective_fault``."""
 
@@ -1314,6 +1369,17 @@ def bitwise_equal(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
+OBSERVER_OUT = ("xhdot", "vhdot", "fh1dot", "fh2dot", "fh3dot", "own", "ef_hat")
+OBSERVER_IN = ("vh", "wh", "fh1", "fh2", "fh3", "e_x", "e_v")
+
+
+def observer_blocks(engine):
+    """The observer operator's (nc, nc) blocks by (output, input) name."""
+    blocks = engine.observer_op.reshape(7, engine.nc, 7, engine.nc)
+    return {(out, z): blocks[i, :, k] for i, out in enumerate(OBSERVER_OUT)
+            for k, z in enumerate(OBSERVER_IN)}
+
+
 @pytest.fixture(scope="module", params=[(3, 3, 3), (2, 4), (4, 2, 3, 2), (2,)], ids=str)
 def topology_engine(request, s5_config):
     """An engine on one of four topologies, with paper-s5's carriages repeated.
@@ -1361,14 +1427,34 @@ class TestNeighbourOperators:
             if j < m_i:
                 expected[g + 1] = b.b3
             assert bitwise_equal(row, expected), g
-        assert bitwise_equal(engine.mu2_op, np.diag(engine.k2g) - engine.tri)
+        assert bitwise_equal(observer_blocks(engine)["vhdot", "e_v"],
+                             np.diag(engine.k2g) - engine.tri)
         # composite and estimated channels each get their own copy of T
         nc = engine.nc
         assert np.array_equal(engine.jerk_op, np.block([[engine.tri, np.zeros((nc, nc))],
                                                         [np.zeros((nc, nc)), engine.tri]]))
 
+    def test_observer_operator_blocks_are_the_gains(self, topology_engine):
+        engine = topology_engine
+        ones = np.ones(engine.nc)
+        gains = {("xhdot", "vh"): ones, ("xhdot", "e_x"): -engine.k1g, ("xhdot", "e_v"): -ones,
+                 ("vhdot", "wh"): ones,
+                 ("fh1dot", "e_v"): engine.k4g[0], ("fh2dot", "e_v"): engine.k4g[1],
+                 ("fh3dot", "e_v"): engine.k4g[2],
+                 ("fh2dot", "fh3"): engine.omega, ("fh3dot", "fh2"): -engine.omega,
+                 ("own", "e_v"): engine.k3g, ("own", "fh1"): engine.upsilon / engine.mass,
+                 ("own", "fh3"): engine.nu_omega / engine.mass,
+                 ("ef_hat", "fh1"): engine.upsilon, ("ef_hat", "fh3"): engine.nu_omega}
+        for key, block in observer_blocks(engine).items():
+            if key == ("vhdot", "e_v"):
+                want = np.diag(engine.k2g) - engine.tri
+            else:
+                want = np.diag(gains.get(key, np.zeros(engine.nc)))
+            assert bitwise_equal(block, want), key
+
     @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=2089695)
     def test_telescope_gives_coupler_forces_and_b4(self, topology_engine, seed):
         engine = topology_engine
         cfg = engine.config
@@ -1382,7 +1468,12 @@ class TestNeighbourOperators:
             force = coupling_force(j, x_i, v_i, cfg.coupler)
             assert coupling[g] == pytest.approx(force, rel=1e-9, abs=1e-6), g
             b = coefficient_b(j, v_i, cfg.carriages[g], cfg.coupler, cfg.davis)
-            assert b4[g] == pytest.approx(b.b4, rel=1e-12, abs=1e-15), g
+            # b4 is the difference of the stiffness-scaled velocity
+            # differences over the carriage's two links, which can nearly
+            # cancel: it is compared at the scale of those two terms
+            dv_links = np.diff(v_i[max(j - 2, 0):j + 1])
+            scale = engine.a_stiff * np.abs(dv_links).sum() / cfg.carriages[g].mass
+            assert b4[g] == pytest.approx(b.b4, rel=0.0, abs=1e-12 * scale + 1e-15), g
         # one +1/-1 pair per link inside a train, none across a boundary
         links = engine.telescope
         inside = [g for g, j, m_i, _ in train_of(engine) if j < m_i]
