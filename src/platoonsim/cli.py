@@ -8,8 +8,10 @@ Commands
              command-line overrides apply before the feasibility check.
 ``validate`` load and feasibility-check scenarios without running them.
 
-Exit codes: 0 pass, 1 verdict failure, 2 configuration error, 3 runtime or
-integration fault.
+The file format and the feasibility gate are :mod:`platoonsim.simulator`'s.
+
+Exit codes: 0 pass, 1 verdict failure, 2 configuration error (a failed gain
+placement included), 3 runtime or integration fault.
 """
 
 from __future__ import annotations
@@ -18,205 +20,24 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .controller import ConstraintSpec, FollowerGains, HeadGains
 from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
                      PlacementError, TimeseriesFormatError)
-from .faults import FaultModel
-from .model import (CarriageParams, ConsistTopology, CouplerParams,
-                    DavisCoefficients)
 from .presets import PRESETS, get_preset
-from .reference import ReferencePhase, ReferenceProfile
-from .simulator import (MonitorSpec, NoiseSpec, ScenarioConfig, SimulationRecord,
-                        column_names, require_feasible, run_scenario)
-from .simulator import validate_config  # noqa: F401  (part of this module's interface)
+from .simulator import (SimulationRecord, column_names, config_from_dict, config_to_dict,
+                        require_feasible, run_scenario)
+from .simulator import (_FORMAT, _Fields, _decode, _encode,  # noqa: F401  (re-exported)
+                        validate_config)
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-# ---------------------------------------------------------------------------
-# config (de)serialization: JSON object model with units in the field names
-# ---------------------------------------------------------------------------
-
-_REQUIRED = object()
-_N, _I, _B, _S = "number", "integer", "boolean", "string"
-# scalar kinds: the Python types that json parses a value of the kind into, and its name
-_KINDS = {_N: ((int, float), "a finite number"), _I: ((int,), "an integer"),
-          _B: ((bool,), "true or false"), _S: ((str,), "a string")}
-
-# The scenario file format: per record type, each field's (JSON key,
-# attribute, kind[, default]).  A kind is a scalar kind, a record type of
-# this table (a JSON object) or [kind] (a JSON array of it, a tuple in the
-# record).  A dotted key puts the field into a JSON object of its own.  A
-# field with a default may be left out, and one whose default is None may be
-# null.  "state" and "estimate" are tuple rows: their attributes are
-# positions, and an array field fills the rest of the row.
-_FORMAT = {
-    ConsistTopology: (("carriages_per_train", "carriages_per_train", [_I]),),
-    DavisCoefficients: (("c0_N_per_kg", "c0", _N), ("c1_Ns_per_m_kg", "c1", _N),
-                        ("c2_Ns2_per_m2_kg", "c2", _N)),
-    CouplerParams: (("stiffness_N_per_m", "stiffness", _N),
-                    ("damping_Ns_per_m", "damping", _N), ("spacing_m", "spacing", _N)),
-    FaultModel: (("omega_rad_per_s", "omega", _N), ("upsilon_Nps_per_unit", "upsilon", _N),
-                 ("nu_s_per_rad", "nu", _N), ("constant_amp", "constant_amp", _N),
-                 ("periodic_amp", "periodic_amp", _N), ("phase_rad", "phase", _N),
-                 ("window_const_s", "window_const", [_N]),
-                 ("window_periodic_s", "window_periodic", [_N])),
-    CarriageParams: (("mass_kg", "mass", _N), ("actuator_rate_1_per_s", "actuator_rate", _N),
-                     ("fault", "fault", FaultModel)),
-    ConstraintSpec: (("gamma1_m", "gamma1", _N), ("gamma2_m", "gamma2", _N),
-                     ("service_distance_m", "d_s", _N), ("sigma1_mps", "sigma1", _N),
-                     ("sigma2_mps", "sigma2", _N)),
-    FollowerGains: (("l1", "l1", _N), ("l2", "l2", _N), ("l3", "l3", _N)),
-    HeadGains: (("ell1", "ell1", _N), ("ell2", "ell2", _N), ("ell3", "ell3", _N),
-                ("ell4", "ell4", _N)),
-    ReferencePhase: (("duration_s", "duration", _N), ("jerk_mps3", "jerk", _N)),
-    ReferenceProfile: (("x0_m", "x0", _N), ("v0_mps", "v0", _N), ("w0_mps2", "w0", _N),
-                       ("v_max_mps", "v_max", _N), ("phases", "phases", [ReferencePhase])),
-    "state": (("x_m", 0, _N), ("v_mps", 1, _N), ("w_mps2", 2, _N)),
-    "estimate": (("x_hat_m", 0, _N), ("v_hat_mps", 1, _N), ("w_hat_mps2", 2, _N),
-                 ("f_hat", slice(3, None), [_N])),
-    NoiseSpec: (("enabled", "enabled", _B), ("variance", "variance", _N), ("seed", "seed", _I)),
-    MonitorSpec: (("tail_window_s", "tail_window", _N),
-                  ("tol_xtilde_mean_m", "tol_xtilde_mean", _N),
-                  ("tol_vtilde_mean_mps", "tol_vtilde_mean", _N),
-                  ("tol_gap_mean_m", "tol_gap_mean", _N),
-                  ("tol_vgap_mean_mps", "tol_vgap_mean", _N)),
-    ScenarioConfig: (
-        ("topology", "topology", ConsistTopology), ("davis", "davis", DavisCoefficients),
-        ("coupler", "coupler", CouplerParams), ("carriages", "carriages", [CarriageParams]),
-        ("constraints", "constraints", ConstraintSpec),
-        ("follower_gains", "follower_gains", FollowerGains),
-        ("head_gains", "head_gains", HeadGains),
-        ("observer.k1", "observer_k1", _N),
-        ("observer.eigenvalues", "observer_eigenvalues", [_N]),
-        ("observer.gain_override", "observer_gain_override", [_N], None),
-        ("reference", "profile", ReferenceProfile),
-        ("initial_states", "initial", ["state"]),
-        ("observer_initial", "observer_initial", ["estimate"], None),
-        ("integration.step_s", "step", _N), ("integration.duration_s", "duration", _N),
-        ("integration.record_stride", "record_stride", _I, 1),
-        ("noise", "noise", NoiseSpec), ("representation", "representation", _S, "composite"),
-        ("monitor", "monitor", MonitorSpec),
-        ("abort_on_violation", "abort_on_violation", _B, False),
-        ("control_law", "control_law", _S, "designed")),
-}
-
-
-def _encode(value, kind):
-    """Plain-JSON form of ``value``, a field of ``kind``."""
-    if isinstance(kind, list):
-        return None if value is None else [_encode(v, kind[0]) for v in value]
-    if kind not in _FORMAT:
-        return value
-    doc = {}
-    for key, attr, sub, *_ in _FORMAT[kind]:
-        group, _, key = key.rpartition(".")
-        field = value[attr] if isinstance(kind, str) else getattr(value, attr)
-        (doc.setdefault(group, {}) if group else doc)[key] = _encode(field, sub)
-    return doc
-
-
-class _Fields:
-    """One JSON object of a scenario file, read one field at a time.
-
-    ``get`` names the field's path (``carriages[2].fault.phase_rad``) in
-    every error it raises, checks the JSON type, and marks the key as read;
-    ``unknown`` lists the keys that no read asked for.  Numbers are passed
-    through as parsed, so a loaded file has the hash of the file's values.
-    """
-
-    def __init__(self, doc, path):
-        if type(doc) is not dict:
-            raise ConfigurationError(f"{path or 'configuration'} must be a JSON object")
-        self.doc, self.path, self.read, self.groups = doc, path, set(), {}
-
-    def get(self, key, kind, default=_REQUIRED):
-        """Field ``key`` as ``kind`` (a kind of ``_FORMAT``, or "object" for its raw fields).
-
-        A missing field takes ``default``; without one it is an error.
-        """
-        if key in self.groups:
-            return self.groups[key]
-        self.read.add(key)
-        path = f"{self.path}.{key}" if self.path else key
-        if key not in self.doc:
-            if default is _REQUIRED:
-                raise ConfigurationError(f"missing field {path}")
-            return default
-        value = self.doc[key]
-        if value is None and default is None:
-            return None
-        value = self._check(value, kind, path)
-        if kind == "object":
-            self.groups[key] = value
-        return value
-
-    def _check(self, value, kind, path):
-        if isinstance(kind, list):
-            if type(value) is not list:
-                raise ConfigurationError(f"field {path} must be an array, got {value!r}")
-            return tuple(self._check(v, kind[0], f"{path}[{k}]") for k, v in enumerate(value))
-        if kind == "object":
-            return _Fields(value, path)
-        if kind in _FORMAT:
-            return _decode(_Fields(value, path), kind)
-        if kind == _I and type(value) is float and value.is_integer():
-            value = int(value)
-        types, name = _KINDS[kind]
-        # json parses NaN and Infinity as floats
-        if type(value) not in types or (kind == _N and not -math.inf < value < math.inf):
-            raise ConfigurationError(f"field {path} must be {name}, got {value!r}")
-        return value
-
-    def unknown(self):
-        """Paths of the keys, here and in the groups read, that no read asked for."""
-        prefix = f"{self.path}." if self.path else ""
-        return ([prefix + key for key in self.doc if key not in self.read]
-                + [name for group in self.groups.values() for name in group.unknown()])
-
-
-def _decode(fields, kind):
-    """The ``kind`` record (or row) that the JSON object ``fields`` holds."""
-    values = []
-    for key, attr, sub, *default in _FORMAT[kind]:
-        group, _, key = key.rpartition(".")
-        owner = fields.get(group, "object") if group else fields
-        values.append((attr, owner.get(key, sub, *default)))
-    unknown = fields.unknown()
-    if unknown:
-        raise ConfigurationError("unknown field " + ", ".join(unknown))
-    if isinstance(kind, str):
-        return tuple(x for attr, v in values
-                     for x in (v if isinstance(attr, slice) else (v,)))
-    try:
-        return kind(**dict(values))
-    except (TypeError, ValueError) as exc:    # ConfigurationError included
-        raise ConfigurationError(f"{fields.path or 'configuration'}: {exc}") from exc
-
-
-def config_to_dict(config):
-    """Plain-JSON form of a scenario configuration (the format is ``_FORMAT``)."""
-    return _encode(config, ScenarioConfig)
-
-
-def config_from_dict(doc):
-    """Inverse of :func:`config_to_dict`, with field-level error reporting.
-
-    Every field is read by its path: numbers must be JSON numbers, integer
-    fields integral, flags JSON booleans, and a key that names no field is
-    an error.
-    """
-    return _decode(_Fields(doc, ""), ScenarioConfig)
 
 
 def config_hash(config):

@@ -79,8 +79,6 @@ class ConstraintSpec:
         if not (self.gamma2 < self.d_s < self.gamma1):
             raise ConfigurationError(
                 f"need gamma2 < d_s < gamma1, got {self.gamma2}, {self.d_s}, {self.gamma1}")
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ConfigurationError("sigma1 and sigma2 must be positive")
 
     @property
     def rho1(self):
@@ -338,7 +336,7 @@ def validate_parameters(follower, head, constraints):
                              value=head.ell1, bound=ell1_cap, subject="head gains"))
     if not head.ell2 > 2.0:
         out.append(Violation(name="ell2 > 2", value=head.ell2, bound=2.0, subject="head gains"))
-    ell3_floor = 2.0 + head.ell2 ** 2 / 2.0
+    ell3_floor = 2.0 + head.ell2 * head.ell2 / 2.0   # ** raises OverflowError at 1e300
     if not head.ell3 > ell3_floor:
         out.append(Violation(name="ell3 > 2 + ell2^2/2", value=head.ell3,
                              bound=ell3_floor, subject="head gains"))

@@ -39,8 +39,6 @@ class FaultModel:
     window_periodic: tuple
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ConfigurationError("fault frequency must be nonnegative")
         for name, (t0, t1) in (("window_const", self.window_const),
                                ("window_periodic", self.window_periodic)):
             if t0 > t1:

@@ -19,7 +19,7 @@ once; the per-carriage formulas they come from are kept in the test suite
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -38,11 +38,6 @@ class DavisCoefficients:
     c1: float  # N*s/(m*kg)
     c2: float  # N*s^2/(m^2*kg)
 
-    def __post_init__(self):
-        # written so that NaN fails
-        if not all(0 <= c < math.inf for c in (self.c0, self.c1, self.c2)):
-            raise ConfigurationError("Davis coefficients must be nonnegative and finite")
-
     def resistance(self, v):
         """R(v) at ``v`` (a float or an array of velocities), N/kg."""
         return self.c0 + self.c1 * v + self.c2 * v * v
@@ -55,11 +50,6 @@ class CouplerParams:
     stiffness: float  # a, N/m
     damping: float    # b, N*s/m
     spacing: float    # d_p, nominal inter-carriage spacing incl. carriage length, m
-
-    def __post_init__(self):
-        if not all(0 < p < math.inf for p in (self.stiffness, self.damping, self.spacing)):
-            raise ConfigurationError(
-                "coupler stiffness, damping and spacing must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -74,12 +64,6 @@ class CarriageParams:
     mass: float           # kg
     actuator_rate: float  # r, 1/s
     fault: FaultModel
-
-    def __post_init__(self):
-        if not 0 < self.mass < math.inf:
-            raise ConfigurationError("carriage mass must be positive and finite")
-        if not 0 < self.actuator_rate < math.inf:
-            raise ConfigurationError("actuator rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -97,7 +81,7 @@ class ConsistTopology:
         if len(self.carriages_per_train) < 1:
             raise ConfigurationError("at least one train is required")
         for i, m in enumerate(self.carriages_per_train, start=1):
-            if int(m) != m or m < 2:
+            if not (isinstance(m, numbers.Integral) and m >= 2):
                 raise ConfigurationError(
                     f"train {i} has {m} carriages; every train needs an integer count >= 2")
 

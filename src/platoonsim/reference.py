@@ -22,10 +22,6 @@ class ReferencePhase:
     duration: float  # s
     jerk: float      # m/s^3
 
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigurationError("phase duration must be positive")
-
 
 @dataclass(frozen=True)
 class ReferenceProfile:
@@ -50,7 +46,10 @@ class ReferenceProfile:
         for ph in self.phases:
             t, x, v, w, u = ph.duration, xs[-1], vs[-1], ws[-1], ph.jerk
             self._check_velocity_span(v, w, u, t)
-            xs.append(x + v * t + 0.5 * w * t * t + u * t ** 3 / 6.0)
+            try:
+                xs.append(x + v * t + 0.5 * w * t * t + u * t ** 3 / 6.0)
+            except OverflowError:    # a float power overflows by raising
+                raise ConfigurationError(f"profile position overflows in a {t} s phase") from None
             vs.append(v + w * t + 0.5 * u * t * t)
             ws.append(w + u * t)
             starts.append(starts[-1] + t)

@@ -1,4 +1,9 @@
-"""Fixed-step closed-loop simulation and requirement monitoring.
+"""Scenario configuration, its feasibility gate, fixed-step simulation and monitoring.
+
+A :class:`ScenarioConfig`'s file format is one table, ``_FORMAT``, which
+gives every numeric field its domain.  The codec and the feasibility gate
+(:func:`validate_config`) follow it: the gate checks domains, then relations
+between fields, then places the observer gains as the engine does.
 
 One scenario integrates the whole railway network (true carriage dynamics,
 per-carriage observers and the distributed control laws) with the classical
@@ -63,6 +68,7 @@ position and velocity), and one vectorised pass turns each block of
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -73,17 +79,20 @@ import numpy as np
 from . import controller as ctrl
 from . import observer as obs
 from .controller import ConstraintSpec, FollowerGains, HeadGains, TrainPairErrors
-from .errors import ConfigurationError, IntegrationFault, Violation
-from .faults import exosystem_matrix, snap_windows, transition_times
+from .errors import ConfigurationError, IntegrationFault, PlacementError, Violation
+from .faults import FaultModel, exosystem_matrix, snap_windows, transition_times
 from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)
-from .reference import ReferenceProfile
+from .reference import ReferencePhase, ReferenceProfile
 
 REPRESENTATIONS = ("composite", "plant", "both")
 CONTROL_LAWS = ("designed", "zero")
 _BLOCK_STEPS = 16    # steps whose time-only terms and disturbance are worked out at once
 _SAMPLE_BLOCK = 8    # samples kept raw and derived into record rows at once
 EVENTS_KEPT = 100    # events kept per (pair, quantity); the rest are only counted
+# a run's steps, duration / step, are a whole number to a relative STEPS_RTOL,
+# which stays under a tenth of a step up to MAX_STEPS
+STEPS_RTOL, MAX_STEPS = 1e-9, 10 ** 8
 _TWO = np.array(2.0)  # the RK4 stage weight, as a 0-d array operand
 
 
@@ -149,22 +158,222 @@ def initial_pair_errors(config):
             for i, (front, h) in enumerate(zip(fronts, heads), start=1)}
 
 
+# Scalar kinds: the Python types json parses a value into, and the domain, which NaN
+# fails; a finite number given through the Python API may be complex (eigenvalues).
+_FIN, _POS, _NONNEG = "a finite number", "a number > 0", "a number >= 0"
+_COUNT, _COUNT1, _B, _S = "an integer >= 0", "an integer >= 1", "true or false", "a string"
+_KINDS = {
+    _FIN: ((int, float), lambda x: isinstance(x, numbers.Number) and cmath.isfinite(x)),
+    _POS: ((int, float), lambda x: isinstance(x, numbers.Real) and 0 < x < math.inf),
+    _NONNEG: ((int, float), lambda x: isinstance(x, numbers.Real) and 0 <= x < math.inf),
+    _COUNT: ((int,), lambda x: isinstance(x, numbers.Integral) and x >= 0),
+    _COUNT1: ((int,), lambda x: isinstance(x, numbers.Integral) and x >= 1),
+    _B: ((bool,), lambda x: isinstance(x, bool)),
+    _S: ((str,), lambda x: isinstance(x, str)),
+}
+_REQUIRED = object()
+
+# The scenario file format: per record type, each field's (JSON key,
+# attribute, kind[, default]).  A kind is a scalar kind, a record type of
+# this table (a JSON object) or [kind] (a JSON array of it, a tuple in the
+# record).  A dotted key puts the field into a JSON object of its own.  A
+# field with a default may be left out, and one whose default is None may be
+# null.  "state" and "estimate" are tuple rows: their attributes are
+# positions, and an array field fills the rest of the row.  The gain
+# inequalities and the other relations between fields are checked by
+# :func:`validate_config`, and by the records themselves.
+_FORMAT = {
+    ConsistTopology: (("carriages_per_train", "carriages_per_train", [_COUNT1]),),
+    DavisCoefficients: (("c0_N_per_kg", "c0", _NONNEG), ("c1_Ns_per_m_kg", "c1", _NONNEG),
+                        ("c2_Ns2_per_m2_kg", "c2", _NONNEG)),
+    CouplerParams: (("stiffness_N_per_m", "stiffness", _POS),
+                    ("damping_Ns_per_m", "damping", _POS), ("spacing_m", "spacing", _POS)),
+    FaultModel: (("omega_rad_per_s", "omega", _NONNEG), ("upsilon_Nps_per_unit", "upsilon", _FIN),
+                 ("nu_s_per_rad", "nu", _FIN), ("constant_amp", "constant_amp", _FIN),
+                 ("periodic_amp", "periodic_amp", _FIN), ("phase_rad", "phase", _FIN),
+                 ("window_const_s", "window_const", [_FIN]),
+                 ("window_periodic_s", "window_periodic", [_FIN])),
+    CarriageParams: (("mass_kg", "mass", _POS), ("actuator_rate_1_per_s", "actuator_rate", _POS),
+                     ("fault", "fault", FaultModel)),
+    ConstraintSpec: (("gamma1_m", "gamma1", _FIN), ("gamma2_m", "gamma2", _FIN),
+                     ("service_distance_m", "d_s", _FIN), ("sigma1_mps", "sigma1", _POS),
+                     ("sigma2_mps", "sigma2", _POS)),
+    FollowerGains: (("l1", "l1", _FIN), ("l2", "l2", _FIN), ("l3", "l3", _FIN)),
+    HeadGains: (("ell1", "ell1", _FIN), ("ell2", "ell2", _FIN), ("ell3", "ell3", _FIN),
+                ("ell4", "ell4", _FIN)),
+    ReferencePhase: (("duration_s", "duration", _POS), ("jerk_mps3", "jerk", _FIN)),
+    ReferenceProfile: (("x0_m", "x0", _FIN), ("v0_mps", "v0", _FIN), ("w0_mps2", "w0", _FIN),
+                       ("v_max_mps", "v_max", _FIN), ("phases", "phases", [ReferencePhase])),
+    "state": (("x_m", 0, _FIN), ("v_mps", 1, _FIN), ("w_mps2", 2, _FIN)),
+    "estimate": (("x_hat_m", 0, _FIN), ("v_hat_mps", 1, _FIN), ("w_hat_mps2", 2, _FIN),
+                 ("f_hat", slice(3, None), [_FIN])),
+    NoiseSpec: (("enabled", "enabled", _B), ("variance", "variance", _NONNEG),
+                ("seed", "seed", _COUNT)),
+    MonitorSpec: (("tail_window_s", "tail_window", _NONNEG),
+                  ("tol_xtilde_mean_m", "tol_xtilde_mean", _POS),
+                  ("tol_vtilde_mean_mps", "tol_vtilde_mean", _POS),
+                  ("tol_gap_mean_m", "tol_gap_mean", _POS),
+                  ("tol_vgap_mean_mps", "tol_vgap_mean", _POS)),
+    ScenarioConfig: (
+        ("topology", "topology", ConsistTopology), ("davis", "davis", DavisCoefficients),
+        ("coupler", "coupler", CouplerParams), ("carriages", "carriages", [CarriageParams]),
+        ("constraints", "constraints", ConstraintSpec),
+        ("follower_gains", "follower_gains", FollowerGains),
+        ("head_gains", "head_gains", HeadGains),
+        ("observer.k1", "observer_k1", _POS),
+        ("observer.eigenvalues", "observer_eigenvalues", [_FIN]),
+        ("observer.gain_override", "observer_gain_override", [_FIN], None),
+        ("reference", "profile", ReferenceProfile),
+        ("initial_states", "initial", ["state"]),
+        ("observer_initial", "observer_initial", ["estimate"], None),
+        ("integration.step_s", "step", _POS), ("integration.duration_s", "duration", _POS),
+        ("integration.record_stride", "record_stride", _COUNT1, 1),
+        ("noise", "noise", NoiseSpec), ("representation", "representation", _S, "composite"),
+        ("monitor", "monitor", MonitorSpec),
+        ("abort_on_violation", "abort_on_violation", _B, False),
+        ("control_law", "control_law", _S, "designed")),
+}
+
+
+def _encode(value, kind):
+    """Plain-JSON form of ``value``, a field of ``kind``."""
+    if isinstance(kind, list):
+        return None if value is None else [_encode(v, kind[0]) for v in value]
+    if kind not in _FORMAT:
+        return value
+    doc = {}
+    for key, attr, sub, *_ in _FORMAT[kind]:
+        group, _, key = key.rpartition(".")
+        field = value[attr] if isinstance(kind, str) else getattr(value, attr)
+        (doc.setdefault(group, {}) if group else doc)[key] = _encode(field, sub)
+    return doc
+
+
+def _domain_violations(value, kind, path, out):
+    """``out`` with a :class:`Violation`, named by its path, per field outside its domain.
+
+    ``value`` is a field of ``kind``, walked as :func:`_encode` walks it.
+    """
+    if isinstance(kind, list):
+        for k, item in enumerate(() if value is None else value):
+            _domain_violations(item, kind[0], f"{path}[{k}]", out)
+    elif kind in _FORMAT:
+        for key, attr, sub, *_ in _FORMAT[kind]:
+            field = value[attr] if isinstance(kind, str) else getattr(value, attr)
+            _domain_violations(field, sub, f"{path}.{key}" if path else key, out)
+    elif not _KINDS[kind][1](value):
+        out.append(Violation(path, value, kind))
+    return out
+
+
+class _Fields:
+    """One JSON object of a scenario file, read one field at a time.
+
+    ``get`` names the field's path (``carriages[2].fault.phase_rad``) in
+    every error it raises, checks the JSON type and the domain of the
+    field's kind, and marks the key as read; ``unknown`` lists the keys that
+    no read asked for.  Numbers are passed through as parsed, so a loaded
+    file has the hash of the file's values.
+    """
+
+    def __init__(self, doc, path):
+        if type(doc) is not dict:
+            raise ConfigurationError(f"{path or 'configuration'} must be a JSON object")
+        self.doc, self.path, self.read, self.groups = doc, path, set(), {}
+
+    def get(self, key, kind, default=_REQUIRED):
+        """Field ``key`` as ``kind`` (a kind of ``_FORMAT``, or "object" for its raw fields).
+
+        A missing field takes ``default``; without one it is an error.
+        """
+        if key in self.groups:
+            return self.groups[key]
+        self.read.add(key)
+        path = f"{self.path}.{key}" if self.path else key
+        if key not in self.doc:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"missing field {path}")
+            return default
+        value = self.doc[key]
+        if value is None and default is None:
+            return None
+        value = self._check(value, kind, path)
+        if kind == "object":
+            self.groups[key] = value
+        return value
+
+    def _check(self, value, kind, path):
+        if isinstance(kind, list):
+            if type(value) is not list:
+                raise ConfigurationError(f"field {path} must be an array, got {value!r}")
+            return tuple(self._check(v, kind[0], f"{path}[{k}]") for k, v in enumerate(value))
+        if kind == "object":
+            return _Fields(value, path)
+        if kind in _FORMAT:
+            return _decode(_Fields(value, path), kind)
+        types, in_domain = _KINDS[kind]
+        if types == (int,) and type(value) is float and value.is_integer():
+            value = int(value)
+        # json parses NaN and Infinity as floats, which no domain holds
+        if type(value) not in types or not in_domain(value):
+            raise ConfigurationError(f"field {path} must be {kind}, got {value!r}")
+        return value
+
+    def unknown(self):
+        """Paths of the keys, here and in the groups read, that no read asked for."""
+        prefix = f"{self.path}." if self.path else ""
+        return ([prefix + key for key in self.doc if key not in self.read]
+                + [name for group in self.groups.values() for name in group.unknown()])
+
+
+def _decode(fields, kind):
+    """The ``kind`` record (or row) that the JSON object ``fields`` holds."""
+    values = []
+    for key, attr, sub, *default in _FORMAT[kind]:
+        group, _, key = key.rpartition(".")
+        owner = fields.get(group, "object") if group else fields
+        values.append((attr, owner.get(key, sub, *default)))
+    unknown = fields.unknown()
+    if unknown:
+        raise ConfigurationError("unknown field " + ", ".join(unknown))
+    if isinstance(kind, str):
+        return tuple(x for attr, v in values
+                     for x in (v if isinstance(attr, slice) else (v,)))
+    try:
+        return kind(**dict(values))
+    except (TypeError, ValueError) as exc:    # ConfigurationError included
+        raise ConfigurationError(f"{fields.path or 'configuration'}: {exc}") from exc
+
+
+def config_to_dict(config):
+    """Plain-JSON form of a scenario configuration (the format is ``_FORMAT``)."""
+    return _encode(config, ScenarioConfig)
+
+
+def config_from_dict(doc):
+    """Inverse of :func:`config_to_dict`, with field-level error reporting.
+
+    Every field is read by its path: numbers must be JSON numbers, integer
+    fields integral, flags JSON booleans, each value inside its kind's
+    domain, and a key that names no field is an error.
+    """
+    return _decode(_Fields(doc, ""), ScenarioConfig)
+
+
 def validate_config(config):
     """All feasibility violations of a scenario (empty list means runnable).
+
+    Three passes, each run only when the one before found nothing: every
+    field's domain, as the format table ``_FORMAT`` declares it (a violation
+    is named by the field's path, ``carriages[3].mass_kg``); the relations
+    between fields (a whole number of steps within the profile's horizon,
+    the gain inequalities and strict initial feasibility); and observer gain
+    placement, the one the engine runs (:func:`observer_gains`).
 
     Raises :class:`ConfigurationError` for a scenario that is malformed
     rather than infeasible: an unknown option, or a per-carriage entry of
     the wrong count or length.
     """
-    out = []
-    # written so that NaN fails every check
-    if not 0 < config.step < math.inf:
-        out.append(Violation("0 < step < inf", config.step, 0.0, "integration"))
-    if not config.duration > 0:
-        out.append(Violation("duration > 0", config.duration, 0.0, "integration"))
-    if not isinstance(config.record_stride, numbers.Integral) or config.record_stride < 1:
-        out.append(Violation("record_stride is an integer >= 1", config.record_stride, 1.0,
-                             "integration"))
     if config.representation not in REPRESENTATIONS:
         raise ConfigurationError(f"unknown representation {config.representation!r}")
     if config.control_law not in CONTROL_LAWS:
@@ -182,48 +391,30 @@ def validate_config(config):
         if any(np.shape(s) != (6,) for s in config.observer_initial):
             raise ConfigurationError(
                 "every observer_initial entry needs 6 values (xh, vh, wh, f1, f2, f3)")
-    if config.duration > config.profile.horizon * (1 + 1e-12):
-        out.append(Violation("duration <= profile horizon", config.duration,
-                             config.profile.horizon, "reference"))
-    if not 0 <= config.noise.variance < math.inf:
-        out.append(Violation("0 <= noise variance < inf", config.noise.variance, 0.0, "noise"))
-    if not isinstance(config.noise.seed, numbers.Integral) or config.noise.seed < 0:
-        out.append(Violation("noise seed is an integer >= 0", config.noise.seed, 0.0, "noise"))
-    states = [("initial", config.initial), ("observer_initial", config.observer_initial or ())]
-    for name, rows in states:
-        for label, row in zip(config.topology.carriage_ids(), rows):
-            bad = [value for value in row if not math.isfinite(value)]
-            if bad:
-                out.append(Violation(f"{name} entries are finite", bad[0], math.inf,
-                                     f"carriage {label}"))
-    # observer settings that gain placement rejects; its augmented pair has 5 states
-    if not 0 < config.observer_k1 < math.inf:
-        out.append(Violation("0 < observer k1 < inf", config.observer_k1, 0.0, "observer"))
-    override = config.observer_gain_override
-    if override is not None and len(override) != 5:
-        out.append(Violation("observer gain override has 5 entries", len(override), 5,
-                             "observer"))
-    if override is None:
-        eigenvalues = [complex(lam) for lam in config.observer_eigenvalues]
-        placement = ([] if len(eigenvalues) == 5 else
-                     [Violation("5 observer eigenvalues", len(eigenvalues), 5, "observer")])
-        placement += [Violation("observer eigenvalue real part < 0", lam.real, 0.0, "observer")
-                      for lam in eigenvalues if not lam.real < 0]
-        # the gains are synthesized per distinct observer pair: once the
-        # eigenvalues pass, check each pair as placement will see it
-        out.extend(placement or _observer_pair_violations(config, eigenvalues))
-    monitor = config.monitor
-    if not monitor.tail_window >= 0:
-        out.append(Violation("monitor tail_window >= 0", monitor.tail_window, 0.0, "monitor"))
-    for name in ("tol_xtilde_mean", "tol_vtilde_mean", "tol_gap_mean", "tol_vgap_mean"):
-        if not getattr(monitor, name) > 0:
-            out.append(Violation(f"monitor {name} > 0", getattr(monitor, name), 0.0, "monitor"))
+    out = _domain_violations(config, ScenarioConfig, "", [])
+    if out:
+        return out
+    # the run takes round(duration / step) steps
+    ratio = config.duration / config.step
+    steps = round(ratio) if ratio <= MAX_STEPS else 0
+    if not (steps >= 1 and abs(ratio - steps) <= STEPS_RTOL * ratio):
+        out.append(Violation(f"duration is a whole number of steps, 1 to {MAX_STEPS:,}",
+                             ratio, steps, "integration"))
+    end = max(config.duration, steps * config.step)
+    if end > config.profile.horizon * (1 + 1e-12):
+        out.append(Violation("duration <= profile horizon", end, config.profile.horizon,
+                             "reference"))
     out.extend(ctrl.validate_parameters(config.follower_gains, config.head_gains,
                                         config.constraints))
     if not any(v.subject == "head gains" or v.subject == "constraints" for v in out):
         out.extend(ctrl.validate_initial(initial_pair_errors(config),
                                          config.constraints, config.head_gains.ell1))
-    return out
+    if out:
+        return out
+    labels = list(config.topology.carriage_ids())
+    return [Violation(str(placed), False, True, "observer of carriage {}_{}".format(
+                *labels[members[0]]))
+            for members, placed in observer_gains(config) if isinstance(placed, PlacementError)]
 
 
 def _observer_pairs(carriages):
@@ -241,30 +432,30 @@ def _observer_pairs(carriages):
     return pairs
 
 
-def _observer_pair_violations(config, eigenvalues):
-    """The observer pairs on which gain placement would fail, as violations.
+def observer_gains(config):
+    """``(members, gains)`` per distinct observer pair, as the gate and the engine place them.
 
-    Each distinct pair is checked once: it must be observable, and the
-    eigenvalues must be closed under conjugation as placement on it tests.
+    ``members`` are the chain indices of the carriages sharing the pair, and
+    ``gains`` their :class:`~platoonsim.observer.ObserverGains`, or the
+    :class:`PlacementError` that placing them raised (a failed decomposition included).
     """
-    out = []
-    labels = list(config.topology.carriage_ids())
-    for (c_row, omega), members in _observer_pairs(config.carriages).items():
-        subject = "observer of carriage {}_{}".format(*labels[members[0]])
-        a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
-        # a pair whose observability matrix cannot be decomposed (a non-finite
-        # or overflowing entry) cannot be placed either
-        with np.errstate(all="ignore"):
+    placed = []
+    with np.errstate(all="ignore"):
+        for (c_row, omega), members in _observer_pairs(config.carriages).items():
             try:
-                observable = obs.check_observability(a, c)
-            except np.linalg.LinAlgError:
-                observable = False
-        if not observable:
-            out.append(Violation("observer pair is observable", False, True, subject))
-        elif not obs.closed_under_conjugation(a, eigenvalues):
-            out.append(Violation("observer eigenvalues are closed under conjugation",
-                                 False, True, subject))
-    return out
+                if config.observer_gain_override is not None:
+                    gains = obs.ObserverGains(k1=config.observer_k1,
+                                              k=tuple(config.observer_gain_override))
+                else:
+                    a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
+                    gains = obs.synthesize_gains(a, c, config.observer_eigenvalues,
+                                                 k1=config.observer_k1)
+            except PlacementError as exc:
+                gains = exc
+            except np.linalg.LinAlgError as exc:
+                gains = PlacementError(f"observer pair cannot be decomposed: {exc}")
+            placed.append((members, gains))
+    return placed
 
 
 def require_feasible(config, source="scenario"):
@@ -420,16 +611,11 @@ class _ClosedLoop:
                                     [f.window_periodic[1] for f in faults]])
 
         gains = [None] * nc
-        for (c_row, omega), members in _observer_pairs(config.carriages).items():
-            if config.observer_gain_override is not None:
-                pair_gains = obs.ObserverGains(k1=config.observer_k1,
-                                               k=tuple(config.observer_gain_override))
-            else:
-                a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
-                pair_gains = obs.synthesize_gains(a, c, config.observer_eigenvalues,
-                                                  k1=config.observer_k1)
+        for members, placed in observer_gains(config):
+            if isinstance(placed, PlacementError):
+                raise placed
             for g in members:
-                gains[g] = pair_gains
+                gains[g] = placed
         self.k1g = np.array([g.k1 for g in gains])
         self.k2g = np.array([g.k2 for g in gains])
         self.k3g = np.array([g.k3 for g in gains])
@@ -1115,30 +1301,33 @@ def run_scenario(config):
     noise_on = config.noise.enabled and config.noise.variance > 0.0
     if noise_on:
         rng = np.random.default_rng(config.noise.seed)
-    y = engine.initial_state()
-    sample_pos = 0
-    for step_i in range(n_steps + 1):
-        t = step_i * h
-        if noise_on:
-            block_i = step_i % _BLOCK_STEPS
-            if block_i == 0:
-                draws = inject_disturbance(rng, config.noise.variance, (_BLOCK_STEPS, nc))
-            engine.delta = draws[block_i]
-        k1 = engine.rhs(t, y)
-        if step_i % stride == 0 or step_i == n_steps:
-            if engine.keep_sample(t):
-                record.table[sample_pos:sample_pos + _SAMPLE_BLOCK] = engine.derive_samples()
-                sample_pos += _SAMPLE_BLOCK
-            if step_i == n_steps:
-                break
-        try:
-            y = rk4_step(engine.rhs, y, t, h, k1=k1, labels=engine.state_labels,
-                         stage=engine._y)
-        except IntegrationFault as fault:
-            raise IntegrationFault(fault.time, labels=fault.labels,
-                                   message=f"integration fault at t={t:.6g}s"
-                                   + _first_clamp(engine.saturations)) from fault
-    record.table[sample_pos:] = engine.derive_samples()
+    # an overflow or invalid value in the engine ends the run through
+    # rk4_step's finite check, as a named IntegrationFault
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = engine.initial_state()
+        sample_pos = 0
+        for step_i in range(n_steps + 1):
+            t = step_i * h
+            if noise_on:
+                block_i = step_i % _BLOCK_STEPS
+                if block_i == 0:
+                    draws = inject_disturbance(rng, config.noise.variance, (_BLOCK_STEPS, nc))
+                engine.delta = draws[block_i]
+            k1 = engine.rhs(t, y)
+            if step_i % stride == 0 or step_i == n_steps:
+                if engine.keep_sample(t):
+                    record.table[sample_pos:sample_pos + _SAMPLE_BLOCK] = engine.derive_samples()
+                    sample_pos += _SAMPLE_BLOCK
+                if step_i == n_steps:
+                    break
+            try:
+                y = rk4_step(engine.rhs, y, t, h, k1=k1, labels=engine.state_labels,
+                             stage=engine._y)
+            except IntegrationFault as fault:
+                raise IntegrationFault(fault.time, labels=fault.labels,
+                                       message=f"integration fault at t={t:.6g}s"
+                                       + _first_clamp(engine.saturations)) from fault
+        record.table[sample_pos:] = engine.derive_samples()
 
     report = monitor_requirements(
         record, config.constraints, config.head_gains.ell1, config.coupler.spacing,

@@ -1,8 +1,11 @@
 """CLI, configuration file and output-format tests."""
 
+import contextlib
 import dataclasses
 import functools
+import io
 import json
+import math
 import operator
 import re
 import tempfile
@@ -12,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,10 +25,11 @@ from platoonsim.cli import (config_from_dict, config_hash, config_to_dict,
                             load_config, main, read_timeseries,
                             write_timeseries)
 from platoonsim.controller import FollowerGains, HeadGains
-from platoonsim.errors import ConfigurationError, TimeseriesFormatError
+from platoonsim.errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
+                               TimeseriesFormatError)
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import (CONTROL_LAWS, REPRESENTATIONS, SimulationRecord,
-                                  monitor_requirements, run_scenario)
+                                  monitor_requirements, run_scenario, validate_config)
 
 CARRIAGE_FIELDS = ("x", "v", "w", "tau", "u", "f_eff", "f_eff_hat", "e_x", "e_v", "e_w")
 PAIR_FIELDS = ("eps", "xtilde", "vtilde", "qtilde")
@@ -234,7 +238,7 @@ class TestStrictFields:
             config_from_dict(preset_doc_with(keys, True))
 
     @pytest.mark.parametrize("keys, value, message", [
-        (("carriages", 0, "mass_kg"), -1.0, "carriages[0]: carriage mass must be positive"),
+        (("carriages", 0, "mass_kg"), -1.0, "field carriages[0].mass_kg must be a number > 0"),
         (("carriages", 0, "fault", "window_const_s"), [1.0, 2.0, 3.0], "carriages[0].fault: "),
     ], ids=["out-of-range", "wrong-length"])
     def test_record_error_names_its_object(self, keys, value, message):
@@ -327,10 +331,11 @@ class TestObserverSettings:
     """Observer settings that gain placement rejects are configuration errors, exit 2."""
 
     @pytest.mark.parametrize("key, value, violation", [
-        ("eigenvalues", [1.0, -3.0, -3.0, -3.0, -3.0], "observer eigenvalue real part < 0"),
-        ("eigenvalues", [-3.0, -3.0, -3.0], "5 observer eigenvalues"),
-        ("gain_override", [4.0, 5.0, -6.0], "observer gain override has 5 entries"),
-        ("k1", 0.0, "0 < observer k1 < inf"),
+        ("eigenvalues", [1.0, -3.0, -3.0, -3.0, -3.0],
+         "desired eigenvalues must have negative real parts [observer of carriage 1_1]"),
+        ("eigenvalues", [-3.0, -3.0, -3.0], "need 5 desired eigenvalues, got 3"),
+        ("gain_override", [4.0, 5.0, -6.0], "stacked gain must have 5 entries"),
+        ("k1", 0.0, "field observer.k1 must be a number > 0"),
     ], ids=["unstable-eigenvalue", "eigenvalue-count", "override-length", "k1"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_named_violation(self, tmp_path, capsys, command, key, value, violation):
@@ -346,7 +351,7 @@ class TestObserverSettings:
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_placement_failure_is_a_configuration_error(self, tmp_path, capsys, command):
         # no fault force reaches the first carriage: its observer pair is
-        # unobservable, which the feasibility check names before any synthesis
+        # unobservable, which the feasibility check's own placement names
         doc = preset_doc_with(("carriages", 0, "fault", "upsilon_Nps_per_unit"), 0.0)
         doc["carriages"][0]["fault"]["nu_s_per_rad"] = 0.0
         doc["integration"]["duration_s"] = 1.0
@@ -355,7 +360,8 @@ class TestObserverSettings:
         out = ["--out", str(tmp_path)] if command == "run" else []
         assert main([command, "--config", str(path), *out]) == 2
         err = capsys.readouterr().err
-        assert "violated: observer pair is observable [observer of carriage 1_1]" in err
+        assert ("violated: augmented pair is unobservable; cannot place eigenvalues "
+                "[observer of carriage 1_1]") in err
         assert not (tmp_path / "unobservable_timeseries.csv").exists()
 
 
@@ -363,9 +369,9 @@ class TestMonitorSettings:
     """Monitor settings that no verdict can be judged with are configuration errors, exit 2."""
 
     @pytest.mark.parametrize("key, value, violation", [
-        ("tail_window_s", -5.0, "monitor tail_window >= 0"),
-        ("tol_xtilde_mean_m", -1.0, "monitor tol_xtilde_mean > 0"),
-        ("tol_vgap_mean_mps", 0.0, "monitor tol_vgap_mean > 0"),
+        ("tail_window_s", -5.0, "field monitor.tail_window_s must be a number >= 0"),
+        ("tol_xtilde_mean_m", -1.0, "field monitor.tol_xtilde_mean_m must be a number > 0"),
+        ("tol_vgap_mean_mps", 0.0, "field monitor.tol_vgap_mean_mps must be a number > 0"),
     ], ids=["tail-window", "tol-xtilde", "tol-vgap"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_named_violation(self, tmp_path, capsys, command, key, value, violation):
@@ -547,3 +553,126 @@ class TestTimeseriesFile:
             "e_w_mps2_1_1"]
         assert names[-4:] == ["eps_m_3", "xtilde_m_3", "vtilde_mps_3",
                               "qtilde_mps_3"]
+
+
+# ---------------------------------------------------------------------------
+# every input gets a named outcome
+# ---------------------------------------------------------------------------
+
+EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300)
+
+
+def numeric_paths(value, kind):
+    """``(path, kind)`` of every numeric field of ``value``, a ``kind`` of the format table.
+
+    A path holds the table's keys and list positions; a list is represented
+    by its first and last entries.
+    """
+    for key, attr, sub, *_ in simulator._FORMAT[kind]:
+        field = value[attr] if isinstance(kind, str) else getattr(value, attr)
+        if isinstance(sub, list):
+            entries = [] if field is None else [((k,), field[k])
+                                                for k in sorted({0, len(field) - 1})]
+            sub = sub[0]
+        else:
+            entries = [((), field)]
+        for at, item in entries:
+            if sub in simulator._FORMAT:
+                yield from (((key, *at, *rest), leaf) for rest, leaf in numeric_paths(item, sub))
+            elif sub not in (simulator._B, simulator._S):
+                yield (key, *at), sub
+
+
+def replace_at(value, kind, path, new):
+    """``value``, a ``kind`` of the format table, with the field at ``path`` set to ``new``."""
+    key, *rest = path
+    attr, sub = next(entry[1:3] for entry in simulator._FORMAT[kind] if entry[0] == key)
+    field = value[attr] if isinstance(kind, str) else getattr(value, attr)
+    if isinstance(sub, list):
+        k, *rest = rest
+        items = list(field)
+        items[k] = replace_at(items[k], sub[0], rest, new) if rest else new
+        field = tuple(items)
+    else:
+        field = replace_at(field, sub, rest, new) if rest else new
+    if isinstance(kind, str):
+        row = list(value)
+        row[attr] = field
+        return tuple(row)
+    return dataclasses.replace(value, **{attr: field})
+
+
+def path_name(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def doc_with(doc, path, value):
+    keys = [k for p in path for k in (p.split(".") if isinstance(p, str) else [p])]
+    functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
+    return doc
+
+
+# paper-s5 over 0.05 s, with its default observer start written out, and a
+# copy whose gain override is the placed gains
+BASE = dataclasses.replace(
+    paper_s5(), duration=0.05,
+    observer_initial=tuple((x, v, 0.0, 0.0, 0.0, 0.0) for x, v, _ in paper_s5().initial))
+OVERRIDDEN = dataclasses.replace(
+    BASE, observer_gain_override=simulator.observer_gains(BASE)[0][1].k)
+PATHS = dict(numeric_paths(OVERRIDDEN, simulator.ScenarioConfig))
+
+
+class TestEveryInputNamed:
+    """One numeric field of paper-s5 at a time set to an extreme value ends in a named outcome.
+
+    A verdict, a configuration error naming the field when the value is
+    outside the field's domain, or an integration or barrier-domain fault; no
+    other exception and no RuntimeWarning (the suite raises those).  The
+    library and the command line agree, with the documented exit codes.
+    """
+
+    @settings(max_examples=len(PATHS) * len(EXTREMES), deadline=None, database=None)
+    @given(path=st.sampled_from(sorted(PATHS, key=path_name)), value=st.sampled_from(EXTREMES))
+    @example(path=("observer.k1",), value=math.inf)
+    @example(path=("davis", "c2_Ns2_per_m2_kg"), value=math.inf)
+    @example(path=("carriages", 0, "fault", "omega_rad_per_s"), value=math.nan)
+    @example(path=("monitor", "tail_window_s"), value=math.nan)
+    @example(path=("coupler", "stiffness_N_per_m"), value=math.nan)
+    @example(path=("carriages", 0, "fault", "upsilon_Nps_per_unit"), value=1e300)
+    @example(path=("carriages", 0, "mass_kg"), value=1e-300)
+    def test_named_outcome(self, path, value):
+        base = OVERRIDDEN if path[0] == "observer.gain_override" else BASE
+        name, kinds = path_name(path), simulator._KINDS[PATHS[path]]
+        try:
+            config = replace_at(base, simulator.ScenarioConfig, path, value)
+        except ConfigurationError:
+            config = None        # a relation between fields that the record checks
+        if config is not None:
+            violations = validate_config(config)
+            if not kinds[1](value):
+                assert name in [v.name for v in violations]
+            try:
+                run_scenario(config)
+            except ConfigurationError:
+                assert violations
+            except (IntegrationFault, BarrierDomainError):
+                assert not violations
+            else:
+                assert not violations
+
+        # a file holds what json parses: an integral number is an integer
+        if kinds[0] == (int,) and math.isfinite(value) and value.is_integer():
+            value = int(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path_json = Path(tmp) / "case.json"
+            path_json.write_text(json.dumps(doc_with(config_to_dict(base), path, value)))
+            codes, errors = [], []
+            for command in (["validate"], ["run", "--out", tmp]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(main([*command, "--config", str(path_json)]))
+                errors.append(err.getvalue())
+        assert codes in ([0, 0], [0, 1], [0, 3], [2, 2]), errors
+        assert errors[0] == errors[1] if codes[0] == 2 else errors[0] == ""
+        if not kinds[1](value):
+            assert f"configuration error: field {name} must be " in errors[0]

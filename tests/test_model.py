@@ -1,5 +1,7 @@
 """Plant/composite model and coefficient-function tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from platoonsim.errors import ConfigurationError
 from platoonsim.faults import FaultModel
 from platoonsim.model import (CarriageParams, ConsistTopology, CouplerParams,
                               DavisCoefficients)
+from platoonsim.presets import paper_s5
+from platoonsim.simulator import require_feasible
 
 DAVIS = DavisCoefficients(c0=0.01176, c1=0.00077616, c2=1.6e-5)
 COUPLER = CouplerParams(stiffness=1.6e5, damping=600.0, spacing=26.0)
@@ -39,8 +43,11 @@ class TestDavisResistance:
             assert davis_resistance(v1, DAVIS) <= davis_resistance(v2, DAVIS)
 
     def test_rejects_negative_coefficients(self):
-        with pytest.raises(ConfigurationError):
-            DavisCoefficients(-1.0, 0.0, 0.0)
+        # the feasibility check holds every field's domain, the record none
+        config = dataclasses.replace(paper_s5(), davis=DavisCoefficients(-1.0, 0.0, 0.0))
+        with pytest.raises(ConfigurationError) as info:
+            require_feasible(config)
+        assert [v.name for v in info.value.violations] == ["davis.c0_N_per_kg"]
 
 
 class TestCouplingForce:

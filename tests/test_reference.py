@@ -1,11 +1,14 @@
 """Reference profile tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from platoonsim.errors import ConfigurationError
-from platoonsim.presets import paper_s5_profile
+from platoonsim.presets import paper_s5, paper_s5_profile
 from platoonsim.reference import ReferencePhase, ReferenceProfile
+from platoonsim.simulator import require_feasible
 
 
 class TestEvaluate:
@@ -87,5 +90,9 @@ class TestEnvelopeValidation:
     def test_empty_or_degenerate_phase_rejected(self):
         with pytest.raises(ConfigurationError):
             ReferenceProfile(x0=0.0, v0=1.0, w0=0.0, phases=(), v_max=5.0)
-        with pytest.raises(ConfigurationError):
-            ReferencePhase(0.0, 0.1)
+        # a phase's duration is checked with the scenario's other fields
+        profile = ReferenceProfile(x0=0.0, v0=1.0, w0=0.0, phases=(ReferencePhase(0.0, 0.1),),
+                                   v_max=5.0)
+        with pytest.raises(ConfigurationError) as info:
+            require_feasible(dataclasses.replace(paper_s5(), profile=profile))
+        assert [v.name for v in info.value.violations] == ["reference.phases[0].duration_s"]

@@ -24,7 +24,8 @@ from oracle import (CompositeState, ObserverState, PlantState, auxiliary_inputs,
 import platoonsim
 from platoonsim import autodiff, simulator
 from platoonsim import controller as ctrl
-from platoonsim.errors import BarrierDomainError, ConfigurationError, IntegrationFault
+from platoonsim.errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
+                               PlacementError)
 from platoonsim.faults import snap_windows
 from platoonsim.model import ConsistTopology
 from platoonsim.presets import paper_s5
@@ -207,6 +208,26 @@ class TestIntegrationFaultNames:
         assert 0.1 <= float(found[3]) <= raised.value.time + config.step
 
 
+class TestOverflowIsAnIntegrationFault:
+    """An overflow in the engine ends the run in its finite check, not in a bare RuntimeWarning.
+
+    No ``np.errstate`` here: the suite raises every RuntimeWarning as an error.
+    """
+
+    @pytest.mark.parametrize("change", [
+        lambda c: dict(davis=dataclasses.replace(c.davis, c1=1e300)),
+        lambda c: dict(davis=dataclasses.replace(c.davis, c2=1e300)),
+        lambda c: dict(noise=dataclasses.replace(c.noise, enabled=True, variance=1e300)),
+        # -1000 * 0.01 s lies outside the stability interval of RK4
+        lambda c: dict(observer_eigenvalues=(-1000.0,) * 5),
+    ], ids=["davis-c1", "davis-c2", "noise-variance", "fast-observer"])
+    def test_overflow_is_named(self, s5_config, change):
+        config = dataclasses.replace(s5_config, duration=0.05, **change(s5_config))
+        assert validate_config(config) == []
+        with pytest.raises(IntegrationFault, match="integration fault at t="):
+            run_scenario(config)
+
+
 class TestDisturbance:
     def test_sample_variance(self):
         rng = np.random.default_rng(123)
@@ -254,6 +275,9 @@ class TestDisturbance:
                                                                                   name)
 
 
+WHOLE_STEPS = "duration is a whole number of steps, 1 to 100,000,000"
+
+
 class TestConfigValidation:
     def test_degenerate_gains_rejected(self, s5_config):
         bad = dataclasses.replace(
@@ -272,30 +296,39 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             validate_config(bad)
 
+    # a field outside its domain is named by its path in the scenario file
     @pytest.mark.parametrize("change, violation", [
-        (lambda c: dict(step=math.nan), "0 < step < inf"),
-        (lambda c: dict(step=math.inf), "0 < step < inf"),
-        (lambda c: dict(duration=math.nan), "duration > 0"),
+        (lambda c: dict(step=math.nan), "integration.step_s"),
+        (lambda c: dict(step=math.inf), "integration.step_s"),
+        (lambda c: dict(duration=math.nan), "integration.duration_s"),
         (lambda c: dict(noise=dataclasses.replace(c.noise, enabled=True, variance=math.nan)),
-         "0 <= noise variance < inf"),
-        (lambda c: dict(record_stride=2.5), "record_stride is an integer >= 1"),
+         "noise.variance"),
+        (lambda c: dict(record_stride=2.5), "integration.record_stride"),
         (lambda c: dict(initial=c.initial[:-1] + (c.initial[-1][:2],)), None),
         (lambda c: dict(observer_initial=tuple((*s[:2], 0.0, 0.0, 0.0, 0.0)[:5 if g == 4 else 6]
                                                for g, s in enumerate(c.initial))), None),
         (lambda c: dict(initial=c.initial[:3] + ((*c.initial[3][:2], math.nan),)
-                        + c.initial[4:]), "initial entries are finite"),
+                        + c.initial[4:]), "initial_states[3].w_mps2"),
         (lambda c: dict(initial=((c.initial[0][0], math.inf, 0.0),) + c.initial[1:]),
-         "initial entries are finite"),
+         "initial_states[0].v_mps"),
         (lambda c: dict(observer_initial=tuple((*s[:2], math.nan, 0.0, 0.0, 0.0)
                                                for s in c.initial)),
-         "observer_initial entries are finite"),
-        (lambda c: dict(noise=dataclasses.replace(c.noise, seed=1.5)),
-         "noise seed is an integer >= 0"),
-        (lambda c: dict(noise=dataclasses.replace(c.noise, seed=-1)),
-         "noise seed is an integer >= 0"),
+         "observer_initial[0].w_hat_mps2"),
+        (lambda c: dict(noise=dataclasses.replace(c.noise, seed=1.5)), "noise.seed"),
+        (lambda c: dict(noise=dataclasses.replace(c.noise, seed=-1)), "noise.seed"),
+        # the run's steps are round(duration / step)
+        (lambda c: dict(duration=0.05, step=0.03), WHOLE_STEPS),
+        (lambda c: dict(duration=0.05, step=1e300), WHOLE_STEPS),
+        (lambda c: dict(duration=0.001), WHOLE_STEPS),
+        (lambda c: dict(duration=0.05, step=1e-300), WHOLE_STEPS),
+        # 0.35 s steps on a 1 s profile would end at 1.05 s
+        (lambda c: dict(duration=1.0, step=0.35, profile=dataclasses.replace(c.profile, phases=(
+            dataclasses.replace(c.profile.phases[0], duration=1.0),))),
+         "duration <= profile horizon"),
     ], ids=["step-nan", "step-inf", "duration-nan", "variance-nan", "stride-float",
             "initial-entry", "observer-initial-entry", "initial-nan", "initial-inf",
-            "observer-initial-nan", "seed-float", "seed-negative"])
+            "observer-initial-nan", "seed-float", "seed-negative", "steps-overshoot",
+            "zero-steps", "under-one-step", "too-many-steps", "steps-past-profile"])
     def test_malformed_scenario_named_error(self, s5_config, change, violation):
         with pytest.raises(ConfigurationError) as info:
             run_scenario(dataclasses.replace(s5_config, **change(s5_config)))
@@ -303,20 +336,20 @@ class TestConfigValidation:
             assert violation in [v.name for v in info.value.violations]
 
     @pytest.mark.parametrize("change, message", [
-        (lambda c: dict(observer_k1=math.inf), "0 < observer k1 < inf"),
+        (lambda c: dict(observer_k1=math.inf), "violated: observer.k1 "),
         (lambda c: dict(davis=dataclasses.replace(c.davis, c2=math.inf)),
-         "Davis coefficients must be nonnegative and finite"),
+         "violated: davis.c2_Ns2_per_m2_kg "),
         (lambda c: dict(davis=dataclasses.replace(c.davis, c1=math.nan)),
-         "Davis coefficients must be nonnegative and finite"),
+         "violated: davis.c1_Ns_per_m_kg "),
         (lambda c: dict(coupler=dataclasses.replace(c.coupler, damping=math.inf)),
-         "coupler stiffness, damping and spacing must be positive and finite"),
+         "violated: coupler.damping_Ns_per_m "),
         (lambda c: dict(coupler=dataclasses.replace(c.coupler, stiffness=math.nan)),
-         "coupler stiffness, damping and spacing must be positive and finite"),
+         "violated: coupler.stiffness_N_per_m "),
         (lambda c: dict(carriages=(dataclasses.replace(c.carriages[0], mass=math.nan),)
-                        + c.carriages[1:]), "carriage mass must be positive and finite"),
+                        + c.carriages[1:]), "violated: carriages[0].mass_kg "),
         (lambda c: dict(carriages=c.carriages[:4] + (dataclasses.replace(
             c.carriages[4], actuator_rate=math.nan),) + c.carriages[5:]),
-         "actuator rate must be positive and finite"),
+         "violated: carriages[4].actuator_rate_1_per_s "),
     ], ids=["observer-k1-inf", "davis-c2-inf", "davis-c1-nan", "coupler-damping-inf",
             "coupler-stiffness-nan", "mass-nan", "actuator-rate-nan"])
     def test_nonfinite_physical_parameter_named_error(self, s5_config, change, message):
@@ -333,8 +366,9 @@ class TestConfigValidation:
         monitor = dataclasses.replace(s5_config.monitor, **{name: value})
         bad = short_scenario(s5_config, 0.05, monitor=monitor)
         violations = validate_config(bad)
-        assert [(v.name, v.subject) for v in violations] == [
-            (f"monitor {name} {'>=' if name == 'tail_window' else '>'} 0", "monitor")]
+        key = {attr: key for key, attr, *_ in simulator._FORMAT[MonitorSpec]}[name]
+        assert [(v.name, v.bound) for v in violations] == [
+            (f"monitor.{key}", f"a number {'>=' if name == 'tail_window' else '>'} 0")]
         with pytest.raises(ConfigurationError):
             run_scenario(bad)
 
@@ -344,11 +378,11 @@ class TestConfigValidation:
         assert validate_config(dataclasses.replace(s5_config, monitor=zero_window)) == []
         zero_tol = dataclasses.replace(s5_config.monitor, tol_gap_mean=0.0)
         assert [v.name for v in validate_config(
-            dataclasses.replace(s5_config, monitor=zero_tol))] == ["monitor tol_gap_mean > 0"]
+            dataclasses.replace(s5_config, monitor=zero_tol))] == ["monitor.tol_gap_mean_m"]
 
     @pytest.mark.parametrize("eigenvalues, violation", [
         ((-3.0 + 1.0j, -3.0 + 1.0j, -3.0, -3.0, -3.0),
-         "observer eigenvalues are closed under conjugation"),
+         "desired eigenvalues are not closed under conjugation"),
         ((-3.0 + 1.0j, -3.0 - 1.0j, -3.0, -3.0, -3.0), None),
     ], ids=["not-closed", "closed"])
     def test_conjugate_closure_checked_before_synthesis(self, s5_config, eigenvalues,
@@ -372,20 +406,27 @@ class TestConfigValidation:
                 carriages[g].fault, upsilon=0.0, nu=0.0))
         config = short_scenario(s5_config, 0.05, carriages=tuple(carriages))
         assert [(v.name, v.subject) for v in validate_config(config)] == [
-            ("observer pair is observable", "observer of carriage 2_1")]
+            ("augmented pair is unobservable; cannot place eigenvalues",
+             "observer of carriage 2_1")]
         # a gain override bypasses synthesis, and the pair is not checked
         override = dataclasses.replace(config, observer_gain_override=(4.0, 5.0, -6.0, 1.0, 2.0))
         assert validate_config(override) == []
 
-    @pytest.mark.parametrize("omega", [math.nan, 1e300])
-    def test_pair_that_cannot_be_checked_is_unobservable(self, s5_config, omega):
+    # a NaN frequency is outside its domain; 1e300 overflows the pair, whose
+    # decomposition then fails in placement
+    @pytest.mark.parametrize("omega, subject", [
+        (math.nan, ""), (1e300, "observer of carriage 1_1")], ids=["nan", "1e+300"])
+    def test_pair_that_cannot_be_checked_is_unobservable(self, s5_config, omega, subject):
         carriages = (dataclasses.replace(s5_config.carriages[0], fault=dataclasses.replace(
             s5_config.carriages[0].fault, omega=omega)),) + s5_config.carriages[1:]
         config = short_scenario(s5_config, 0.05, carriages=carriages)
-        assert ("observer pair is observable", "observer of carriage 1_1") in [
-            (v.name, v.subject) for v in validate_config(config)]
+        assert [v.subject or v.name for v in validate_config(config)] == [
+            subject or "carriages[0].fault.omega_rad_per_s"]
         with pytest.raises(ConfigurationError):
             run_scenario(config)
+        # the engine places through the same function, and fails the same way
+        with pytest.raises(PlacementError):
+            _ClosedLoop(config)
 
 
 # The engine-level properties report a failing example as found: shrinking
@@ -1579,7 +1620,7 @@ class TestBlockSamples:
         ((_SAMPLE_BLOCK - 2) * 0.01, 1, _SAMPLE_BLOCK - 1),
         ((_SAMPLE_BLOCK - 1) * 0.01, 1, _SAMPLE_BLOCK),
         (_SAMPLE_BLOCK * 0.01, 1, _SAMPLE_BLOCK + 1),
-        (0.001, 1, 1),
+        (0.01, 1, 2),        # one step, the least a run takes
         (0.5, 3, 18),        # the last sample is off the stride, in a partial block
         # the last sample, off the stride, fills a block
         ((3 * (2 * _SAMPLE_BLOCK - 2) + 1) * 0.01, 3, 2 * _SAMPLE_BLOCK)],
@@ -1646,7 +1687,7 @@ class TestDeterminismAndStructure:
 
     @pytest.mark.parametrize("duration, stride, steps", [
         (0.1, 3, [0, 3, 6, 9, 10]), (0.1, 5, [0, 5, 10]), (0.1, 100, [0, 10]),
-        (0.001, 4, [0])], ids=["remainder", "multiple", "beyond", "no-steps"])
+        (0.01, 4, [0, 1])], ids=["remainder", "multiple", "beyond", "one-step"])
     def test_sampled_steps(self, s5_config, duration, stride, steps):
         # every stride-th step, then the last step whether or not the stride hits it
         every, _ = run_scenario(short_scenario(s5_config, duration))
