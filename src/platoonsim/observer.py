@@ -9,7 +9,12 @@ and autonomous, governed by the augmented pair assembled below; placing its
 closed-loop eigenvalues (plus the decoupled position-error gain k1) makes
 the estimation converge regardless of the control input.
 
-This module builds that pair and synthesizes the gains;
+This module builds that pair and synthesizes the gains.  Its checks call
+no SVD and no eigenvalue solver, whose LAPACK code numpy pages in on first
+use (up to about 1 MB of resident memory each): observability is a Frobenius
+condition number from one LU inverse, and the placement is verified on the
+characteristic polynomial from Faddeev-LeVerrier's matrix products.  The LU
+solver is the one the gain computation needs anyway.
 :mod:`platoonsim.simulator` applies the corrections to every carriage at
 once.  The per-carriage correction inputs and observer dynamics, and the
 linear error system the estimation errors follow, are kept in the test
@@ -83,16 +88,36 @@ def observability_matrix(a, c):
 
 
 def check_observability(a, c, rel_tol=1e-8):
-    """Full numerical rank of the observability matrix (SVD threshold ``rel_tol``)."""
-    sv = np.linalg.svd(observability_matrix(a, c), compute_uv=False)
-    if sv[0] == 0.0:
-        return False
-    return sv[-1] > rel_tol * sv[0]
+    """Full numerical rank of the observability matrix O: ``cond_F(O) * rel_tol < 1``.
+
+    ``cond_F(O) = |O|_F |O^-1|_F`` is the Frobenius-norm condition number,
+    from one LU inverse; a singular, overflowing or non-finite O has none
+    (it reads infinite or NaN) and fails.  With n rows it lies between the
+    2-norm condition number ``sigma_max / sigma_min`` and n times that, so
+    the test is the singular-value threshold ``sigma_min > rel_tol *
+    sigma_max`` made up to n times stricter: every pair it passes has
+    ``cond_2 < 1 / rel_tol``, and every pair with ``cond_2 < 1 / (n *
+    rel_tol)`` passes it.
+    """
+    return bool(np.linalg.cond(observability_matrix(a, c), "fro") * rel_tol < 1.0)
 
 
 def characteristic_coefficients(matrix):
-    """Monic characteristic polynomial coefficients, highest power first."""
-    return np.poly(np.asarray(matrix, dtype=float))
+    """Monic characteristic polynomial coefficients, highest power first.
+
+    Faddeev-LeVerrier: n matrix products, with the traces giving the
+    coefficients one power at a time.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    coeffs = np.ones(n + 1)
+    m = np.zeros_like(matrix)
+    diag = np.arange(n)
+    for k in range(1, n + 1):
+        m[diag, diag] += coeffs[k - 1]
+        m = matrix @ m
+        coeffs[k] = -m.trace() / k
+    return coeffs
 
 
 def synthesize_gains(a, c, desired_eigenvalues, k1=3.0):

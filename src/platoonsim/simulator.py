@@ -15,8 +15,8 @@ data dependencies of the control laws.  Each term that couples neighbouring
 carriages is one product with a constant matrix: the tridiagonal operator T
 (own-acceleration coefficient on the diagonal, damping weights of the
 carriages ahead and behind beside it, zero across train boundaries), with
-B(v) a = T a - 2 c2 v a, and for the plant a telescoping matrix that sums
-the coupler links per carriage.
+B(v) a = T a - 2 c2 v a, and a telescoping matrix that sums the coupler
+links per carriage.
 
 1. the time-only terms (reference and true fault force rate), worked out
    for a block of steps at once at the exact stage times;
@@ -34,7 +34,16 @@ the coupler links per carriage.
    array pass; every head's is the barrier law, run per train pair on
    floats (a pair outside the barrier domain is clamped or aborts, in pair
    order);
-5. the state derivatives.
+5. the state derivatives.  The plant's are one product of a constant
+   operator with the link differences (dx, dv) of position and velocity,
+   carriage ahead minus carriage behind, and the plant's own (vp, tau):
+   the coupler forces, the linear running resistance, the actuator lag and
+   the cancelled stiffness drift.  Added to it are a constant (c0 and the
+   coupler's -a d_p link offset), the Davis quadratic c2 vp**2 (on vp', and
+   scaled by mass * rate on tau') and the input term
+   mass (u + delta) + the true fault force rate on tau'.  The operator
+   weighs no position: positions grow to about 2e5 m over a run, and a
+   weight on each would lose the coupler force to cancellation.
 
 Each follower needs the preceding carriage's estimated-acceleration
 derivative and each head the front tail's.  Both laws cancel the carriage's
@@ -379,18 +388,21 @@ def validate_config(config):
     if config.control_law not in CONTROL_LAWS:
         raise ConfigurationError(f"unknown control law {config.control_law!r}")
     nc = config.topology.total_carriages
-    if len(config.carriages) != nc:
-        raise ConfigurationError(f"need {nc} carriage parameter sets, got {len(config.carriages)}")
-    if len(config.initial) != nc:
-        raise ConfigurationError(f"need {nc} initial states, got {len(config.initial)}")
-    if any(np.shape(s) != (3,) for s in config.initial):
-        raise ConfigurationError("every initial state needs 3 values (x, v, w)")
-    if config.observer_initial is not None:
-        if len(config.observer_initial) != nc:
-            raise ConfigurationError("observer_initial length mismatch")
-        if any(np.shape(s) != (6,) for s in config.observer_initial):
+    # a file's count is any JSON integer: one too long to print is given by its size
+    count = f"{nc:,}" if nc < 10 ** 15 else f"about 10^{len(str(nc)) - 1}"
+    for key, rows, names in (("carriages", config.carriages, None),
+                             ("initial_states", config.initial, ("x", "v", "w")),
+                             ("observer_initial", config.observer_initial,
+                              ("xh", "vh", "wh", "f1", "f2", "f3"))):
+        if rows is None:
+            continue
+        if len(rows) != nc:
+            raise ConfigurationError(f"{key} has {len(rows)} entries, one per carriage, but "
+                                     f"topology.carriages_per_train counts {count} carriages")
+        bad = [k for k, row in enumerate(rows) if names and np.shape(row) != (len(names),)]
+        if bad:
             raise ConfigurationError(
-                "every observer_initial entry needs 6 values (xh, vh, wh, f1, f2, f3)")
+                f"{key}[{bad[0]}] needs {len(names)} values ({', '.join(names)})")
     out = _domain_violations(config, ScenarioConfig, "", [])
     if out:
         return out
@@ -437,7 +449,7 @@ def observer_gains(config):
 
     ``members`` are the chain indices of the carriages sharing the pair, and
     ``gains`` their :class:`~platoonsim.observer.ObserverGains`, or the
-    :class:`PlacementError` that placing them raised (a failed decomposition included).
+    :class:`PlacementError` that placing them raised.
     """
     placed = []
     with np.errstate(all="ignore"):
@@ -452,8 +464,6 @@ def observer_gains(config):
                                                  k1=config.observer_k1)
             except PlacementError as exc:
                 gains = exc
-            except np.linalg.LinAlgError as exc:
-                gains = PlacementError(f"observer pair cannot be decomposed: {exc}")
             placed.append((members, gains))
     return placed
 
@@ -573,7 +583,7 @@ class _ClosedLoop:
 
         self.mass = np.array([c.mass for c in config.carriages])
         self.rate = np.array([c.actuator_rate for c in config.carriages])
-        self.mass_rate, self.neg_rate = self.mass * self.rate, -self.rate
+        self.mass_rate = self.mass * self.rate
         b_over_m = self.b_damp / self.mass
         interior = (j_of > 1) & (j_of < m_of)
         # B1(v) = bm1 - 2*c2*v ; D1(v) = bm1*v - c2*v^2
@@ -643,6 +653,8 @@ class _ClosedLoop:
         self.has_composite = has_composite = config.representation in ("composite", "both")
         self.has_plant = has_plant = config.representation in ("plant", "both")
         self.measure_from_plant = config.representation == "plant"
+        if has_plant:
+            self._build_plant_operator()
         # the composite and estimated channels interleave, so that the
         # velocities (v, vh) lie side by side, and so do their derivatives
         # (w, vhdot), on which B acts with one product
@@ -679,6 +691,44 @@ class _ClosedLoop:
         self._block_first = None       # first step of the stored time-term block
         self._block_rows = {}          # and its stage time -> time_terms tuple map
 
+    def _build_plant_operator(self):
+        """The plant derivative but for three terms, as one constant operator (step 5).
+
+        ``plant_op`` maps the link differences ``(dx, dv)`` (position and
+        velocity of the carriage ahead minus those of the one behind, per
+        link) and the plant's own ``(vp, tau)`` to ``(xp', vp', tau')``.
+        Added after it: ``plant_const``, the Davis quadratic vp**2 with
+        ``plant_davis``'s weights on vp' and tau', and the input term.
+        """
+        nc, links = self.nc, self.nc - 1
+        a, b, d_p, c0, c1, c2 = (self.a_stiff, self.b_damp, self.d_p,
+                                 self.davis.c0, self.c1, self.c2)
+        mass, rate, mass_rate = self.mass, self.rate, self.mass_rate
+        # per carriage, +1 for the link behind it and -1 for the one ahead
+        per_link = self.telescope.T
+        ix = np.arange(nc)
+        vp, tau = 2 * links + ix, 2 * links + nc + ix
+        self.plant_op = np.zeros((3 * nc, 2 * links + 2 * nc))
+        d_xp, d_vp, d_tau = self.plant_op.reshape(3, nc, -1)
+        d_xp[ix, vp] = 1.0
+        # vp' = (tau - coupling) / mass - R(vp), the coupling a (dx - d_p) + b dv
+        # per link, telescoped
+        d_vp[:, :links] = per_link * (-a / mass)[:, None]
+        d_vp[:, links:2 * links] = per_link * (-b / mass)[:, None]
+        d_vp[ix, vp], d_vp[ix, tau] = -c1, 1.0 / mass
+        # tau' = -rate tau + rate coupling + mass rate R(vp) - mass b4 + input,
+        # where -mass b4 is a dv per link, telescoped
+        d_tau[:, :links] = per_link * (rate * a)[:, None]
+        d_tau[:, links:2 * links] = per_link * (rate * b + a)[:, None]
+        d_tau[ix, vp], d_tau[ix, tau] = mass_rate * c1, -rate
+        # the coupling is (a dx + b dv) telescoped less this offset
+        offset = a * d_p * np.ones(links).dot(self.telescope)
+        const = np.zeros((3, nc))
+        const[1], const[2] = offset / mass - c0, mass_rate * c0 - rate * offset
+        self.plant_const = const.ravel()
+        self.plant_davis = np.empty((2, nc))
+        self.plant_davis[0], self.plant_davis[1] = -c2, mass_rate * c2
+
     def _build_buffers(self, row):
         """The state and derivative buffers, the scratch arrays and every view of them.
 
@@ -709,14 +759,21 @@ class _ClosedLoop:
             self._vw, self._d_xv = rows[2:5:2], d_rows[0:3:2]
             self._d_w = self._dy[self.sl["w"]]
         if has_plant:
-            self._vp, self._tau = rows[row["vp"]], rows[row["tau"]]
+            self._vp = rows[row["vp"]]
             plant_xv = rows[row["xp"]:row["vp"] + 1]
             self._plant_ahead, self._plant_behind = plant_xv[:, :-1], plant_xv[:, 1:]
-            self._d_xp, self._d_vp, self._d_tau = (
-                d_rows[row["xp"]], d_rows[row["vp"]], d_rows[row["tau"]])
-            # per link, position and velocity of the carriage ahead minus the one behind
-            self._links = np.empty((2, nc - 1))
-            self._dx_links, self._dv_links = self._links
+            # the plant operator's inputs: per link, position and velocity of
+            # the carriage ahead minus the one behind, then the state's (vp, tau)
+            self._plant_in = np.empty(2 * (nc - 1) + 2 * nc)
+            self._links = self._plant_in[:2 * (nc - 1)].reshape(2, nc - 1)
+            self._plant_in_vt = self._plant_in[2 * (nc - 1):]
+            self._y_vt = self._y[self.sl["vp"].start:self.sl["tau"].stop]
+            # the plant block of the derivative: (xp', vp', tau'), and (vp', tau') as rows
+            self._d_plant = self._dy[self.sl["xp"].start:self.sl["tau"].stop]
+            self._d_plant_vt = self._d_plant[nc:].reshape(2, nc)
+            self._d_tau = self._d_plant_vt[1]
+            self._vp_sq, self._plant_quad, self._drive = (
+                np.empty(nc), np.empty((2, nc)), np.empty(nc))
         # the observer operator's inputs, the state rows (vh, wh, fh1, fh2, fh3)
         # read through their flat indices and then estimate minus measurement
         # (e_x, e_v); and its outputs, the latest evaluation's ef_hat among them
@@ -824,10 +881,6 @@ class _ClosedLoop:
         """
         return (self.a_stiff * (dx - self.d_p) + self.b_damp * dv).dot(self.telescope)
 
-    def stiffness_drift(self, dv):
-        """b4 coefficient per carriage: stiffness-scaled link velocity differences over mass."""
-        return -(self.a_stiff * dv).dot(self.telescope) / self.mass
-
     def initial_state(self):
         cfg, nc = self.config, self.nc
         x0, v0, w0 = np.array(cfg.initial, dtype=float).T
@@ -900,17 +953,19 @@ class _ClosedLoop:
         if self.has_composite:
             np.add(self._coupled_w + cf_true + u, self.delta, out=self._d_w)
         if self.has_plant:
-            vp, tau, dv = self._vp, self._tau, self._dv_links
+            # the plant operator on (dx, dv, vp, tau), then its constant, the
+            # Davis quadratic and the input term
             np.subtract(self._plant_ahead, self._plant_behind, out=self._links)
-            coupling = self.coupling_vector(self._dx_links, dv)
-            resist = self.davis.resistance(vp)
-            b4 = self.stiffness_drift(dv)
-            varpi = (self.mass * u + self.rate * coupling
-                     + self.mass_rate * resist - self.mass * b4
-                     + self.mass * self.delta)
-            self._d_xp[:] = vp
-            np.divide(tau - coupling - self.mass * resist, self.mass, out=self._d_vp)
-            np.add(self.neg_rate * tau + varpi, ef_true, out=self._d_tau)
+            self._plant_in_vt[:] = self._y_vt
+            d_plant = np.dot(self.plant_op, self._plant_in, out=self._d_plant)
+            np.add(d_plant, self.plant_const, out=d_plant)
+            vp_sq = np.multiply(self._vp, self._vp, out=self._vp_sq)
+            quad = np.multiply(self.plant_davis, vp_sq, out=self._plant_quad)
+            np.add(self._d_plant_vt, quad, out=self._d_plant_vt)
+            drive = np.add(u, self.delta, out=self._drive)
+            np.multiply(self.mass, drive, out=drive)
+            np.add(drive, ef_true, out=drive)
+            np.add(self._d_tau, drive, out=self._d_tau)
         return self._dy
 
     def _head_feedback(self, t, y, x0r, v0r, w0r):

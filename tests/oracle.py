@@ -19,7 +19,8 @@ alpha3, the reference for the package's constant alpha3 weights, and the
 pair clamp in its recording form, which reports every clamp it makes.
 
 The observer's derivative rows, term by term, are the reference for the
-engine's observer operator, and the per-sample record row is the reference
+engine's observer operator, the telescoped stiffness drift b4 for a term of
+its plant operator, and the per-sample record row is the reference
 for the engine's block-wise derivation of record rows.  The configuration
 helpers at the end (train slices, tails, snapped faults, observer gains)
 give the tests the chain layout and the per-carriage gains that the engine
@@ -652,6 +653,15 @@ def observer_rows(engine, y):
     fhdot = engine.k4g * e_v
     fhdot[1:] += rotation * fh[:0:-1]      # the generator on (fh3, fh2)
     return xhdot, vhdot, fhdot, engine.k3g * e_v + cf_hat, ef_hat
+
+
+def stiffness_drift(engine, dv):
+    """b4 per carriage from the link velocity differences ``dv``, telescoped per train.
+
+    The stiffness-scaled link velocity differences over mass; -mass b4 is the
+    plant operator's ``a dv`` weight on tau'.
+    """
+    return -(engine.a_stiff * dv).dot(engine.telescope) / engine.mass
 
 
 # ---------------------------------------------------------------------------

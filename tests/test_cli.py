@@ -488,6 +488,32 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 2
         assert "ell2 > 2" in capsys.readouterr().err
 
+    def test_huge_carriage_count_names_its_fields(self, tmp_path, capsys):
+        # 1e300 reads as a 301-digit integer, inside the count's domain; the
+        # structural check names the fields and prints no such number
+        doc = preset_doc_with(("topology", "carriages_per_train", 0), 1e300)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("configuration error: carriages has 9 entries, one per carriage, but "
+                "topology.carriages_per_train counts about 10^300 carriages") in err
+        assert not re.search(r"\d{16}", err)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"initial": paper_s5().initial[:8]},
+         "initial_states has 8 entries, one per carriage, but topology.carriages_per_train "
+         "counts 9 carriages"),
+        ({"initial": paper_s5().initial[:3] + ((1.0, 2.0),) + paper_s5().initial[4:]},
+         "initial_states[3] needs 3 values (x, v, w)"),
+        ({"observer_initial": ((0.0,) * 6,) * 10}, "observer_initial has 10 entries"),
+        ({"observer_initial": ((0.0,) * 6,) * 8 + ((0.0,) * 7,)},
+         "observer_initial[8] needs 6 values (xh, vh, wh, f1, f2, f3)"),
+    ], ids=["initial-count", "initial-row", "observer-count", "observer-row"])
+    def test_structural_errors_name_their_fields(self, changes, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            validate_config(dataclasses.replace(paper_s5(), **changes))
+
 
 class TestTimeseriesFile:
     def test_verdicts_rederivable_from_csv(self, tmp_path):

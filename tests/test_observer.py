@@ -1,6 +1,8 @@
 """Observer construction, gain synthesis and error-dynamics tests."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from platoonsim.model import CarriageParams, CouplerParams, DavisCoefficients
 from platoonsim.observer import (build_augmented_pair, characteristic_coefficients,
                                  check_observability, closed_loop_matrix,
                                  synthesize_gains)
+from platoonsim.presets import paper_s5
+from platoonsim.simulator import observer_gains, run_scenario, validate_config
 
 DAVIS = DavisCoefficients(c0=0.01176, c1=0.00077616, c2=1.6e-5)
 COUPLER = CouplerParams(stiffness=1.6e5, damping=600.0, spacing=26.0)
@@ -59,6 +63,62 @@ class TestObservability:
         # constant mode reaches the output but the rotation pair cannot
         a, c = build_augmented_pair(np.array([2.5, 0.0, 0.0]), exosystem_matrix(0.0))
         assert not check_observability(a, c)
+
+    @staticmethod
+    def weakly_coupled_pair(eps):
+        """A chain of integrators whose third link has weight ``eps``.
+
+        Its observability matrix is diag(1, 1, eps, eps, eps): the 2-norm
+        condition number is 1 / eps, the Frobenius one
+        sqrt((2 + 3 eps**2) (2 + 3 / eps**2)), about sqrt(6) / eps.
+        """
+        a = np.zeros((5, 5))
+        a[0, 1], a[1, 2], a[2, 3], a[3, 4] = 1.0, eps, 1.0, 1.0
+        c = np.zeros((1, 5))
+        c[0, 0] = 1.0
+        return a, c
+
+    def test_near_singular_pair_inside_the_threshold(self):
+        # cond_F = 8.2e7 < 1e8
+        assert check_observability(*self.weakly_coupled_pair(3e-8))
+
+    def test_near_singular_pair_past_the_threshold(self):
+        # cond_F = 1.2e8 > 1e8, though cond_2 = 5e7: the Frobenius test is
+        # up to n = 5 times stricter than the singular-value one
+        assert not check_observability(*self.weakly_coupled_pair(2e-8))
+
+
+class TestPlacementWithoutEigensolvers:
+    """Gain placement, the feasibility gate and a short run call no SVD or eigenvalue solver.
+
+    numpy pages each of those LAPACK routines in on its first call, up to
+    about 1 MB of resident memory apiece; placement needs only the LU solver.
+    Every numpy module that holds ``svd``, ``eig`` or ``eigvals`` (``np.poly``
+    and ``np.linalg.cond`` call their own references) gets one that raises.
+    """
+
+    @pytest.fixture
+    def no_eigensolvers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an SVD or eigenvalue solver was called")
+
+        originals = {name: getattr(np.linalg, name) for name in ("svd", "eig", "eigvals")}
+        numpy_modules = [module for name, module in list(sys.modules.items())
+                         if name.split(".")[0] == "numpy" and module is not None]
+        for module in numpy_modules:
+            for name, original in originals.items():
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, forbidden)
+
+    def test_gains_gate_and_run(self, no_eigensolvers):
+        config = paper_s5()
+        [(members, gains)] = observer_gains(config)
+        assert members == list(range(9)) and gains.k1 == 3.0
+        assert validate_config(config) == []
+        short = dataclasses.replace(config, duration=0.05, representation="both",
+                                    noise=dataclasses.replace(config.noise, enabled=False))
+        _, report = run_scenario(short)
+        assert report.verdicts["R2_hard"]
 
 
 class TestGainSynthesis:

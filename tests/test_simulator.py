@@ -413,7 +413,7 @@ class TestConfigValidation:
         assert validate_config(override) == []
 
     # a NaN frequency is outside its domain; 1e300 overflows the pair, whose
-    # decomposition then fails in placement
+    # observability matrix then has no finite condition number
     @pytest.mark.parametrize("omega, subject", [
         (math.nan, ""), (1e300, "observer of carriage 1_1")], ids=["nan", "1e+300"])
     def test_pair_that_cannot_be_checked_is_unobservable(self, s5_config, omega, subject):
@@ -1030,16 +1030,38 @@ def check_scalar_contract(engine, t, gap, combined, seed):
     assert close(ef_hat, [np.dot(fault_input_row(c), f) for c, f in zip(carriages, fh)])
 
 
+# (control law, representation, metres every position is moved on by).
+# Positions reach about 2e5 m over a paper-s5 run; there the plant operator
+# must still see the coupler force, which a weight on each position would
+# lose to cancellation.
+CONTRACT_ENGINES = [("designed", "composite", 0.0), ("zero", "composite", 0.0),
+                    ("designed", "both", 0.0), ("zero", "both", 0.0),
+                    ("designed", "plant", 0.0),
+                    ("designed", "both", 2e5), ("designed", "plant", 2e5)]
+
+
+def contract_engine_id(param):
+    law, representation, shift = param
+    return f"{law}-{representation}" + (f"-at+{shift:g}m" if shift else "")
+
+
+def shifted(config, by):
+    """``config`` with the virtual lead and every carriage started ``by`` metres further on."""
+    if not by:
+        return config
+    return dataclasses.replace(
+        config, profile=dataclasses.replace(config.profile, x0=config.profile.x0 + by),
+        initial=tuple((x + by, v, w) for x, v, w in config.initial))
+
+
 class TestEngineAgainstScalarContractProperty:
     """The engine against the per-carriage module functions at random states and times."""
 
-    @pytest.fixture(scope="class", params=[("designed", "composite"), ("zero", "composite"),
-                                           ("designed", "both"), ("zero", "both")],
-                    ids=lambda p: "-".join(p))
+    @pytest.fixture(scope="class", params=CONTRACT_ENGINES, ids=contract_engine_id)
     def engine(self, request, s5_config):
-        law, representation = request.param
-        return _ClosedLoop(short_scenario(s5_config, 20.0, control_law=law,
-                                          representation=representation))
+        law, representation, shift = request.param
+        return _ClosedLoop(shifted(short_scenario(s5_config, 20.0, control_law=law,
+                                                  representation=representation), shift))
 
     @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(t=st.one_of(st.floats(0.0, 2400.0), st.sampled_from(fault_edges(paper_s5()))),
@@ -1052,13 +1074,11 @@ class TestEngineAgainstScalarContractProperty:
 class TestEngineAgainstScalarContractPropertyMixed:
     """The same check on a mixed consist: unequal masses and actuator rates."""
 
-    @pytest.fixture(scope="class", params=[("designed", "composite"), ("zero", "composite"),
-                                           ("designed", "both"), ("zero", "both")],
-                    ids=lambda p: "-".join(p))
+    @pytest.fixture(scope="class", params=CONTRACT_ENGINES, ids=contract_engine_id)
     def engine(self, request, s5_config):
-        law, representation = request.param
-        return _ClosedLoop(mixed_config(s5_config, control_law=law,
-                                        representation=representation))
+        law, representation, shift = request.param
+        return _ClosedLoop(shifted(mixed_config(s5_config, control_law=law,
+                                                representation=representation), shift))
 
     @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(t=st.one_of(st.floats(0.0, 2400.0),
@@ -1503,7 +1523,7 @@ class TestNeighbourOperators:
         x = engine.initial_state()[engine.sl["x"]] + rng.normal(0.0, 5.0, engine.nc)
         v = rng.uniform(0.0, 100.0, engine.nc)
         coupling = engine.coupling_vector(x[:-1] - x[1:], v[:-1] - v[1:])
-        b4 = engine.stiffness_drift(v[:-1] - v[1:])
+        b4 = oracle.stiffness_drift(engine, v[:-1] - v[1:])
         for g, j, m_i, s in train_of(engine):
             x_i, v_i = x[s:s + m_i], v[s:s + m_i]
             force = coupling_force(j, x_i, v_i, cfg.coupler)
@@ -1540,7 +1560,7 @@ class TestPlantPathAgainstLoops:
         x, v = y[sl["x"]], y[sl["v"]]
         dx, dv = x[:-1] - x[1:], v[:-1] - v[1:]
         assert bitwise_equal(engine.coupling_vector(dx, dv), coupling_vector_loop(engine, x, v))
-        assert bitwise_equal(engine.stiffness_drift(dv), stiffness_drift_loop(engine, v))
+        assert bitwise_equal(oracle.stiffness_drift(engine, dv), stiffness_drift_loop(engine, v))
         engine.rhs(t, y)
         engine.keep_sample(t)
         rows = engine.derive_samples()
@@ -1729,6 +1749,18 @@ class TestRepresentations:
         rec_p, _ = run_scenario(plant)
         assert np.abs(rec_c.data["x"] - rec_p.data["x"]).max() < 1e-5
         assert np.abs(rec_c.data["v"] - rec_p.data["v"]).max() < 1e-5
+
+    def test_plant_beside_composite_changes_no_composite_column(self, s5_config):
+        # the plant block reads only plant states: every other column of a
+        # "both" run, and the summary, are the composite run's bit for bit
+        config = short_scenario(s5_config, 5.0, step=1e-3)
+        rec_c, report_c = run_scenario(config)
+        rec_b, report_b = run_scenario(dataclasses.replace(config, representation="both"))
+        width = len(rec_c.column_names())
+        assert rec_b.column_names()[:width] == rec_c.column_names()
+        assert len(rec_b.column_names()) == width + 3 * len(rec_c.carriage_labels)
+        assert bitwise_equal(rec_b.table[:, :width], rec_c.table)
+        assert report_b.to_dict() == report_c.to_dict()
 
 
 class TestObserverInvariantsInClosedLoop:
