@@ -18,8 +18,7 @@ from .errors import (BarrierDomainError, ConfigurationError, IntegrationFault,
 from .faults import FaultModel, exosystem_matrix
 from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)
-from .observer import (ObserverGains, build_augmented_pair,
-                       check_observability, synthesize_gains)
+from .observer import ObserverGains, synthesize_gains
 from .presets import get_preset, paper_s5
 from .reference import ReferencePhase, ReferenceProfile
 from .simulator import (MonitorSpec, NoiseSpec, ScenarioConfig,

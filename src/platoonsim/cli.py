@@ -133,15 +133,19 @@ def read_timeseries(path):
 
 
 def _update_index(out_dir, entry):
+    """Add ``entry`` to ``out_dir/index.json``, replacing a run of the same name.
+
+    An index that is not ``{"runs": [objects]}`` is started anew.
+    """
     index_path = out_dir / "index.json"
-    index = {"runs": []}
-    if index_path.exists():
-        try:
-            index = json.loads(index_path.read_text())
-        except json.JSONDecodeError:
-            index = {"runs": []}
-    index["runs"] = [r for r in index.get("runs", []) if r.get("name") != entry["name"]]
-    index["runs"].append(entry)
+    try:
+        index = json.loads(index_path.read_text())
+    except (FileNotFoundError, ValueError):     # none yet, not UTF-8, or not JSON
+        index = {}
+    runs = index.get("runs", []) if isinstance(index, dict) else None
+    if not (isinstance(runs, list) and all(isinstance(r, dict) for r in runs)):
+        index, runs = {}, []
+    index["runs"] = [r for r in runs if r.get("name") != entry["name"]] + [entry]
     index_path.write_text(json.dumps(index, indent=2) + "\n")
 
 

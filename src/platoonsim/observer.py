@@ -1,33 +1,68 @@
-"""Per-carriage state-fault observer.
+"""Per-carriage state-fault observer gains, placed in closed form.
 
 Position and velocity are measured; acceleration and the fault state are
 not.  The observer copies the composite dynamics plus an internal model of
 the fault generator, driven by four correction inputs built from the
 measured channels.  In the coordinates (e_v, zeta, e_f) with
 zeta = e_w + mu2 - k2*e_v the estimation-error dynamics are exactly linear
-and autonomous, governed by the augmented pair assembled below; placing its
-closed-loop eigenvalues (plus the decoupled position-error gain k1) makes
-the estimation converge regardless of the control input.
+and autonomous: xi' = (A + K C) xi with
 
-This module builds that pair and synthesizes the gains.  Its checks call
-no SVD and no eigenvalue solver, whose LAPACK code numpy pages in on first
-use (up to about 1 MB of resident memory each): observability is a Frobenius
-condition number from one LU inverse, and the placement is verified on the
-characteristic polynomial from Faddeev-LeVerrier's matrix products.  The LU
-solver is the one the gain computation needs anyway.
+    A = [[0, 1, 0], [0, 0, (u, 0, n)], [0, 0, S(omega)]],   C = e_1,
+
+where u = upsilon/m and n = nu*omega/m are the fault-to-jerk row of the
+carriage and S(omega) = [[0, 0, 0], [0, 0, omega], [0, -omega, 0]] is the
+fault generator (a zero row for the constant mode, a rotation at omega).
+Placing eig(A + K C), plus the decoupled position-error gain k1, makes the
+estimation converge whatever the control.
+
+Every pair has this structure, so it is given by its three numbers
+(u, n, omega) and placed by formulas, not by a generic solver.  With
+K = (k2, k3, k4[0], k4[1], k4[2]),
+
+    det(sI - A - KC) = s^5 - k2 s^4 + (omega^2 - k3) s^3
+                       - (k2 omega^2 + u k4[0] + n k4[2]) s^2
+                       + (n omega k4[1] - k3 omega^2) s - u omega^2 k4[0].
+
+Matching it with the desired s^5 + a1 s^4 + a2 s^3 + a3 s^2 + a4 s + a5
+gives the gains one coefficient at a time (:func:`synthesize_gains`):
+
+    s^4:  k2    = -a1
+    s^3:  k3    = omega^2 - a2
+    s^0:  k4[0] = -a5 / (u omega^2)
+    s^1:  k4[1] = (a4 + k3 omega^2) / (n omega)
+    s^2:  k4[2] = (a1 omega^2 + a5 / omega^2 - a3) / n
+
+The observability matrix O = (C; CA; ...; CA^4) is triangular, with rows
+e_1, e_2, (0, 0, u, 0, n), (0, 0, 0, -n omega, 0) and
+(0, 0, 0, 0, -n omega^2), so its Frobenius condition number is a closed
+form too (:func:`observability_condition`).  The placed polynomial is
+verified in exact integer arithmetic on the floats the gains and the pair
+hold: re-evaluating the five formulas in floats would not be a check, and
+at large omega the s^1 coefficient cancels terms of size omega^4.  The
+desired polynomial is multiplied out from its roots in Python complex
+arithmetic, so placement runs no numpy routine and pages in none of numpy's
+or LAPACK's code.
+
 :mod:`platoonsim.simulator` applies the corrections to every carriage at
-once.  The per-carriage correction inputs and observer dynamics, and the
-linear error system the estimation errors follow, are kept in the test
-suite (``tests/oracle.py``) as its reference.
+once.  The per-carriage correction inputs and observer dynamics, the linear
+error system the estimation errors follow, and the generic (A, C) placement
+(Ackermann's formula) are kept in the test suite (``tests/oracle.py``) as
+its reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PlacementError
+
+# a pair is observable when cond_F(O) * OBSERVABILITY_RTOL < 1
+OBSERVABILITY_RTOL = 1e-8
+# each placed coefficient is within PLACEMENT_RTOL of max(|desired|, 1)
+PLACEMENT_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,132 +88,96 @@ class ObserverGains:
     def k4(self):
         return np.asarray(self.k[2:5])
 
-    @property
-    def column(self):
-        return np.asarray(self.k, dtype=float).reshape(5, 1)
 
+def observability_condition(u, n, omega):
+    """Frobenius condition number ``|O|_F |O^-1|_F`` of the pair's observability matrix.
 
-# ---------------------------------------------------------------------------
-# gain synthesis
-# ---------------------------------------------------------------------------
-
-def build_augmented_pair(c_row, s_matrix):
-    """Augmented (A, C) of the error dynamics in (e_v, zeta, e_f) coordinates.
-
-    A = [[0, 1, 0], [0, 0, C_row], [0, 0, S]] with the 1x3 fault-to-jerk row
-    ``c_row`` and the 3x3 generator ``s_matrix``; C selects the velocity
-    error, the only corrected channel.
+    O's entries besides the two unit rows are u, n, -n omega and
+    -n omega**2; O^-1's are 1/u, 1/(u omega**2), -1/(n omega) and
+    -1/(n omega**2).  A singular O (u, n or omega zero, or a product of
+    them that underflows) reads infinite, and a non-finite entry infinite or
+    NaN.  With 5 rows cond_F lies between the 2-norm condition number and 5
+    times that.
     """
-    c_row = np.asarray(c_row, dtype=float).reshape(3)
-    s_matrix = np.asarray(s_matrix, dtype=float).reshape(3, 3)
-    a = np.zeros((5, 5))
-    a[0, 1] = 1.0
-    a[1, 2:] = c_row
-    a[2:, 2:] = s_matrix
-    c = np.zeros((1, 5))
-    c[0, 0] = 1.0
-    return a, c
+    w2 = omega * omega
+    u_w2, n_w, n_w2 = u * w2, n * omega, n * w2
+    if not (u and u_w2 and n_w and n_w2):
+        return math.inf
+    norm2 = 2.0 + u * u + n * n + n_w * n_w + n_w2 * n_w2
+    inv2 = 2.0 + sum((1.0 / x) * (1.0 / x) for x in (u, u_w2, n_w, n_w2))
+    return math.sqrt(norm2) * math.sqrt(inv2)
 
 
-def observability_matrix(a, c):
-    rows = [np.asarray(c, dtype=float).reshape(1, -1)]
-    for _ in range(a.shape[0] - 1):
-        rows.append(rows[-1] @ a)
-    return np.vstack(rows)
-
-
-def check_observability(a, c, rel_tol=1e-8):
-    """Full numerical rank of the observability matrix O: ``cond_F(O) * rel_tol < 1``.
-
-    ``cond_F(O) = |O|_F |O^-1|_F`` is the Frobenius-norm condition number,
-    from one LU inverse; a singular, overflowing or non-finite O has none
-    (it reads infinite or NaN) and fails.  With n rows it lies between the
-    2-norm condition number ``sigma_max / sigma_min`` and n times that, so
-    the test is the singular-value threshold ``sigma_min > rel_tol *
-    sigma_max`` made up to n times stricter: every pair it passes has
-    ``cond_2 < 1 / rel_tol``, and every pair with ``cond_2 < 1 / (n *
-    rel_tol)`` passes it.
-    """
-    return bool(np.linalg.cond(observability_matrix(a, c), "fro") * rel_tol < 1.0)
-
-
-def characteristic_coefficients(matrix):
-    """Monic characteristic polynomial coefficients, highest power first.
-
-    Faddeev-LeVerrier: n matrix products, with the traces giving the
-    coefficients one power at a time.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    coeffs = np.ones(n + 1)
-    m = np.zeros_like(matrix)
-    diag = np.arange(n)
-    for k in range(1, n + 1):
-        m[diag, diag] += coeffs[k - 1]
-        m = matrix @ m
-        coeffs[k] = -m.trace() / k
-    return coeffs
-
-
-def synthesize_gains(a, c, desired_eigenvalues, k1=3.0):
+def synthesize_gains(u, n, omega, desired_eigenvalues, k1=3.0):
     """Stacked observer gain placing eig(A + K C) at ``desired_eigenvalues``.
 
-    Works through the transposed (controllable) pair so a fully repeated
-    spectrum is handled exactly: the gain comes from evaluating the desired
-    characteristic polynomial on the transposed matrix (Ackermann), and the
-    result is verified by comparing characteristic-polynomial coefficients,
-    which stay well conditioned where individual eigenvalues of a defective
-    matrix do not.
+    ``(u, n, omega)`` is the pair: the fault row (u, 0, n) and the
+    generator frequency.  The gains solve the five coefficient equations
+    one at a time, so a fully repeated spectrum needs no special care; the
+    placed polynomial is then verified against the desired one in exact
+    arithmetic.  The divisors u omega**2, n omega, omega**2 and n are the
+    products :func:`observability_condition` has found nonzero.
 
     Raises
     ------
     PlacementError
-        If the pair is unobservable, a desired eigenvalue has nonnegative
-        real part, or the verification fails.
+        If a desired eigenvalue is missing or has nonnegative real part, the
+        pair is unobservable, the eigenvalues are not closed under
+        conjugation, or the verification fails.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float).reshape(1, -1)
-    n = a.shape[0]
+    u, n, omega = float(u), float(n), float(omega)
     desired = [complex(lam) for lam in desired_eigenvalues]
-    if len(desired) != n:
-        raise PlacementError(f"need {n} desired eigenvalues, got {len(desired)}")
+    if len(desired) != 5:
+        raise PlacementError(f"need 5 desired eigenvalues, got {len(desired)}")
     if any(lam.real >= 0 for lam in desired):
         raise PlacementError("desired eigenvalues must have negative real parts")
-    if not check_observability(a, c):
+    if not observability_condition(u, n, omega) * OBSERVABILITY_RTOL < 1.0:
         raise PlacementError("augmented pair is unobservable; cannot place eigenvalues")
-
-    a_t = a.T
-    b_t = c.T
-    ctrb = np.hstack([np.linalg.matrix_power(a_t, i) @ b_t for i in range(n)])
-    poly_at = np.eye(n, dtype=complex)
+    coeffs = [1.0 + 0.0j]   # prod (s - lam), highest power first
     for lam in desired:
-        poly_at = poly_at @ (a_t - lam * np.eye(n))
+        coeffs = [a - lam * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
     # real, to a relative 1e-9, when the eigenvalues are closed under conjugation
-    if np.abs(poly_at.imag).max() > 1e-9 * max(1.0, np.abs(poly_at.real).max()):
+    if max(abs(a.imag) for a in coeffs) > 1e-9 * max(1.0, *(abs(a.real) for a in coeffs)):
         raise PlacementError("desired eigenvalues are not closed under conjugation")
-    last_row = np.zeros(n)
-    last_row[-1] = 1.0
+    want = [a.real for a in coeffs[1:]]
+    a1, a2, a3, a4, a5 = want
+
+    w2 = omega * omega
+    k3 = w2 - a2
+    k = (-a1, k3, -a5 / (u * w2), (a4 + k3 * w2) / (n * omega), (a1 * w2 + a5 / w2 - a3) / n)
+    err = _coefficient_error(u, n, omega, k, want)
+    if not err <= PLACEMENT_RTOL:
+        raise PlacementError(f"placement verification failed: coefficient error {err:.3e}")
+    return ObserverGains(k1=float(k1), k=k)
+
+
+def _coefficient_error(u, n, omega, k, want):
+    """Largest ``|got - want| / max(|want|, 1)`` over the placed coefficients, exactly.
+
+    ``got`` are the coefficients of det(sI - A - KC) for the floats the pair
+    and the gains hold.  Every finite float is a whole multiple of 2**-bits
+    for some bits, so each coefficient, a sum of products of up to four
+    of them, is an integer at scale 2**(4 bits); only the final ratio is
+    rounded.  A non-finite value, or a ratio past the float range, reads
+    infinite.
+    """
+    values = (u, n, omega, *k, *want)
+    if not all(map(math.isfinite, values)):
+        return math.inf
+    ratios = [x.as_integer_ratio() for x in values]
+    bits = max(q.bit_length() for _, q in ratios) - 1
+    uu, nn, ww, k2, k3, k41, k42, k43, *aa = [(p << bits) // q for p, q in ratios]
+
+    def scaled(*factors):
+        return math.prod(factors) << (bits * (4 - len(factors)))
+
+    got = (-scaled(k2),
+           scaled(ww, ww) - scaled(k3),
+           -(scaled(k2, ww, ww) + scaled(uu, k41) + scaled(nn, k43)),
+           scaled(nn, ww, k42) - scaled(k3, ww, ww),
+           -scaled(uu, ww, ww, k41))
+    one = 1 << (4 * bits)
     try:
-        row = np.linalg.solve(ctrb.T, last_row)
-    except np.linalg.LinAlgError as exc:
-        raise PlacementError("controllability matrix is singular") from exc
-    k = -(row @ poly_at.real)
-
-    gains = ObserverGains(k1=float(k1), k=tuple(float(v) for v in k))
-    _verify_placement(a, c, gains, desired)
-    return gains
-
-
-def _verify_placement(a, c, gains, desired, rel_tol=1e-6):
-    got = characteristic_coefficients(closed_loop_matrix(a, c, gains))
-    want = np.real(np.poly(np.asarray(desired, dtype=complex)))
-    scale = np.maximum(np.abs(want), 1.0)
-    err = np.abs(got - want) / scale
-    if err.max() > rel_tol:
-        raise PlacementError(
-            f"placement verification failed: coefficient error {err.max():.3e}")
-
-
-def closed_loop_matrix(a, c, gains):
-    """A + K C for the synthesized stacked gain."""
-    return np.asarray(a, dtype=float) + gains.column @ np.asarray(c, dtype=float).reshape(1, -1)
+        return max(abs(g - scaled(a)) / max(abs(scaled(a)), one) for g, a in zip(got, aa))
+    except OverflowError:
+        return math.inf

@@ -89,7 +89,7 @@ from . import controller as ctrl
 from . import observer as obs
 from .controller import ConstraintSpec, FollowerGains, HeadGains, TrainPairErrors
 from .errors import ConfigurationError, IntegrationFault, PlacementError, Violation
-from .faults import FaultModel, exosystem_matrix, snap_windows, transition_times
+from .faults import FaultModel, snap_windows, transition_times
 from .model import (CarriageParams, ConsistTopology, CouplerParams,
                     DavisCoefficients)
 from .reference import ReferencePhase, ReferenceProfile
@@ -429,42 +429,32 @@ def validate_config(config):
             for members, placed in observer_gains(config) if isinstance(placed, PlacementError)]
 
 
-def _observer_pairs(carriages):
-    """Each distinct ``(C, omega)`` of the carriages' observers, with the carriages sharing it.
-
-    ``C = (upsilon, 0, nu*omega) / mass`` is the fault row of a carriage's
-    augmented observer pair and ``omega`` its generator frequency; carriages
-    with the same pair get the same observer gains.
-    """
-    pairs = {}
-    for g, carriage in enumerate(carriages):
-        f, mass = carriage.fault, carriage.mass
-        key = ((f.upsilon / mass, 0.0 / mass, f.nu * f.omega / mass), f.omega)
-        pairs.setdefault(key, []).append(g)
-    return pairs
-
-
 def observer_gains(config):
     """``(members, gains)`` per distinct observer pair, as the gate and the engine place them.
 
+    A carriage's pair is ``(u, n, omega)``: the fault row ``(u, 0, n) =
+    (upsilon, 0, nu*omega) / mass`` and the generator frequency.
     ``members`` are the chain indices of the carriages sharing the pair, and
     ``gains`` their :class:`~platoonsim.observer.ObserverGains`, or the
     :class:`PlacementError` that placing them raised.
     """
+    pairs = {}
+    with np.errstate(all="ignore"):     # numpy-scalar parameters may overflow to inf here
+        for g, carriage in enumerate(config.carriages):
+            f, mass = carriage.fault, carriage.mass
+            pairs.setdefault((f.upsilon / mass, f.nu * f.omega / mass, f.omega), []).append(g)
     placed = []
-    with np.errstate(all="ignore"):
-        for (c_row, omega), members in _observer_pairs(config.carriages).items():
-            try:
-                if config.observer_gain_override is not None:
-                    gains = obs.ObserverGains(k1=config.observer_k1,
-                                              k=tuple(config.observer_gain_override))
-                else:
-                    a, c = obs.build_augmented_pair(c_row, exosystem_matrix(omega))
-                    gains = obs.synthesize_gains(a, c, config.observer_eigenvalues,
-                                                 k1=config.observer_k1)
-            except PlacementError as exc:
-                gains = exc
-            placed.append((members, gains))
+    for pair, members in pairs.items():
+        try:
+            if config.observer_gain_override is not None:
+                gains = obs.ObserverGains(k1=config.observer_k1,
+                                          k=tuple(config.observer_gain_override))
+            else:
+                gains = obs.synthesize_gains(*pair, config.observer_eigenvalues,
+                                             k1=config.observer_k1)
+        except PlacementError as exc:
+            gains = exc
+        placed.append((members, gains))
     return placed
 
 

@@ -21,7 +21,11 @@ pair clamp in its recording form, which reports every clamp it makes.
 The observer's derivative rows, term by term, are the reference for the
 engine's observer operator, the telescoped stiffness drift b4 for a term of
 its plant operator, and the per-sample record row is the reference
-for the engine's block-wise derivation of record rows.  The configuration
+for the engine's block-wise derivation of record rows.  The generic (A, C)
+observer placement (the observability matrix and its condition test,
+Ackermann's formula through the transposed pair, and the Faddeev-LeVerrier
+characteristic polynomial that verifies it) is the reference for the
+package's closed-form placement on the pair's three numbers.  The configuration
 helpers at the end (train slices, tails, snapped faults, observer gains)
 give the tests the chain layout and the per-carriage gains that the engine
 keeps only while it builds its operators.
@@ -38,10 +42,9 @@ import numpy as np
 
 from platoonsim.autodiff import Dual, gradient
 from platoonsim.controller import _SATURATION_MARGIN, _barrier
-from platoonsim.errors import BarrierDomainError, ConfigurationError
+from platoonsim.errors import BarrierDomainError, ConfigurationError, PlacementError
 from platoonsim.faults import exosystem_matrix, snap_windows
-from platoonsim.observer import (ObserverGains, build_augmented_pair, closed_loop_matrix,
-                                 synthesize_gains)
+from platoonsim.observer import ObserverGains, synthesize_gains
 from platoonsim.simulator import _CARRIAGE_FIELDS, _PAIR_FIELDS, _block_views, column_names
 
 
@@ -409,9 +412,10 @@ def observer_rhs(est, aux, u, what_prev, what_next, v_meas, j, m_i,
 # linear error-dynamics oracle
 # ---------------------------------------------------------------------------
 
-def linear_error_oracle(e_x0, e_v0, e_w0, e_f0, mu2_0, gains, a, c, horizon, step):
+def linear_error_oracle(e_x0, e_v0, e_w0, e_f0, mu2_0, gains, pair, horizon, step):
     """Estimation-error trajectories predicted by the closed linear error system.
 
+    ``pair`` is the observer pair ``(u, n, omega)`` (:func:`observer_pair`).
     Integrates e_x' = -k1*e_x and xi' = (A + K C) xi with the classical
     fixed-step fourth-order scheme, where xi = (e_v, zeta, e_f) and
     zeta(0) = e_w(0) + mu2(0) - k2*e_v(0).  Returns arrays for t, e_x, e_v
@@ -419,7 +423,7 @@ def linear_error_oracle(e_x0, e_v0, e_w0, e_f0, mu2_0, gains, a, c, horizon, ste
     transitions, during which the nonlinear closed loop produces exactly
     these errors.
     """
-    m = closed_loop_matrix(a, c, gains)
+    m = closed_loop_matrix(*augmented_pair(*pair), gains)
     n_steps = int(round(horizon / step))
     zeta0 = e_w0 + mu2_0 - gains.k2 * e_v0
     xi = np.concatenate([[e_v0, zeta0], np.asarray(e_f0, dtype=float).reshape(3)])
@@ -446,6 +450,148 @@ def linear_error_oracle(e_x0, e_v0, e_w0, e_f0, mu2_0, gains, a, c, horizon, ste
         xi = xi + (step / 6.0) * (k1_ + 2.0 * k2_ + 2.0 * k3_ + k4_)
         e_x *= ex_factor
     return {"t": t_out, "e_x": ex_out, "e_v": ev_out, "e_f": ef_out}
+
+
+# ---------------------------------------------------------------------------
+# generic (A, C) observer placement
+# ---------------------------------------------------------------------------
+
+def observer_pair(carriage):
+    """The observer pair ``(u, n, omega)`` of a carriage, as the engine keys it.
+
+    ``(u, 0, n)`` is the fault-to-jerk row :func:`fault_accel_row` and
+    ``omega`` the fault generator's frequency.
+    """
+    u, _, n = fault_accel_row(carriage)
+    return (u, n, carriage.fault.omega)
+
+
+def build_augmented_pair(c_row, s_matrix):
+    """Augmented (A, C) of the error dynamics in (e_v, zeta, e_f) coordinates.
+
+    A = [[0, 1, 0], [0, 0, C_row], [0, 0, S]] with the 1x3 fault-to-jerk row
+    ``c_row`` and the 3x3 generator ``s_matrix``; C selects the velocity
+    error, the only corrected channel.
+    """
+    c_row = np.asarray(c_row, dtype=float).reshape(3)
+    s_matrix = np.asarray(s_matrix, dtype=float).reshape(3, 3)
+    a = np.zeros((5, 5))
+    a[0, 1] = 1.0
+    a[1, 2:] = c_row
+    a[2:, 2:] = s_matrix
+    c = np.zeros((1, 5))
+    c[0, 0] = 1.0
+    return a, c
+
+
+def augmented_pair(u, n, omega):
+    """(A, C) of the observer pair ``(u, n, omega)``: fault row (u, 0, n), generator S(omega)."""
+    return build_augmented_pair((u, 0.0, n), exosystem_matrix(omega))
+
+
+def observability_matrix(a, c):
+    rows = [np.asarray(c, dtype=float).reshape(1, -1)]
+    for _ in range(a.shape[0] - 1):
+        rows.append(rows[-1] @ a)
+    return np.vstack(rows)
+
+
+def check_observability(a, c, rel_tol=1e-8):
+    """Full numerical rank of the observability matrix O: ``cond_F(O) * rel_tol < 1``.
+
+    ``cond_F(O) = |O|_F |O^-1|_F`` is the Frobenius-norm condition number,
+    from one LU inverse; a singular, overflowing or non-finite O has none
+    (it reads infinite or NaN) and fails.  With n rows it lies between the
+    2-norm condition number ``sigma_max / sigma_min`` and n times that, so
+    the test is the singular-value threshold ``sigma_min > rel_tol *
+    sigma_max`` made up to n times stricter: every pair it passes has
+    ``cond_2 < 1 / rel_tol``, and every pair with ``cond_2 < 1 / (n *
+    rel_tol)`` passes it.
+    """
+    return bool(np.linalg.cond(observability_matrix(a, c), "fro") * rel_tol < 1.0)
+
+
+def characteristic_coefficients(matrix):
+    """Monic characteristic polynomial coefficients, highest power first.
+
+    Faddeev-LeVerrier: n matrix products, with the traces giving the
+    coefficients one power at a time.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    coeffs = np.ones(n + 1)
+    m = np.zeros_like(matrix)
+    diag = np.arange(n)
+    for k in range(1, n + 1):
+        m[diag, diag] += coeffs[k - 1]
+        m = matrix @ m
+        coeffs[k] = -m.trace() / k
+    return coeffs
+
+
+def ackermann_gains(a, c, desired_eigenvalues, k1=3.0):
+    """Stacked observer gain placing eig(A + K C) at ``desired_eigenvalues``, for any pair.
+
+    Works through the transposed (controllable) pair so a fully repeated
+    spectrum is handled exactly: the gain comes from evaluating the desired
+    characteristic polynomial on the transposed matrix (Ackermann), and the
+    result is verified by comparing characteristic-polynomial coefficients
+    (Faddeev-LeVerrier), which stay well conditioned where individual
+    eigenvalues of a defective matrix do not.  The reference for the
+    package's closed form, :func:`platoonsim.observer.synthesize_gains`.
+
+    Raises
+    ------
+    PlacementError
+        If the pair is unobservable, a desired eigenvalue has nonnegative
+        real part, or the verification fails.
+    """
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float).reshape(1, -1)
+    n = a.shape[0]
+    desired = [complex(lam) for lam in desired_eigenvalues]
+    if len(desired) != n:
+        raise PlacementError(f"need {n} desired eigenvalues, got {len(desired)}")
+    if any(lam.real >= 0 for lam in desired):
+        raise PlacementError("desired eigenvalues must have negative real parts")
+    if not check_observability(a, c):
+        raise PlacementError("augmented pair is unobservable; cannot place eigenvalues")
+
+    a_t = a.T
+    b_t = c.T
+    ctrb = np.hstack([np.linalg.matrix_power(a_t, i) @ b_t for i in range(n)])
+    poly_at = np.eye(n, dtype=complex)
+    for lam in desired:
+        poly_at = poly_at @ (a_t - lam * np.eye(n))
+    # real, to a relative 1e-9, when the eigenvalues are closed under conjugation
+    if np.abs(poly_at.imag).max() > 1e-9 * max(1.0, np.abs(poly_at.real).max()):
+        raise PlacementError("desired eigenvalues are not closed under conjugation")
+    last_row = np.zeros(n)
+    last_row[-1] = 1.0
+    try:
+        row = np.linalg.solve(ctrb.T, last_row)
+    except np.linalg.LinAlgError as exc:
+        raise PlacementError("controllability matrix is singular") from exc
+    k = -(row @ poly_at.real)
+
+    gains = ObserverGains(k1=float(k1), k=tuple(float(v) for v in k))
+    got = characteristic_coefficients(closed_loop_matrix(a, c, gains))
+    want = np.real(np.poly(np.asarray(desired, dtype=complex)))
+    err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    if err.max() > 1e-6:
+        raise PlacementError(
+            f"placement verification failed: coefficient error {err.max():.3e}")
+    return gains
+
+
+def gains_column(gains):
+    """The stacked gain K = (k2, k3, k4) as a 5x1 column."""
+    return np.asarray(gains.k, dtype=float).reshape(5, 1)
+
+
+def closed_loop_matrix(a, c, gains):
+    """A + K C for the stacked gain."""
+    return np.asarray(a, dtype=float) + gains_column(gains) @ np.asarray(c, dtype=float).reshape(1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +891,6 @@ def observer_gains(config):
     if config.observer_gain_override is not None:
         gains = ObserverGains(k1=config.observer_k1, k=tuple(config.observer_gain_override))
         return (gains,) * len(config.carriages)
-    pairs = (build_augmented_pair(fault_accel_row(c), exosystem_matrix(c.fault.omega))
-             for c in config.carriages)
-    return tuple(synthesize_gains(a, c, config.observer_eigenvalues, k1=config.observer_k1)
-                 for a, c in pairs)
+    return tuple(synthesize_gains(*observer_pair(c), config.observer_eigenvalues,
+                                  k1=config.observer_k1)
+                 for c in config.carriages)

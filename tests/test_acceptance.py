@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import by_carriage, short_scenario, true_fault_states
-from oracle import (alpha1, alpha2, auxiliary_mu2, beta1, dual_eval, fault_accel_row,
-                    linear_error_oracle, observer_gains)
+from oracle import (alpha1, alpha2, augmented_pair, auxiliary_mu2, beta1,
+                    characteristic_coefficients, closed_loop_matrix, dual_eval,
+                    linear_error_oracle, observer_gains, observer_pair)
 from platoonsim import observer as obs
 from platoonsim.controller import (ConstraintSpec, FollowerGains, HeadGains,
                                    barrier_phi, barrier_psi, beta_functions,
                                    validate_initial, validate_parameters)
-from platoonsim.faults import exosystem_matrix
 from platoonsim.simulator import (_ClosedLoop, fault_interval_errors,
                                   initial_pair_errors, rk4_step, run_scenario)
 
@@ -105,15 +105,13 @@ class TestCriterion03ObserverAsymptotics:
 
 class TestCriterion04GainSynthesis:
     def test_criterion_04(self):
-        c_row = np.array([2.5, 0.0, 2.5])
-        a, c = obs.build_augmented_pair(c_row, exosystem_matrix(1.0))
-        gains = obs.synthesize_gains(a, c, [-3.0] * 5, k1=3.0)
-        closed = obs.closed_loop_matrix(a, c, gains)
+        gains = obs.synthesize_gains(2.5, 2.5, 1.0, [-3.0] * 5, k1=3.0)
+        closed = closed_loop_matrix(*augmented_pair(2.5, 2.5, 1.0), gains)
         # eigenvalue multiset equality is checked through the characteristic
         # coefficients (elementary symmetric functions): individual eigenvalue
         # positions of a quintuple-defective matrix are conditioned as the
         # fifth root of the rounding level and cannot meet 1e-6 directly
-        got = obs.characteristic_coefficients(closed)
+        got = characteristic_coefficients(closed)
         want = np.poly([-3.0] * 5)
         coeff_err = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
         cluster = np.max(np.abs(np.linalg.eigvals(closed) + 3.0))
@@ -191,13 +189,10 @@ class TestCriterion06LinearErrorOracle:
                 None if j == 1 else v0[prev], None if j == 1 else oi[prev, 1],
                 None if j == m_i else v0[nxt], None if j == m_i else oi[nxt, 1],
                 gains[g], config.carriages[g], config.coupler, config.davis)
-            a, c = obs.build_augmented_pair(
-                fault_accel_row(config.carriages[g]),
-                exosystem_matrix(config.carriages[g].fault.omega))
             oracle = linear_error_oracle(
                 e_x0=oi[g, 0] - x0[g], e_v0=oi[g, 1] - v0[g],
                 e_w0=oi[g, 2] - w0[g], e_f0=oi[g, 3:6], mu2_0=mu2_0,
-                gains=gains[g], a=a, c=c,
+                gains=gains[g], pair=observer_pair(config.carriages[g]),
                 horizon=config.duration, step=config.step)
             worst = max(worst,
                         np.abs(sim["e_x"][:, g] - oracle["e_x"]).max(),

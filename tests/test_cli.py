@@ -326,6 +326,24 @@ class TestRunCommand:
         index = json.loads((tmp_path / "index.json").read_text())
         assert {r["name"] for r in index["runs"]} == {"tiny", "paper-s5"}
 
+    @pytest.mark.parametrize("data", [b"[1, 2]", b'{"runs": [1]}', b'{"runs": {"name": "x"}}',
+                                      b'"runs"', b"{not json", b"\xff\xfe"],
+                             ids=["list", "runs-of-numbers", "runs-not-a-list", "string",
+                                  "unparsable", "not-utf-8"])
+    def test_malformed_index_is_started_anew(self, tmp_path, data):
+        (tmp_path / "index.json").write_bytes(data)
+        assert main(self.run_args(tmp_path, "--no-verdict")) == 0
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert [r["name"] for r in index["runs"]] == ["paper-s5"]
+
+    def test_index_keeps_other_runs_and_replaces_its_own(self, tmp_path):
+        (tmp_path / "index.json").write_text(json.dumps(
+            {"runs": [{"name": "other"}, {"name": "paper-s5", "stale": True}]}))
+        assert main(self.run_args(tmp_path, "--no-verdict")) == 0
+        runs = json.loads((tmp_path / "index.json").read_text())["runs"]
+        assert [r["name"] for r in runs] == ["other", "paper-s5"]
+        assert "stale" not in runs[1]
+
 
 class TestObserverSettings:
     """Observer settings that gain placement rejects are configuration errors, exit 2."""

@@ -3,19 +3,23 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from oracle import (AuxiliaryInputs, CompositeState, ObserverState,
-                    auxiliary_inputs, auxiliary_mu2, composite_rhs,
-                    linear_error_oracle, observer_rhs)
+from oracle import (AuxiliaryInputs, CompositeState, ObserverState, ackermann_gains,
+                    augmented_pair, auxiliary_inputs, auxiliary_mu2,
+                    build_augmented_pair, characteristic_coefficients,
+                    check_observability, closed_loop_matrix, composite_rhs,
+                    linear_error_oracle, observability_matrix, observer_rhs)
+from platoonsim import observer
 from platoonsim.errors import PlacementError
 from platoonsim.faults import FaultModel, exosystem_matrix
 from platoonsim.model import CarriageParams, CouplerParams, DavisCoefficients
-from platoonsim.observer import (build_augmented_pair, characteristic_coefficients,
-                                 check_observability, closed_loop_matrix,
-                                 synthesize_gains)
+from platoonsim.observer import observability_condition, synthesize_gains
 from platoonsim.presets import paper_s5
 from platoonsim.simulator import observer_gains, run_scenario, validate_config
 
@@ -26,12 +30,18 @@ FAULT = FaultModel(omega=1.0, upsilon=2.0e5, nu=2.0e5, constant_amp=1.0,
                    window_const=(400.0, 1400.0), window_periodic=(500.0, 2300.0))
 CARRIAGE = CarriageParams(mass=8.0e4, actuator_rate=50.0, fault=FAULT)
 
-C_ROW = np.array([2.5, 0.0, 2.5])  # fault-to-jerk row for the benchmark carriage
+PAIR = (2.5, 2.5, 1.0)  # (u, n, omega) of the benchmark carriage
+C_ROW = np.array([2.5, 0.0, 2.5])  # its fault-to-jerk row (u, 0, n)
 S_UNIT = exosystem_matrix(1.0)
 
 
 def benchmark_pair():
-    return build_augmented_pair(C_ROW, S_UNIT)
+    return augmented_pair(*PAIR)
+
+
+def cond_f(u, n, omega):
+    """cond_F of the pair's observability matrix by numpy's LU inverse."""
+    return np.linalg.cond(observability_matrix(*augmented_pair(u, n, omega)), "fro")
 
 
 class TestAugmentedPair:
@@ -41,6 +51,8 @@ class TestAugmentedPair:
         expected[0, 1] = 1.0
         assert np.array_equal(a, expected)
         assert np.array_equal(c, [[1.0, 0.0, 0.0, 0.0, 0.0]])
+        a0, c0 = augmented_pair(0.0, 0.0, 0.0)
+        assert np.array_equal(a0, a) and np.array_equal(c0, c)
 
     def test_benchmark_blocks(self):
         a, c = benchmark_pair()
@@ -50,67 +62,94 @@ class TestAugmentedPair:
         assert np.count_nonzero(a) == 5
 
     def test_benchmark_pair_is_observable(self):
-        a, c = benchmark_pair()
-        assert check_observability(a, c)
+        assert observability_condition(*PAIR) * 1e-8 < 1.0
+        assert check_observability(*benchmark_pair())
+
+    @pytest.mark.parametrize("pair", [PAIR, (-3e-2, 7.0, 0.3), (1e3, -2e-3, 9.0)])
+    def test_observability_matrix_is_triangular(self, pair):
+        u, n, omega = pair
+        o = observability_matrix(*augmented_pair(u, n, omega))
+        expected = np.zeros((5, 5))
+        expected[0, 0] = expected[1, 1] = 1.0
+        expected[2, 2], expected[2, 4] = u, n
+        expected[3, 3] = -n * omega
+        expected[4, 4] = -n * omega * omega
+        assert o == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert observability_condition(u, n, omega) == pytest.approx(cond_f(u, n, omega),
+                                                                     rel=1e-12)
 
 
 class TestObservability:
     def test_decoupled_fault_is_unobservable(self):
-        a, c = build_augmented_pair(np.zeros(3), S_UNIT)
-        assert not check_observability(a, c)
+        assert observability_condition(0.0, 0.0, 1.0) == math.inf
+        assert not check_observability(*augmented_pair(0.0, 0.0, 1.0))
 
     def test_frozen_rotation_pair_is_unobservable(self):
         # constant mode reaches the output but the rotation pair cannot
-        a, c = build_augmented_pair(np.array([2.5, 0.0, 0.0]), exosystem_matrix(0.0))
-        assert not check_observability(a, c)
+        for pair in ((2.5, 0.0, 0.0), (2.5, 2.5, 0.0)):
+            assert observability_condition(*pair) == math.inf
+            assert not check_observability(*augmented_pair(*pair))
 
-    @staticmethod
-    def weakly_coupled_pair(eps):
-        """A chain of integrators whose third link has weight ``eps``.
+    @pytest.mark.parametrize("pair", [(0.0, 2.5, 1.0), (2.5, 0.0, 1.0), (2.5, 2.5, 0.0),
+                                      (0.0, 2.5, math.inf), (1e-200, 2.5, 1e-100),
+                                      (2.5, 1e-300, 1e-100)])
+    def test_zero_entry_or_underflow_reads_infinite_without_dividing(self, pair):
+        # the suite raises RuntimeWarning; a Python float division by zero raises
+        assert observability_condition(*pair) == math.inf
+        with pytest.raises(PlacementError, match="unobservable"):
+            synthesize_gains(*pair, [-3.0] * 5)
 
-        Its observability matrix is diag(1, 1, eps, eps, eps): the 2-norm
-        condition number is 1 / eps, the Frobenius one
-        sqrt((2 + 3 eps**2) (2 + 3 / eps**2)), about sqrt(6) / eps.
-        """
-        a = np.zeros((5, 5))
-        a[0, 1], a[1, 2], a[2, 3], a[3, 4] = 1.0, eps, 1.0, 1.0
-        c = np.zeros((1, 5))
-        c[0, 0] = 1.0
-        return a, c
+    def test_overflowing_numpy_parameters_are_a_named_violation(self):
+        # a library caller's numpy scalars: upsilon / mass overflows to inf
+        config = paper_s5()
+        carriage = dataclasses.replace(
+            config.carriages[0], mass=np.float64(1e-300),
+            fault=dataclasses.replace(config.carriages[0].fault, upsilon=np.float64(1e300)))
+        config = dataclasses.replace(config, carriages=(carriage, *config.carriages[1:]))
+        assert [v.name for v in validate_config(config)] == [
+            "augmented pair is unobservable; cannot place eigenvalues"]
 
+    # u = omega = 1: cond_F = sqrt(3 + 3 n**2) sqrt(4 + 2 / n**2), about sqrt(6) / n
     def test_near_singular_pair_inside_the_threshold(self):
-        # cond_F = 8.2e7 < 1e8
-        assert check_observability(*self.weakly_coupled_pair(3e-8))
+        assert 0.99e8 < cond_f(1.0, 2.46e-8, 1.0) < 1e8
+        assert observability_condition(1.0, 2.46e-8, 1.0) * 1e-8 < 1.0
+        assert check_observability(*augmented_pair(1.0, 2.46e-8, 1.0))
+        synthesize_gains(1.0, 2.46e-8, 1.0, [-3.0] * 5)
 
     def test_near_singular_pair_past_the_threshold(self):
-        # cond_F = 1.2e8 > 1e8, though cond_2 = 5e7: the Frobenius test is
-        # up to n = 5 times stricter than the singular-value one
-        assert not check_observability(*self.weakly_coupled_pair(2e-8))
+        assert 1e8 < cond_f(1.0, 2.44e-8, 1.0) < 1.01e8
+        assert not observability_condition(1.0, 2.44e-8, 1.0) * 1e-8 < 1.0
+        assert not check_observability(*augmented_pair(1.0, 2.44e-8, 1.0))
+        with pytest.raises(PlacementError, match="unobservable"):
+            synthesize_gains(1.0, 2.44e-8, 1.0, [-3.0] * 5)
 
 
-class TestPlacementWithoutEigensolvers:
-    """Gain placement, the feasibility gate and a short run call no SVD or eigenvalue solver.
+class TestPlacementWithoutLapack:
+    """Gain placement, the feasibility gate and a short run call no numpy.linalg routine.
 
-    numpy pages each of those LAPACK routines in on its first call, up to
-    about 1 MB of resident memory apiece; placement needs only the LU solver.
-    Every numpy module that holds ``svd``, ``eig`` or ``eigvals`` (``np.poly``
-    and ``np.linalg.cond`` call their own references) gets one that raises.
+    numpy pages each LAPACK routine in on its first call, up to about 1 MB
+    of resident memory apiece; placement is closed-form and needs none.
+    Every numpy or package module that holds a public callable of
+    ``np.linalg`` (``np.poly`` calls ``eigvals`` through its own reference,
+    for instance) gets one that raises.
     """
 
     @pytest.fixture
-    def no_eigensolvers(self, monkeypatch):
+    def no_lapack(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("an SVD or eigenvalue solver was called")
+            raise AssertionError("a numpy.linalg routine was called")
 
-        originals = {name: getattr(np.linalg, name) for name in ("svd", "eig", "eigvals")}
-        numpy_modules = [module for name, module in list(sys.modules.items())
-                         if name.split(".")[0] == "numpy" and module is not None]
-        for module in numpy_modules:
+        originals = {name: obj for name, obj in vars(np.linalg).items()
+                     if callable(obj) and not isinstance(obj, type) and not name.startswith("_")}
+        assert {"solve", "inv", "cond", "svd", "eigvals"} <= set(originals)
+        modules = [module for name, module in list(sys.modules.items())
+                   if name.split(".")[0] in ("numpy", "platoonsim") and module is not None]
+        for module in modules:
             for name, original in originals.items():
                 if vars(module).get(name) is original:
                     monkeypatch.setattr(module, name, forbidden)
 
-    def test_gains_gate_and_run(self, no_eigensolvers):
+    def test_gains_gate_and_run(self, no_lapack):
         config = paper_s5()
         [(members, gains)] = observer_gains(config)
         assert members == list(range(9)) and gains.k1 == 3.0
@@ -121,12 +160,67 @@ class TestPlacementWithoutEigensolvers:
         assert report.verdicts["R2_hard"]
 
 
+def exact_characteristic_coefficients(rows):
+    """Faddeev-LeVerrier on a square matrix of Fractions: its exact characteristic polynomial."""
+    size = len(rows)
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for k in range(1, size + 1):
+        for i in range(size):
+            m[i][i] += coeffs[-1]
+        m = [[sum(rows[i][j] * m[j][col] for j in range(size)) for col in range(size)]
+             for i in range(size)]
+        coeffs.append(-sum(m[i][i] for i in range(size)) / k)
+    return coeffs
+
+
+def exact_desired_coefficients(desired):
+    """Exact monic polynomial with the given real roots and conjugate pairs, highest power first."""
+    poly = [Fraction(1)]
+    for lam in desired:
+        if lam.imag < 0:
+            continue
+        re = Fraction(lam.real)
+        factor = ([Fraction(1), -2 * re, re * re + Fraction(lam.imag) ** 2] if lam.imag
+                  else [Fraction(1), -re])
+        poly = [sum(poly[i] * factor[k - i] for i in range(len(poly)) if 0 <= k - i < len(factor))
+                for k in range(len(poly) + len(factor) - 1)]
+    return poly
+
+
+def exact_placement_error(pair, gains, desired):
+    """Largest ``|placed - desired| / max(|desired|, 1)`` over the coefficients, in rationals."""
+    a, c = augmented_pair(*pair)
+    rows = [[Fraction(float(x)) for x in row] for row in closed_loop_matrix(a, c, gains)]
+    # the placed matrix is A + K C exactly: the gains enter column 0, where A is zero
+    assert [row[0] for row in rows] == [Fraction(k) for k in gains.k]
+    got = exact_characteristic_coefficients(rows)
+    want = exact_desired_coefficients(desired)
+    return float(max(abs(g - w) / max(abs(w), 1) for g, w in zip(got, want)))
+
+
+MAGNITUDE = st.builds(lambda sign, exp: sign * 10.0 ** exp,
+                      st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0))
+PART = st.floats(0.1, 10.0)
+
+
+@st.composite
+def spectra(draw):
+    """Five eigenvalues in [-10, -0.1], real or as conjugate pairs with imaginary part in [0.1, 10]."""
+    n_pairs = draw(st.integers(0, 2))
+    out = [complex(-draw(PART)) for _ in range(5 - 2 * n_pairs)]
+    for _ in range(n_pairs):
+        re, im = -draw(PART), draw(PART)
+        out += [complex(re, im), complex(re, -im)]
+    return out
+
+
 class TestGainSynthesis:
     def test_matches_symbolic_coefficient_matching(self):
         import sympy as sp
 
         a, c = benchmark_pair()
-        gains = synthesize_gains(a, c, [-3.0] * 5, k1=3.0)
+        gains = synthesize_gains(*PAIR, [-3.0] * 5, k1=3.0)
         k2, k3, k41, k42, k43 = sp.symbols("k2 k3 k41 k42 k43")
         lam = sp.symbols("lam")
         m = sp.Matrix(a) + sp.Matrix([k2, k3, k41, k42, k43]) * sp.Matrix([[1, 0, 0, 0, 0]])
@@ -138,47 +232,102 @@ class TestGainSynthesis:
         expected = [float(sol[0][s]) for s in (k2, k3, k41, k42, k43)]
         assert gains.k == pytest.approx(expected, rel=1e-9)
 
+    def test_closed_form_is_the_symbolic_solution(self):
+        # the module's formulas, from the characteristic polynomial of the general pair
+        import sympy as sp
+
+        u, n, w, lam = sp.symbols("u n omega lam", nonzero=True)
+        k = sp.symbols("k2 k3 k41 k42 k43")
+        a_sym = sp.symbols("a1:6")
+        a = sp.zeros(5)
+        a[0, 1] = 1
+        a[1, 2], a[1, 4] = u, n
+        a[3, 4], a[4, 3] = w, -w
+        m = a + sp.Matrix(k) * sp.Matrix([[1, 0, 0, 0, 0]])
+        charpoly = sp.Poly((lam * sp.eye(5) - m).det(), lam).all_coeffs()
+        sol = sp.solve([sp.Eq(got, want) for got, want in zip(charpoly[1:], a_sym)], k,
+                       dict=True)
+        assert len(sol) == 1
+        closed = (-a_sym[0], w**2 - a_sym[1], -a_sym[4] / (u * w**2),
+                  (a_sym[3] + (w**2 - a_sym[1]) * w**2) / (n * w),
+                  (a_sym[0] * w**2 + a_sym[4] / w**2 - a_sym[2]) / n)
+        assert all(sp.simplify(sol[0][s] - f) == 0 for s, f in zip(k, closed))
+
     def test_closed_loop_polynomial_matches_target(self):
         a, c = benchmark_pair()
-        gains = synthesize_gains(a, c, [-3.0] * 5, k1=3.0)
+        gains = synthesize_gains(*PAIR, [-3.0] * 5, k1=3.0)
         coeffs = characteristic_coefficients(closed_loop_matrix(a, c, gains))
         target = np.poly([-3.0] * 5)
         assert coeffs == pytest.approx(target, rel=1e-9)
+        assert exact_placement_error(PAIR, gains, [-3.0] * 5) < 1e-15
 
     def test_distinct_eigenvalues(self):
         a, c = benchmark_pair()
         desired = [-1.0, -2.0, -3.0, -4.0, -5.0]
-        gains = synthesize_gains(a, c, desired, k1=2.0)
+        gains = synthesize_gains(*PAIR, desired, k1=2.0)
         eig = np.sort(np.linalg.eigvals(closed_loop_matrix(a, c, gains)).real)
         assert eig == pytest.approx(sorted(desired), abs=1e-8)
 
     def test_complex_conjugate_targets(self):
         a, c = benchmark_pair()
         desired = [-3.0, -2.0 + 1.0j, -2.0 - 1.0j, -1.0 + 0.5j, -1.0 - 0.5j]
-        gains = synthesize_gains(a, c, desired, k1=1.0)
+        gains = synthesize_gains(*PAIR, desired, k1=1.0)
         got = np.sort_complex(np.linalg.eigvals(closed_loop_matrix(a, c, gains)))
         want = np.sort_complex(np.array(desired))
         assert got == pytest.approx(want, abs=1e-7)
 
+    def test_matches_ackermann_on_the_benchmark_pair(self):
+        for desired in ([-3.0] * 5, [-3.0, -2.0 + 1.0j, -2.0 - 1.0j, -1.0 + 0.5j, -1.0 - 0.5j]):
+            gains = synthesize_gains(*PAIR, desired, k1=3.0)
+            assert gains.k == pytest.approx(ackermann_gains(*benchmark_pair(), desired).k,
+                                            rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, phases=(Phase.explicit, Phase.generate))
+    @given(u=MAGNITUDE, n=MAGNITUDE, omega=st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
+           desired=spectra())
+    def test_matches_ackermann_over_the_realistic_regime(self, u, n, omega, desired):
+        try:
+            reference = ackermann_gains(*augmented_pair(u, n, omega), desired, k1=2.0)
+        except PlacementError:
+            return
+        gains = synthesize_gains(u, n, omega, desired, k1=2.0)
+        assert gains.k1 == reference.k1
+        assert gains.k == pytest.approx(reference.k, rel=1e-9, abs=0.0)
+        assert exact_placement_error((u, n, omega), gains, desired) <= 1e-6
+
     def test_rejects_unobservable_pair(self):
-        a, c = build_augmented_pair(np.zeros(3), S_UNIT)
-        with pytest.raises(PlacementError):
-            synthesize_gains(a, c, [-3.0] * 5)
+        with pytest.raises(PlacementError, match="unobservable"):
+            synthesize_gains(0.0, 0.0, 1.0, [-3.0] * 5)
 
     def test_rejects_unstable_targets(self):
-        a, c = benchmark_pair()
-        with pytest.raises(PlacementError):
-            synthesize_gains(a, c, [-3.0] * 4 + [0.5])
+        with pytest.raises(PlacementError, match="negative real parts"):
+            synthesize_gains(*PAIR, [-3.0] * 4 + [0.5])
 
     def test_rejects_unpaired_complex_targets(self):
-        a, c = benchmark_pair()
-        with pytest.raises(PlacementError):
-            synthesize_gains(a, c, [-3.0] * 4 + [-1.0 + 1.0j])
+        with pytest.raises(PlacementError, match="closed under conjugation"):
+            synthesize_gains(*PAIR, [-3.0] * 4 + [-1.0 + 1.0j])
+
+    def test_rejects_a_wrong_count(self):
+        with pytest.raises(PlacementError, match="need 5 desired eigenvalues, got 4"):
+            synthesize_gains(*PAIR, [-3.0] * 4)
+
+    def test_verification_is_exact(self):
+        # the s^1 coefficient n omega k4[1] - k3 omega^2 cancels terms of size omega^4
+        pair, desired = (2.5, 2.5, 100.0), [-3.0] * 5
+        want = [float(a) for a in np.poly(desired)[1:]]
+        gains = synthesize_gains(*pair, desired)
+        err = observer._coefficient_error(*pair, gains.k, want)
+        assert err == exact_placement_error(pair, gains, desired) <= 1e-6
+        off = (*gains.k[:3], gains.k[3] * (1 + 1e-9), gains.k[4])
+        assert observer._coefficient_error(*pair, off, want) > 1e-6
+
+    def test_rejects_a_placement_that_rounding_spoils(self):
+        with pytest.raises(PlacementError, match="placement verification failed"):
+            synthesize_gains(2.5, 2.5, 3e3, [-3.0] * 5)
 
 
 def make_gains():
-    a, c = benchmark_pair()
-    return synthesize_gains(a, c, [-3.0] * 5, k1=3.0)
+    return synthesize_gains(*PAIR, [-3.0] * 5, k1=3.0)
 
 
 class TestAuxiliaryInputs:
@@ -262,8 +411,7 @@ class TestObserverRhs:
 class TestLinearErrorOracle:
     def test_zero_initial_error_stays_zero(self):
         gains = make_gains()
-        a, c = benchmark_pair()
-        out = linear_error_oracle(0.0, 0.0, 0.0, np.zeros(3), 0.0, gains, a, c,
+        out = linear_error_oracle(0.0, 0.0, 0.0, np.zeros(3), 0.0, gains, PAIR,
                                   horizon=1.0, step=1e-3)
         assert np.all(out["e_x"] == 0.0)
         assert np.all(out["e_v"] == 0.0)
@@ -271,8 +419,7 @@ class TestLinearErrorOracle:
 
     def test_position_channel_is_pure_exponential(self):
         gains = make_gains()
-        a, c = benchmark_pair()
-        out = linear_error_oracle(1.0, 0.0, 0.0, np.zeros(3), 0.0, gains, a, c,
+        out = linear_error_oracle(1.0, 0.0, 0.0, np.zeros(3), 0.0, gains, PAIR,
                                   horizon=1.0, step=1e-3)
         assert out["e_x"][-1] == pytest.approx(math.exp(-3.0), abs=1e-9)
 
@@ -281,10 +428,9 @@ class TestLinearErrorOracle:
         # constant for these gains is ~139, so the strict 1e-2 contraction
         # checkpoint sits at t=6 rather than t=5
         gains = make_gains()
-        a, c = benchmark_pair()
         # e_w chosen so the internal combined channel also starts at one
         e_w0 = 1.0 + gains.k2 * 1.0
-        out = linear_error_oracle(1.0, 1.0, e_w0, np.ones(3), 0.0, gains, a, c,
+        out = linear_error_oracle(1.0, 1.0, e_w0, np.ones(3), 0.0, gains, PAIR,
                                   horizon=6.0, step=1e-3)
         initial = math.sqrt(6.0)
 
